@@ -15,10 +15,8 @@ from .fock import (
     basis_state,
     build_space,
     expectation,
-    identity_operator,
     product_state,
     tensor,
-    zero_operator,
 )
 from .gpauli import (
     AlgebraReport,
@@ -53,7 +51,6 @@ from .indicators import (
     contextuality_verdict,
     gram_certificate,
     lhv_bound_oracle,
-    map_witness,
     mermin_bell_value,
     nchv_bound_oracle,
     ns_condition_family,

@@ -1,9 +1,9 @@
 """Command-line surface: verification suites, state evaluation and sweeps.
 
 Commands emit CSV for sweep curves and JSON for structured verdicts; no
-plotting happens in-process.  Output is byte-stable for fixed flags and
-seed.  Exit codes: 0 success, 1 usage error, 2 verification failure,
-3 input parse failure.
+plotting happens in-process.  Output is byte-stable for fixed flags, seed
+and BLAS thread count.  Exit codes: 0 success, 1 usage error,
+2 verification failure, 3 input parse failure.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from . import indicators, states
-from .fock import MultiBeamState, basis_state, build_space
+from .fock import MultiBeamState, basis_state, build_space, joint_index
 from .gpauli import verify_algebra
 from .indicators import (
     GHZ3_WITNESS,
@@ -34,7 +35,6 @@ from .states import (
     bghz_state,
     bsv_state,
     load_bghz_coefficients,
-    prob_diagonal,
     qubit_embed,
     random_separable,
 )
@@ -43,6 +43,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_PARSE = 3
+
+T = TypeVar("T")
 
 CSV_HEADER = "gamma,p_diag,pm_value,margin,lo,hi,verdict"
 
@@ -137,8 +139,6 @@ def load_state_file(path, cutoff: int | None = None) -> MultiBeamState:
     space = build_space(cutoff)
     domain = (space,) * n_beams
     amps = np.zeros(space.dim**n_beams, dtype=complex)
-    from .fock import joint_index
-
     for occs, value in rows:
         amps[joint_index(domain, occs)] = value
     norm = float(np.linalg.norm(amps))
@@ -182,41 +182,39 @@ def _cmd_verify_algebra(args) -> int:
 
 
 def _contextuality_rows(args) -> list[tuple[float | None, MultiBeamState]]:
-    if args.source == "bsv":
-        if args.gamma is not None:
-            gammas = [args.gamma]
-        elif args.gamma_min is not None and args.gamma_max is not None:
-            gammas = _sweep(args).grid()
-        else:
+    if args.source == "bsv" and args.gamma is None:
+        if args.gamma_min is None or args.gamma_max is None:
             raise _UsageError("bsv source needs --gamma or --gamma-min/--gamma-max")
-        return [(g, bsv_state(BsvParams(g, args.cutoff))) for g in gammas]
-    if args.source == "qubit":
-        return [(None, qubit_embed(states.BELL_STATES[args.bell_state]))]
-    if args.state is None:
-        raise _UsageError("state source needs --state FILE")
-    loaded = load_state_file(args.state)
-    if loaded.n_beams != 2:
+        gammas = _sweep(args).grid()
+        return [(g, _checked(lambda: bsv_state(BsvParams(g, args.cutoff)))) for g in gammas]
+    state, meta = _source_state(args)
+    if state.n_beams != 2:
         raise _UsageError("contextuality takes a two-beam state")
-    return [(None, loaded)]
+    return [(meta.get("gamma"), state)]
 
 
 class _UsageError(Exception):
     pass
 
 
-def _sweep(args) -> SweepSpec:
+def _checked(build: Callable[[], T]) -> T:
+    """Run a constructor, reporting its domain ValueError as a usage error."""
     try:
-        return SweepSpec(args.gamma_min, args.gamma_max, args.steps, args.cutoff)
+        return build()
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+
+
+def _sweep(args) -> SweepSpec:
+    return _checked(lambda: SweepSpec(args.gamma_min, args.gamma_max, args.steps, args.cutoff))
 
 
 def _cmd_contextuality(args) -> int:
     rows = _contextuality_rows(args)
     records: list[tuple[float | None, float, VerdictRecord]] = []
     for gamma, state in rows:
-        verdict = indicators.contextuality_verdict(state)
-        records.append((gamma, prob_diagonal(state), verdict))
+        result = indicators.pm_expectation(state)
+        records.append((gamma, result.p_diag, result.verdict_record()))
     if args.format == "json":
         payload = {
             "rows": [
@@ -249,14 +247,15 @@ def _cmd_contextuality(args) -> int:
     return EXIT_OK
 
 
-def _entanglement_state(args) -> tuple[MultiBeamState, dict]:
+def _source_state(args) -> tuple[MultiBeamState, dict]:
+    """The state named by ``args.source``, with the metadata echoed in JSON output."""
     meta: dict = {"source": args.source}
     if args.source == "bsv":
         if args.gamma is None:
             raise _UsageError("bsv source needs --gamma")
         meta["gamma"] = args.gamma
         meta["cutoff"] = args.cutoff
-        return bsv_state(BsvParams(args.gamma, args.cutoff)), meta
+        return _checked(lambda: bsv_state(BsvParams(args.gamma, args.cutoff))), meta
     if args.source == "qubit":
         if getattr(args, "ghz", False):
             meta["state"] = "ghz"
@@ -270,7 +269,7 @@ def _entanglement_state(args) -> tuple[MultiBeamState, dict]:
         cutoff = args.cutoff if args.cutoff_given else max(2 * coeffs.max_order, 1)
         meta["coeffs"] = str(args.coeffs)
         meta["cutoff"] = cutoff
-        return bghz_state(coeffs, cutoff), meta
+        return _checked(lambda: bghz_state(coeffs, cutoff)), meta
     if args.source == "bghz-gen":
         if args.gamma is None:
             raise _UsageError("bghz-gen source needs --gamma")
@@ -278,11 +277,11 @@ def _entanglement_state(args) -> tuple[MultiBeamState, dict]:
         meta["cutoff"] = args.cutoff
         meta["authoritative"] = False
         meta["note"] = "generator-exponential path, truncation-sensitive"
-        return bghz_generator_state(args.gamma, args.cutoff), meta
+        return _checked(lambda: bghz_generator_state(args.gamma, args.cutoff)), meta
     if args.source == "separable":
         beams = 3 if args.witness == "ghz3" else 2
         meta.update({"seed": args.seed, "degree": args.degree, "cutoff": args.cutoff})
-        return random_separable(args.seed, beams, args.cutoff, args.degree), meta
+        return _checked(lambda: random_separable(args.seed, beams, args.cutoff, args.degree)), meta
     if args.state is None:
         raise _UsageError("state source needs --state FILE")
     meta["file"] = str(args.state)
@@ -291,25 +290,6 @@ def _entanglement_state(args) -> tuple[MultiBeamState, dict]:
 
 def _default_witness(n_beams: int) -> str:
     return "ghz3" if n_beams == 3 else "singlet"
-
-
-def _witness_verdict(value: float, slack: float) -> VerdictRecord:
-    lo, hi = value - slack, value + slack
-    if hi < 0.0:
-        verdict = "entangled"
-    elif lo >= 0.0:
-        verdict = "not_detected"
-    else:
-        verdict = "inconclusive"
-    return VerdictRecord(
-        quantity="witness_expectation",
-        value=value,
-        bound=0.0,
-        margin=-value,
-        interval_lo=lo,
-        interval_hi=hi,
-        verdict=verdict,
-    )
 
 
 def _cmd_entanglement(args) -> int:
@@ -321,7 +301,7 @@ def _cmd_entanglement(args) -> int:
         spec = WITNESSES[args.witness or "ghz3"]
         curve = []
         for gamma in sweep.grid():
-            state = bghz_generator_state(gamma, sweep.cutoff)
+            state = _checked(lambda: bghz_generator_state(gamma, sweep.cutoff))
             value = indicators.witness_expectation(spec, state)
             curve.append({"gamma": gamma, "witness_value": value})
         if args.format == "csv":
@@ -343,7 +323,7 @@ def _cmd_entanglement(args) -> int:
             )
         return EXIT_OK
 
-    state, meta = _entanglement_state(args)
+    state, meta = _source_state(args)
 
     if args.subcommand == "witness":
         name = args.witness or _default_witness(state.n_beams)
@@ -352,11 +332,8 @@ def _cmd_entanglement(args) -> int:
             raise _UsageError(
                 f"witness {name!r} has {spec.n_parties} parties, state has {state.n_beams} beams"
             )
-        value = indicators.witness_expectation(spec, state)
-        slack = state.norm_deficit * sum(
-            abs(w) for w in spec.coefficients.values()
-        ) + indicators.VERDICT_ATOL
-        payload = {"witness": name, **meta, **_witness_verdict(value, slack).to_dict()}
+        verdict = indicators.witness_verdict(spec, state)
+        payload = {"witness": name, **meta, **verdict.to_dict()}
         _emit_json(payload, args.out)
         return EXIT_OK
 
@@ -382,7 +359,7 @@ def _cmd_bell(args) -> int:
     else:
         if args.source == "qubit" and not args.ghz:
             raise _UsageError("bell qubit needs --ghz (three beams)")
-        state, meta = _entanglement_state(args)
+        state, meta = _source_state(args)
     if state.n_beams != 3:
         raise _UsageError("bell takes a three-beam state")
     result = indicators.mermin_bell_value(state)

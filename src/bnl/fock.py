@@ -6,7 +6,12 @@ The occupation basis is enumerated in one fixed canonical order (total
 photon number ascending, then photons in mode a descending) so that
 serialized operators and regression fixtures are byte-stable across runs.
 
-Operators are stored as sparse complex matrices; states are dense complex
+Every single-beam observable used here is *monomial*: it has at most one
+nonzero entry per column.  ``Monomial`` stores such an operator as a target
+index and a phase per basis column, and ``expectation_sums`` evaluates
+weighted sums of their tensor products on a state by gathers along each
+beam axis, without forming an operator on the joint space.  General
+operators are stored as sparse complex matrices; states are dense complex
 amplitude vectors over the tensored basis of one or more beams.  All
 containers are immutable after construction, so evaluation is safe to run
 concurrently over independent states and operators.
@@ -15,8 +20,9 @@ concurrently over independent states and operators.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,9 +87,23 @@ class BeamSpace:
         return [k for k, occ in enumerate(self.basis) if occ.total == total]
 
     @functools.cached_property
+    def occupations(self) -> tuple[np.ndarray, np.ndarray]:
+        """Integer arrays (n_a, n_b) of every basis state, in basis order."""
+        total = np.repeat(np.arange(self.cutoff + 1), np.arange(1, self.cutoff + 2))
+        n_b = np.arange(self.dim) - total * (total + 1) // 2
+        return total - n_b, n_b
+
+    @functools.cached_property
     def diagonal_mask(self) -> np.ndarray:
         """Boolean vector marking equal-occupation basis states."""
-        return np.array([occ.diagonal for occ in self.basis], dtype=bool)
+        n_a, n_b = self.occupations
+        return n_a == n_b
+
+    @functools.cached_property
+    def swap_index(self) -> np.ndarray:
+        """Basis position of |n_b, n_a> for every basis state |n_a, n_b>."""
+        n_a, n_b = self.occupations
+        return np.arange(self.dim) + n_a - n_b
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,6 +218,83 @@ class ComplexOperator:
         return self.matrix[np.ix_(idx, idx)].toarray()
 
 
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """Single-beam operator with at most one nonzero entry per column.
+
+    Basis column ``c`` is sent to ``phase[c] |target[c]>``; a zero phase
+    annihilates it.  Products and adjoints of such operators stay monomial.
+    """
+
+    space: BeamSpace
+    target: np.ndarray
+    phase: np.ndarray
+
+    def __matmul__(self, other: "Monomial") -> "Monomial":
+        if self.space != other.space:
+            raise DomainMismatchError(
+                f"monomial spaces differ: {self.space.cutoff} vs {other.space.cutoff}"
+            )
+        return Monomial(
+            self.space, self.target[other.target], self.phase[other.target] * other.phase
+        )
+
+    def dagger(self) -> "Monomial":
+        cols = np.flatnonzero(self.phase)
+        rows = self.target[cols]
+        if np.unique(rows).size != rows.size:
+            raise ValueError("adjoint is not monomial: two columns share a target row")
+        target = np.arange(self.space.dim)
+        phase = np.zeros(self.space.dim, dtype=complex)
+        target[rows] = cols
+        phase[rows] = self.phase[cols].conj()
+        return Monomial(self.space, target, phase)
+
+    def operator(self, hermitian: bool = False) -> ComplexOperator:
+        """The same map as a sparse operator, storing no explicit zeros."""
+        cols = np.flatnonzero(self.phase)
+        dim = self.space.dim
+        matrix = sp.csr_matrix(
+            (self.phase[cols], (self.target[cols], cols)), shape=(dim, dim)
+        )
+        return ComplexOperator((self.space,), matrix, hermitian=hermitian)
+
+    @functools.cached_property
+    def canonical(self) -> tuple[complex, bytes, "Monomial"] | None:
+        """(scale, key, M): self = scale * M, M's first nonzero phase is 1 and
+        its ``key`` is shared by every multiple of self; None for the zero map."""
+        cols = np.flatnonzero(self.phase)
+        if cols.size == 0:
+            return None
+        scale = complex(self.phase[cols[0]])
+        # Adding 0.0 turns the signed zeros of the division into +0.0.
+        phase = self.phase / scale + 0.0
+        target = np.where(self.phase != 0, self.target, np.arange(self.space.dim))
+        return scale, target.tobytes() + phase.tobytes(), Monomial(self.space, target, phase)
+
+
+# One term of a sum of product observables: weight and one factor per beam.
+Term = tuple[complex, Sequence[Monomial]]
+
+
+def merge_terms(terms: Iterable[Term]) -> list[tuple[complex, tuple[Monomial, ...]]]:
+    """Add up the terms whose factors agree beam by beam up to a scalar.
+
+    Factors become their canonical forms, the scales moving into the
+    weight; terms that vanish are dropped.
+    """
+    merged: dict[tuple[bytes, ...], list] = {}
+    for weight, factors in terms:
+        forms = [factor.canonical for factor in factors]
+        if None in forms:
+            continue
+        entry = merged.setdefault(
+            tuple(key for _, key, _ in forms), [0.0, tuple(m for _, _, m in forms)]
+        )
+        entry[0] += weight * math.prod(scale for scale, _, _ in forms)
+    return [(weight, factors) for weight, factors in merged.values() if weight != 0]
+
+
 def _cutoffs(domain: Sequence[BeamSpace]) -> tuple[int, ...]:
     return tuple(space.cutoff for space in domain)
 
@@ -244,43 +341,6 @@ class MultiBeamState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def operator_from_action(
-    space: BeamSpace,
-    action: Callable[[ModeOccupation], Iterable[tuple[tuple[int, int], complex]]],
-    hermitian: bool = False,
-) -> ComplexOperator:
-    """Build a single-beam operator column by column from its basis action.
-
-    ``action(occ)`` yields (target occupation, amplitude) pairs for the
-    image of |occ>.  Targets must stay inside the space.
-    """
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    for col, occ in enumerate(space.basis):
-        for target, amp in action(occ):
-            rows.append(space.index[ModeOccupation(*target)])
-            cols.append(col)
-            vals.append(amp)
-    matrix = sp.csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)),
-        shape=(space.dim, space.dim),
-    )
-    return ComplexOperator((space,), matrix, hermitian=hermitian)
-
-
-def identity_operator(domain: BeamSpace | Sequence[BeamSpace]) -> ComplexOperator:
-    domain = _as_domain(domain)
-    dim = _domain_dim(domain)
-    return ComplexOperator(domain, sp.identity(dim, dtype=complex, format="csr"), hermitian=True)
-
-
-def zero_operator(domain: BeamSpace | Sequence[BeamSpace]) -> ComplexOperator:
-    domain = _as_domain(domain)
-    dim = _domain_dim(domain)
-    return ComplexOperator(domain, sp.csr_matrix((dim, dim), dtype=complex), hermitian=True)
-
-
 def _as_domain(domain: BeamSpace | Sequence[BeamSpace]) -> tuple[BeamSpace, ...]:
     if isinstance(domain, BeamSpace):
         return (domain,)
@@ -304,7 +364,7 @@ def tensor(ops: Sequence[ComplexOperator]) -> ComplexOperator:
 
 def apply(op: ComplexOperator, state: MultiBeamState) -> MultiBeamState:
     """Exact sparse matrix-vector product; the result is not renormalized."""
-    _check_op_state(op, state)
+    _check_op_state(op.domain, state)
     return MultiBeamState(
         domain=state.domain,
         amplitudes=op.matrix @ state.amplitudes,
@@ -320,26 +380,76 @@ def expectation(op: ComplexOperator, state: MultiBeamState) -> complex | float:
     1e-12 (else HermitianViolationError) and the real part is returned as
     a float; otherwise the full complex value is returned.
     """
-    _check_op_state(op, state)
-    total = state.norm() ** 2 + state.norm_deficit
+    _check_op_state(op.domain, state)
+    _check_normalized(state)
+    value = complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+    return _hermitian_value(value, op.hermitian)
+
+
+def expectation_sums(
+    sums: Sequence[Sequence[Term]], state: MultiBeamState, hermitian: bool = False
+) -> list[complex | float]:
+    """<psi| sum_t w_t A_t1 x ... x A_tn |psi> for each given sum of product monomials.
+
+    With psi viewed as an array with one axis per beam, a product term is a
+    gather of psi along every axis followed by one phase-weighted vdot, so
+    no operator on the joint space is formed.  Terms are merged first (see
+    merge_terms).  The checks are those of ``expectation``: matching
+    domains, a normalized state and, for sums declared Hermitian, an
+    imaginary part below 1e-12, the real part being returned as a float.
+    """
+    for terms in sums:
+        for _, factors in terms:
+            _check_op_state(tuple(factor.space for factor in factors), state)
+    _check_normalized(state)
+    psi = state.amplitudes.reshape([space.dim for space in state.domain])
+    return [
+        _hermitian_value(
+            complex(sum(w * _product_value(psi, f) for w, f in merge_terms(terms))),
+            hermitian,
+        )
+        for terms in sums
+    ]
+
+
+def _product_value(psi: np.ndarray, factors: Sequence[Monomial]) -> complex:
+    """<psi| A_1 x ... x A_n |psi>: gather the bra at the targets, weight the ket by the phases."""
+    bra = ket = psi
+    for axis, factor in enumerate(factors):
+        cols = np.flatnonzero(factor.phase)
+        rows = factor.target[cols]
+        # A diagonal factor gathers bra and ket alike while they still coincide.
+        shared = bra is ket and np.array_equal(rows, cols)
+        ket = np.take(ket, cols, axis=axis)
+        bra = ket if shared else np.take(bra, rows, axis=axis)
+        phase = factor.phase[cols]
+        if not np.all(phase == 1):
+            ket = ket * phase.reshape((-1,) + (1,) * (psi.ndim - axis - 1))
+    return complex(np.vdot(bra, ket))
+
+
+def _check_normalized(state: MultiBeamState) -> None:
+    total = float(np.vdot(state.amplitudes, state.amplitudes).real) + state.norm_deficit
     if abs(total - 1.0) > NORM_ATOL:
         raise ValueError(
             f"state is not normalized: |amplitudes|^2 + deficit = {total!r}"
         )
-    value = complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    if op.hermitian:
-        if abs(value.imag) >= HERMITIAN_IMAG_ATOL:
-            raise HermitianViolationError(
-                f"Hermitian expectation has imaginary part {value.imag:.3e}"
-            )
-        return float(value.real)
-    return value
 
 
-def _check_op_state(op: ComplexOperator, state: MultiBeamState) -> None:
-    if op.domain != state.domain:
+def _hermitian_value(value: complex, hermitian: bool) -> complex | float:
+    if not hermitian:
+        return value
+    if abs(value.imag) >= HERMITIAN_IMAG_ATOL:
+        raise HermitianViolationError(
+            f"Hermitian expectation has imaginary part {value.imag:.3e}"
+        )
+    return float(value.real)
+
+
+def _check_op_state(domain: tuple[BeamSpace, ...], state: MultiBeamState) -> None:
+    if domain != state.domain:
         raise DomainMismatchError(
-            f"operator domain {_cutoffs(op.domain)} does not match "
+            f"operator domain {_cutoffs(domain)} does not match "
             f"state domain {_cutoffs(state.domain)}"
         )
 

@@ -39,7 +39,7 @@ from .fock import (
     BeamSpace,
     ComplexOperator,
     ModeOccupation,
-    operator_from_action,
+    Monomial,
 )
 
 # Entrywise tolerance for the algebra identities (products of exact 0/±1/±i
@@ -47,8 +47,6 @@ from .fock import (
 ALGEBRA_ATOL = 1e-12
 # Tolerance on eigenvalues relative to the target spectrum {-1, 0, +1}.
 SPECTRUM_ATOL = 1e-10
-# Tolerance for the direct-vs-quadratic-form construction cross-check.
-CROSS_CHECK_ATOL = 1e-14
 # Hermiticity slack accepted by the per-block eigensolver.
 HERMITIAN_BLOCK_ATOL = 1e-12
 
@@ -81,46 +79,52 @@ class GLabel:
             raise ValueError("g0 has no dichotomized variant")
 
 
-def diagonal_projector(space: BeamSpace) -> ComplexOperator:
+def diagonal_monomial(space: BeamSpace) -> Monomial:
     """sum_n |n,n><n,n| restricted to the space."""
-    return operator_from_action(
-        space,
-        lambda occ: [((occ.n_a, occ.n_b), 1.0)] if occ.diagonal else [],
-        hermitian=True,
-    )
+    return Monomial(space, np.arange(space.dim), space.diagonal_mask.astype(complex))
 
 
-def _g_action(index: int):
-    def act(occ: ModeOccupation):
-        n, m = occ
-        if n == m:
-            return []
-        if index == 0:
-            return [((n, m), 1.0)]
-        if index == 1:
-            return [((m, n), 1.0)]
-        if index == 2:
-            # sign acts after the swap: sign(m - n) on the target |m, n>.
-            return [((m, n), -1j * float(np.sign(m - n)))]
-        return [((n, m), float(np.sign(n - m)))]
+def g_monomial(label: GLabel | int, space: BeamSpace) -> Monomial:
+    """Observable g_index (or its dichotomized variant) on one beam, as a monomial."""
+    if isinstance(label, int):
+        label = GLabel(label)
+    n_a, n_b = space.occupations
+    sign = np.sign(n_a - n_b)
+    target = space.swap_index if label.index in (1, 2) else np.arange(space.dim)
+    # g2 = -i sign(Na - Nb) g1: the sign is read on the swapped target, so
+    # the phase on column |n_a, n_b> is -i sign(n_b - n_a) = i sign(n_a - n_b).
+    phase = {0: sign != 0, 1: sign != 0, 2: 1j * sign, 3: sign}[label.index].astype(complex)
+    if label.minus_variant:
+        # g_i annihilates the diagonal states, the support of the projector,
+        # so g_i - projector stays monomial.
+        phase = phase - diagonal_monomial(space).phase
+    return Monomial(space, target, phase)
 
-    return act
+
+def sr_monomial(space: BeamSpace) -> Monomial:
+    """Half swap |m,n> -> |n,m> for m > n, as a monomial."""
+    n_a, n_b = space.occupations
+    return Monomial(space, space.swap_index, (n_a > n_b).astype(complex))
+
+
+def pr_monomial(space: BeamSpace) -> Monomial:
+    """Projector onto the states with more photons in mode b, as a monomial."""
+    n_a, n_b = space.occupations
+    return Monomial(space, np.arange(space.dim), (n_b > n_a).astype(complex))
 
 
 def g_operator(label: GLabel | int, space: BeamSpace) -> ComplexOperator:
     """Observable g_index (or its dichotomized variant) on one beam."""
-    if isinstance(label, int):
-        label = GLabel(label)
-    if label.minus_variant:
+    if isinstance(label, GLabel) and label.minus_variant:
         return g_minus(label.index, space)
-    return operator_from_action(space, _g_action(label.index), hermitian=True)
+    return g_monomial(label, space).operator(hermitian=True)
 
 
 def g_minus(index: int, space: BeamSpace, verify_spectrum: bool = True) -> ComplexOperator:
     """Dichotomized g_{index-} = g_index - diagonal projector, spectrum {-1, +1}."""
     if index not in (1, 2, 3):
         raise ValueError(f"dichotomized variant exists for indices 1..3, got {index}")
-    op = (g_operator(index, space) - diagonal_projector(space)).with_hermitian_flag()
+    op = g_monomial(GLabel(index, True), space).operator(hermitian=True)
     if verify_spectrum:
         deviation = spectrum_deviation(op, targets=(-1.0, 1.0))
         if deviation > SPECTRUM_ATOL:
@@ -132,19 +136,12 @@ def g_minus(index: int, space: BeamSpace, verify_spectrum: bool = True) -> Compl
 
 def s_r(space: BeamSpace) -> ComplexOperator:
     """Half swap: maps |m,n> -> |n,m> for m > n, zero elsewhere."""
-    return operator_from_action(
-        space,
-        lambda occ: [((occ.n_b, occ.n_a), 1.0)] if occ.n_a > occ.n_b else [],
-    )
+    return sr_monomial(space).operator()
 
 
 def p_r(space: BeamSpace) -> ComplexOperator:
     """Projector onto the states with more photons in mode b."""
-    return operator_from_action(
-        space,
-        lambda occ: [((occ.n_a, occ.n_b), 1.0)] if occ.n_b > occ.n_a else [],
-        hermitian=True,
-    )
+    return pr_monomial(space).operator(hermitian=True)
 
 
 PAULI = (
@@ -182,32 +179,16 @@ def stokes_operator(index: int, space: BeamSpace) -> ComplexOperator:
     if index not in (0, 1, 2, 3):
         raise ValueError(f"index must be one of 0..3, got {index}")
 
-    def act(occ: ModeOccupation):
-        n, m = occ
-        out: list[tuple[tuple[int, int], complex]] = []
-        if index == 0:
-            if n + m:
-                out.append(((n, m), (n + m) / 2.0))
-        elif index == 3:
-            if n != m:
-                out.append(((n, m), (n - m) / 2.0))
-        else:
-            # a^dag b / 2 and b^dag a / 2 contributions.
-            up = np.sqrt(m * (n + 1)) / 2.0 if m >= 1 else 0.0
-            down = np.sqrt(n * (m + 1)) / 2.0 if n >= 1 else 0.0
-            if index == 1:
-                if up:
-                    out.append(((n + 1, m - 1), up))
-                if down:
-                    out.append(((n - 1, m + 1), down))
-            else:
-                if up:
-                    out.append(((n + 1, m - 1), -1j * up))
-                if down:
-                    out.append(((n - 1, m + 1), 1j * down))
-        return out
-
-    return operator_from_action(space, act, hermitian=True)
+    n_a, n_b = space.occupations
+    identity = np.arange(space.dim)
+    if index in (0, 3):
+        diagonal = (n_a + n_b if index == 0 else n_a - n_b) / 2.0
+        return Monomial(space, identity, diagonal.astype(complex)).operator(hermitian=True)
+    # a^dag b / 2 sends |n,m> to |n+1,m-1>, one basis position back; the
+    # b^dag a / 2 half is its adjoint.
+    phase = np.sqrt(n_b * (n_a + 1)) / 2.0 * (1.0 if index == 1 else -1j)
+    raising = Monomial(space, identity - (n_b > 0), phase.astype(complex))
+    return (raising.operator() + raising.dagger().operator()).with_hermitian_flag()
 
 
 def pauli_restriction(space: BeamSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -20,7 +20,6 @@ and a verdict that straddles its bound is reported as inconclusive.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,21 +29,18 @@ import numpy as np
 
 from .fock import (
     BeamSpace,
-    ComplexOperator,
     DomainMismatchError,
     MultiBeamState,
-    apply,
-    build_space,
-    expectation,
-    tensor,
+    Term,
+    expectation_sums,
+    merge_terms,
 )
-from .gpauli import g_minus, g_operator, p_r, s_r
+from .gpauli import GLabel, g_monomial, pr_monomial, sr_monomial
 from .states import BsvParams, EnsembleState, bsv_state, prob_diagonal
 
 PM_BOUND = 4.0
 LHV_BOUND = 2.0
 LINE_COMMUTE_ATOL = 1e-12
-LINE_PRODUCT_ATOL = 1e-12
 SHORTCUT_ATOL = 1e-10
 GRAM_PSD_ATOL = 1e-10
 GRAM_TRACE_ATOL = 1e-10
@@ -79,6 +75,15 @@ class VerdictRecord:
         }
 
 
+def _interval_verdict(lo: float, hi: float, bound: float) -> str:
+    """The verdict rule: violated when the whole interval exceeds the bound."""
+    if lo > bound:
+        return "violated"
+    if hi <= bound:
+        return "not_violated"
+    return "inconclusive"
+
+
 # ---------------------------------------------------------------------------
 # Peres-Mermin square
 # ---------------------------------------------------------------------------
@@ -104,59 +109,39 @@ PM_LINES: tuple[tuple[str, tuple[tuple[int, int], ...], int], ...] = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PeresMerminSquare:
-    """The nine two-beam cell operators plus their six context products."""
+def _pm_terms(space: BeamSpace) -> list[Term]:
+    """The six signed line products as per-beam monomials, after the commutation guard."""
+    g = [g_monomial(i, space) for i in range(4)]
+    # Every per-beam product of two cells' factors, built (and canonicalized) once.
+    prod = {(i, j): g[i] @ g[j] for i in range(4) for j in range(4)}
 
-    space: BeamSpace
-    cells: dict[tuple[int, int], ComplexOperator]
-    line_products: dict[str, ComplexOperator]
-    operator: ComplexOperator
-    max_commutator_residual: float
-
-
-@functools.lru_cache(maxsize=8)
-def _pm_square_cached(cutoff: int) -> PeresMerminSquare:
-    return _build_pm_square(build_space(cutoff))
-
-
-def build_pm_square(space: BeamSpace) -> PeresMerminSquare:
-    """Assemble and self-check the square on the given per-beam space."""
-    return _pm_square_cached(space.cutoff)
-
-
-def _build_pm_square(space: BeamSpace) -> PeresMerminSquare:
-    g = [g_operator(i, space) for i in range(4)]
-    cells = {
-        key: tensor([g[p1], g[p2]]) for key, (p1, p2) in PM_CELL_LABELS.items()
-    }
+    def commutator_bound(a: tuple[int, int], b: tuple[int, int]) -> float:
+        # Bounds the largest entry of [A, B] by merging AB - BA as a two-term
+        # sum: zero when the per-beam factors commute or anticommute in pairs.
+        pairs = list(zip(PM_CELL_LABELS[a], PM_CELL_LABELS[b]))
+        ab = tuple(prod[x, y] for x, y in pairs)
+        ba = tuple(prod[y, x] for x, y in pairs)
+        return sum(
+            abs(weight) * math.prod(float(np.abs(f.phase).max()) for f in factors)
+            for weight, factors in merge_terms([(1.0, ab), (-1.0, ba)])
+        )
 
     # Transcription guard: the three cells of every context must commute.
-    worst = 0.0
-    for _, line, _ in PM_LINES:
-        for a, b in itertools.combinations(line, 2):
-            residual = (cells[a] @ cells[b] - cells[b] @ cells[a]).max_abs()
-            worst = max(worst, residual)
+    worst = max(
+        commutator_bound(a, b)
+        for _, line, _ in PM_LINES
+        for a, b in itertools.combinations(line, 2)
+    )
     if worst > LINE_COMMUTE_ATOL:
         raise AssertionError(
             f"cells within a context fail to commute (residual {worst:.3e})"
         )
-
-    line_products = {
-        name: cells[line[0]] @ cells[line[1]] @ cells[line[2]]
-        for name, line, _ in PM_LINES
-    }
-    operator = None
-    for name, _, sign in PM_LINES:
-        term = line_products[name] if sign > 0 else -line_products[name]
-        operator = term if operator is None else operator + term
-    return PeresMerminSquare(
-        space=space,
-        cells=cells,
-        line_products=line_products,
-        operator=operator.with_hermitian_flag(),
-        max_commutator_residual=worst,
-    )
+    return [
+        (float(sign), tuple(
+            prod[x, y] @ g[z] for x, y, z in zip(*(PM_CELL_LABELS[c] for c in line))
+        ))
+        for _, line, sign in PM_LINES
+    ]
 
 
 @dataclass(frozen=True)
@@ -179,21 +164,34 @@ class PmResult:
         """
         return self.value, self.value + 6.0 * self.norm_deficit
 
+    def verdict_record(self) -> VerdictRecord:
+        """Violated iff the square expression exceeds 4 (equivalently P(diagonal) < 1/3)."""
+        lo, hi = self.interval
+        return VerdictRecord(
+            quantity="peres_mermin_square",
+            value=self.value,
+            bound=PM_BOUND,
+            margin=self.value - PM_BOUND,
+            interval_lo=lo - PM_BOUND,
+            interval_hi=hi - PM_BOUND,
+            verdict=_interval_verdict(lo, hi, PM_BOUND),
+        )
 
-def pm_expectation(state: MultiBeamState, square: PeresMerminSquare | None = None) -> PmResult:
-    """Evaluate the square expression by explicit operator products.
 
-    The independently computed shortcut 6(1 - P(diagonal)) must agree with
-    the operator value up to the tail mass weighted by the six contexts;
-    disagreement beyond that signals an internal inconsistency and raises.
+def pm_expectation(state: MultiBeamState) -> PmResult:
+    """Evaluate the square expression as the sum of its six line products.
+
+    The line products all collapse to +-g0 x g0, so the kernel merges them
+    into one term.  The independently computed shortcut 6(1 - P(diagonal))
+    must agree with that value up to the tail mass weighted by the six
+    contexts; disagreement beyond that signals an internal inconsistency
+    and raises.
     """
     if state.n_beams != 2:
         raise DomainMismatchError("the square expression takes a two-beam state")
-    if square is None:
-        if state.domain[0] != state.domain[1]:
-            raise DomainMismatchError("both beams must share one cutoff")
-        square = build_pm_square(state.domain[0])
-    value = expectation(square.operator, state)
+    if state.domain[0] != state.domain[1]:
+        raise DomainMismatchError("both beams must share one cutoff")
+    [value] = expectation_sums([_pm_terms(state.domain[0])], state, hermitian=True)
     p_diag = prob_diagonal(state)
     shortcut = 6.0 * (1.0 - p_diag)
     if abs(value - shortcut) > SHORTCUT_ATOL + 6.0 * state.norm_deficit:
@@ -208,27 +206,9 @@ def pm_expectation(state: MultiBeamState, square: PeresMerminSquare | None = Non
     )
 
 
-def contextuality_verdict(
-    state: MultiBeamState, square: PeresMerminSquare | None = None
-) -> VerdictRecord:
+def contextuality_verdict(state: MultiBeamState) -> VerdictRecord:
     """Violated iff the square expression exceeds 4 (equivalently P(diagonal) < 1/3)."""
-    result = pm_expectation(state, square)
-    lo, hi = result.interval
-    if lo - PM_BOUND > 0.0:
-        verdict = "violated"
-    elif hi - PM_BOUND <= 0.0:
-        verdict = "not_violated"
-    else:
-        verdict = "inconclusive"
-    return VerdictRecord(
-        quantity="peres_mermin_square",
-        value=result.value,
-        bound=PM_BOUND,
-        margin=result.value - PM_BOUND,
-        interval_lo=lo - PM_BOUND,
-        interval_hi=hi - PM_BOUND,
-        verdict=verdict,
-    )
+    return pm_expectation(state).verdict_record()
 
 
 def contextuality_threshold(
@@ -275,18 +255,12 @@ def nchv_bound_oracle(values: Sequence[int] = (-1, 0, 1)) -> int:
     for both the dichotomic and the trichotomic outcome sets.
     """
     cells = sorted(PM_CELL_LABELS)
-    best: int | float = -(10**9)
-    for combo in itertools.product(values, repeat=len(cells)):
-        assignment = dict(zip(cells, combo))
-        total = 0
-        for _, line, sign in PM_LINES:
-            product = 1
-            for cell in line:
-                product *= assignment[cell]
-            total += sign * product
-        if total > best:
-            best = total
-    return best
+    return int(
+        max(
+            nchv_expression(dict(zip(cells, combo)))
+            for combo in itertools.product(values, repeat=len(cells))
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,43 +309,52 @@ PHI_PLUS_WITNESS = WitnessSpec(
 )
 
 
-def map_witness(spec: WitnessSpec, domain: BeamSpace | Sequence[BeamSpace]) -> ComplexOperator:
-    """Boson image of the witness: sum_s w_s  g_{s_1} x ... x g_{s_n}."""
-    if isinstance(domain, BeamSpace):
-        domain = (domain,) * spec.n_parties
-    else:
-        domain = tuple(domain)
-    if len(domain) != spec.n_parties:
-        raise DomainMismatchError(
-            f"witness has {spec.n_parties} parties but {len(domain)} spaces were given"
-        )
-    total: ComplexOperator | None = None
-    for key, weight in sorted(spec.coefficients.items()):
-        if weight == 0:
-            continue
-        term = float(weight) * tensor(
-            [g_operator(s, space) for s, space in zip(key, domain)]
-        )
-        total = term if total is None else total + term
-    assert total is not None
-    return total.with_hermitian_flag()
-
-
 def witness_expectation(
     spec: WitnessSpec, state: MultiBeamState | EnsembleState
 ) -> float:
     """Witness value on a pure state or a convex mixture (weighted member average).
 
-    Nonnegative on every separable input; a negative value certifies
-    entanglement.
+    The boson image of the witness is sum_s w_s  g_{s_1} x ... x g_{s_n};
+    it is nonnegative on every separable input, so a negative value
+    certifies entanglement.
     """
-    if isinstance(state, EnsembleState):
-        operator = map_witness(spec, state.domain)
-        return float(
-            sum(w * expectation(operator, member) for w, member in state.members)
+    if len(state.domain) != spec.n_parties:
+        raise DomainMismatchError(
+            f"witness has {spec.n_parties} parties but {len(state.domain)} spaces were given"
         )
-    operator = map_witness(spec, state.domain)
-    return float(expectation(operator, state))
+    terms = [
+        (float(weight), tuple(g_monomial(s, space) for s, space in zip(key, state.domain)))
+        for key, weight in sorted(spec.coefficients.items())
+        if weight != 0
+    ]
+    members = state.members if isinstance(state, EnsembleState) else ((1.0, state),)
+    return float(
+        sum(w * expectation_sums([terms], member, hermitian=True)[0] for w, member in members)
+    )
+
+
+def witness_verdict(spec: WitnessSpec, state: MultiBeamState) -> VerdictRecord:
+    """Entangled iff the witness interval lies below 0.
+
+    The slack is the tail mass times the witness's largest possible value,
+    sum |w|, plus VERDICT_ATOL.
+    """
+    value = witness_expectation(spec, state)
+    slack = state.norm_deficit * sum(
+        abs(w) for w in spec.coefficients.values()
+    ) + VERDICT_ATOL
+    lo, hi = value - slack, value + slack
+    # Entanglement violates the separable bound value >= 0, i.e. -value <= 0.
+    rule = _interval_verdict(-hi, -lo, 0.0)
+    return VerdictRecord(
+        quantity="witness_expectation",
+        value=value,
+        bound=0.0,
+        margin=-value,
+        interval_lo=lo,
+        interval_hi=hi,
+        verdict={"violated": "entangled", "not_violated": "not_detected"}.get(rule, rule),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +364,6 @@ def witness_expectation(
 
 class DegenerateCertificateError(ValueError):
     """The state lives in the diagonal subspace, so the certificate trace vanishes."""
-
-
-_PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,36 +393,38 @@ class GramCertificate:
         }
 
 
-def _overlap_vectors(state: MultiBeamState) -> list[np.ndarray]:
-    """Images of the state under every per-beam choice of (half-swap, half-projector)."""
-    factors = [(s_r(space), p_r(space)) for space in state.domain]
-    vectors = []
-    for choice in itertools.product((0, 1), repeat=state.n_beams):
-        op = tensor([factors[beam][pick] for beam, pick in enumerate(choice)])
-        vectors.append(apply(op, state).amplitudes)
-    return vectors
-
-
 def gram_certificate(state: MultiBeamState) -> GramCertificate:
     """Overlap-matrix certificate of a pure multi-beam state.
 
-    Raises DegenerateCertificateError for states inside the diagonal
-    subspace (vanishing trace); verifies positivity and the trace identity
-    before returning.
+    Entry (r, c) is <psi| V_c^dag V_r |psi>, where V_r applies the
+    half-swap or half-projector on each beam as chosen by r.  Raises
+    DegenerateCertificateError for states inside the diagonal subspace
+    (vanishing trace); verifies positivity and the trace identity before
+    returning.
     """
-    vectors = _overlap_vectors(state)
-    n = len(vectors)
-    matrix = np.empty((n, n), dtype=complex)
-    for r in range(n):
-        for c in range(n):
-            matrix[r, c] = np.vdot(vectors[c], vectors[r])
+    pairs = [(sr_monomial(space), pr_monomial(space)) for space in state.domain]
+    choices = list(itertools.product((0, 1), repeat=state.n_beams))
+    n = len(choices)
+    upper = [(r, c) for r in range(n) for c in range(r, n)]
+    entries = expectation_sums(
+        [
+            [(1.0, tuple(
+                v[pc].dagger() @ v[pr] for v, pr, pc in zip(pairs, choices[r], choices[c])
+            ))]
+            for r, c in upper
+        ],
+        state,
+    )
+    matrix = np.zeros((n, n), dtype=complex)
+    matrix[tuple(zip(*upper))] = entries
+    matrix += np.triu(matrix, 1).conj().T
     trace = float(matrix.trace().real)
     if trace < 1e-12:
         raise DegenerateCertificateError(
             "state lies in the diagonal subspace; certificate trace is 0"
         )
-    g0_product = tensor([g_operator(0, space) for space in state.domain])
-    reference = expectation(g0_product, state)
+    g0_product = tuple(g_monomial(0, space) for space in state.domain)
+    [reference] = expectation_sums([[(1.0, g0_product)]], state, hermitian=True)
     if abs(trace - reference) > GRAM_TRACE_ATOL:
         raise RuntimeError(
             f"certificate trace {trace!r} deviates from projector expectation {reference!r}"
@@ -468,17 +445,6 @@ def beam_gram(state: MultiBeamState) -> np.ndarray:
     if state.n_beams != 1:
         raise DomainMismatchError("beam_gram takes a one-beam state")
     return gram_certificate(state).matrix
-
-
-def witness_qubit_value(spec: WitnessSpec, density: np.ndarray) -> float:
-    """Tr[W rho] for the qubit-side witness with the same coefficients."""
-    w = np.zeros_like(density)
-    for key, weight in spec.coefficients.items():
-        term = _PAULI[key[0]]
-        for s in key[1:]:
-            term = np.kron(term, _PAULI[s])
-        w = w + weight * term
-    return float(np.trace(w @ density).real)
 
 
 # ---------------------------------------------------------------------------
@@ -529,26 +495,6 @@ class NsFamilyReport:
         }
 
 
-def _pair_expectation_table(state: MultiBeamState) -> dict[tuple[int, int], float]:
-    """<g_i x g_j> for all 16 index pairs, via the reshaped two-beam product.
-
-    With the amplitudes viewed as a matrix Psi (beam 1 rows), the joint
-    action is (A x B) psi = A Psi B^T, so no Kronecker product is formed.
-    """
-    space1, space2 = state.domain
-    psi = state.amplitudes.reshape(space1.dim, space2.dim)
-    g1 = [g_operator(i, space1).matrix for i in range(4)]
-    g2 = [g_operator(i, space2).matrix for i in range(4)]
-    table: dict[tuple[int, int], float] = {}
-    for i in range(4):
-        left = g1[i] @ psi
-        for j in range(4):
-            image = (g2[j] @ left.T).T  # equals left @ g2[j]^T
-            value = complex(np.vdot(psi, image))
-            table[(i, j)] = float(value.real)
-    return table
-
-
 def ns_condition_family(state: MultiBeamState) -> NsFamilyReport:
     """Evaluate the quadratic criterion and its cyclic-permutation family.
 
@@ -563,7 +509,12 @@ def ns_condition_family(state: MultiBeamState) -> NsFamilyReport:
     """
     if state.n_beams != 2:
         raise DomainMismatchError("the criterion family takes a two-beam state")
-    pairs = _pair_expectation_table(state)
+    g = [[g_monomial(i, space) for i in range(4)] for space in state.domain]
+    keys = list(itertools.product(range(4), repeat=2))
+    values = expectation_sums(
+        [[(1.0, (g[0][i], g[1][j]))] for i, j in keys], state, hermitian=True
+    )
+    pairs = dict(zip(keys, values))
     slack = VERDICT_ATOL + NS_DEFICIT_FACTOR * state.norm_deficit
     members = []
     for perm1 in CYCLIC_PERMUTATIONS:
@@ -622,21 +573,14 @@ def _is_pair_symmetric_triple(state: MultiBeamState) -> bool:
     space = state.domain[0]
     if any(s != space for s in state.domain):
         return False
-    dim = space.dim
-    amps = state.amplitudes
+    amps = state.amplitudes.reshape((space.dim,) * 3)
     scale = np.abs(amps).max() or 1.0
-    for flat in np.flatnonzero(np.abs(amps) > 1e-14):
-        i3 = flat % dim
-        i2 = (flat // dim) % dim
-        i1 = flat // (dim * dim)
-        if not (i1 == i2 == i3):
-            return False
-        n, m = space.basis[i1]
-        partner = space.index[(m, n)]
-        mirrored = amps[(partner * dim + partner) * dim + partner]
-        if abs(amps[flat] - mirrored) > 1e-12 * scale:
-            return False
-    return True
+    i1, i2, i3 = np.nonzero(np.abs(amps) > 1e-14)
+    if not (np.array_equal(i1, i2) and np.array_equal(i2, i3)):
+        return False
+    mirrored = space.swap_index[i1]
+    gap = np.abs(amps[i1, i1, i1] - amps[mirrored, mirrored, mirrored])
+    return bool(np.all(gap <= 1e-12 * scale))
 
 
 def mermin_bell_value(state: MultiBeamState, dichotomized: bool = True) -> MerminResult:
@@ -651,16 +595,15 @@ def mermin_bell_value(state: MultiBeamState, dichotomized: bool = True) -> Mermi
     """
     if state.n_beams != 3:
         raise DomainMismatchError("the Mermin expression takes a three-beam state")
-    build = (lambda i, s: g_minus(i, s, verify_spectrum=False)) if dichotomized else g_operator
-    ops = {
-        beam: {i: build(i, space) for i in (1, 2)}
-        for beam, space in enumerate(state.domain)
-    }
-    terms = (((1, 1, 1), +1.0), ((1, 2, 2), -1.0), ((2, 1, 2), -1.0), ((2, 2, 1), -1.0))
-    value = 0.0
-    for idx, sign in terms:
-        operator = tensor([ops[beam][i] for beam, i in enumerate(idx)])
-        value += sign * expectation(operator, state)
+    b = [
+        {i: g_monomial(GLabel(i, dichotomized), space) for i in (1, 2)}
+        for space in state.domain
+    ]
+    terms = [
+        (sign, tuple(b[beam][i] for beam, i in enumerate(idx)))
+        for idx, sign in (((1, 1, 1), 1.0), ((1, 2, 2), -1.0), ((2, 1, 2), -1.0), ((2, 2, 1), -1.0))
+    ]
+    [value] = expectation_sums([terms], state, hermitian=True)
 
     structural = None
     if _is_pair_symmetric_triple(state):
@@ -669,12 +612,7 @@ def mermin_bell_value(state: MultiBeamState, dichotomized: bool = True) -> Mermi
 
     slack = MERMIN_DEFICIT_FACTOR * state.norm_deficit
     lo, hi = abs(value) - slack, abs(value) + slack
-    if lo > LHV_BOUND:
-        verdict = "violated"
-    elif hi <= LHV_BOUND:
-        verdict = "not_violated"
-    else:
-        verdict = "inconclusive"
+    verdict = _interval_verdict(lo, hi, LHV_BOUND)
     return MerminResult(
         value=value,
         bound=LHV_BOUND,

@@ -108,25 +108,24 @@ def bsv_state(params: BsvParams) -> MultiBeamState:
     amps = np.zeros(dim * dim, dtype=complex)
     t = math.tanh(params.gamma)
     inv_cosh2 = 1.0 / math.cosh(params.gamma) ** 2
-    kept = 0.0
-    for n in range(params.cutoff + 1):
-        weight = t**n * inv_cosh2
-        kept += (n + 1) * weight * weight
-        for m in range(n + 1):
-            i1 = space.index[ModeOccupation(n - m, m)]
-            i2 = space.index[ModeOccupation(m, n - m)]
-            amps[i1 * dim + i2] = (-1) ** m * weight
+    weights = [t**n * inv_cosh2 for n in range(params.cutoff + 1)]
+    kept = sum((n + 1) * weight * weight for n, weight in enumerate(weights))
+    # Beam 1 in |n-m, m> pairs with beam 2 in the swapped |m, n-m>.
+    n_a, n_b = space.occupations
+    signs = np.where(n_b % 2, -1.0, 1.0)
+    amps[np.arange(dim) * dim + space.swap_index] = signs * np.take(weights, n_a + n_b)
     deficit = max(0.0, 1.0 - kept)
     return MultiBeamState((space, space), amps, norm_deficit=deficit)
 
 
 @functools.lru_cache(maxsize=None)
-def _joint_nondiagonal_mask(cutoffs: tuple[int, ...]) -> np.ndarray:
+def _joint_diagonal_mask(cutoffs: tuple[int, ...]) -> np.ndarray:
+    """1.0 on the joint basis states where some beam has equal occupations, else 0.0."""
     mask = np.ones(1)
     for cutoff in cutoffs:
         space = build_space(cutoff)
         mask = np.kron(mask, (~space.diagonal_mask).astype(float))
-    return mask
+    return 1.0 - mask
 
 
 def prob_diagonal(state: MultiBeamState) -> float:
@@ -136,9 +135,9 @@ def prob_diagonal(state: MultiBeamState) -> float:
     mass, so the true value lies in [value, value + norm_deficit] (see
     prob_diagonal_bounds).
     """
-    nondiag = _joint_nondiagonal_mask(tuple(s.cutoff for s in state.domain))
+    diagonal = _joint_diagonal_mask(tuple(s.cutoff for s in state.domain))
     weights = np.abs(state.amplitudes) ** 2
-    return float(np.sum(weights * (1.0 - nondiag)))
+    return float(np.sum(weights * diagonal))
 
 
 def prob_diagonal_bounds(state: MultiBeamState) -> tuple[float, float]:

@@ -35,6 +35,25 @@ def test_bsv_without_gamma_is_usage_error(capsys):
     assert "--gamma" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "contextuality bsv --gamma -1 --cutoff 4",
+        "contextuality bsv --gamma nan --cutoff 4",
+        "contextuality bsv --gamma 0.5 --cutoff -3",
+        "entanglement witness bsv --gamma 0.5 --cutoff -3",
+        "entanglement witness separable --degree 9 --cutoff 2",
+    ],
+)
+def test_domain_errors_are_one_line_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("bnl: error: ")
+    assert "Traceback" not in err
+
+
 def test_verify_algebra_passes(capsys):
     code, out, _ = run(capsys, "verify-algebra", "--cutoff", "6")
     assert code == 0

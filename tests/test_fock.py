@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tensor_oracle import identity_operator, zero_operator
 
 from bnl.fock import (
     ComplexOperator,
@@ -13,11 +14,9 @@ from bnl.fock import (
     basis_state,
     build_space,
     expectation,
-    identity_operator,
     joint_index,
     product_state,
     tensor,
-    zero_operator,
 )
 from bnl.gpauli import g_operator
 

@@ -7,7 +7,7 @@ from bnl.fock import apply, basis_state, build_space, expectation
 from bnl.gpauli import (
     GLabel,
     block_eigenvalues,
-    diagonal_projector,
+    diagonal_monomial,
     g_minus,
     g_operator,
     g_operator_compact,
@@ -153,7 +153,7 @@ def test_g_minus_spectrum_is_dichotomic():
 def test_g_minus_squares_to_identity(index):
     space = build_space(4)
     op = g_minus(index, space)
-    eye = diagonal_projector(space) + g_operator(0, space)
+    eye = diagonal_monomial(space).operator() + g_operator(0, space)
     assert (op @ op - eye).max_abs() < 1e-12
 
 

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from tensor_oracle import map_witness, pm_cells, pm_line_products, pm_operator
 
+from bnl import indicators
 from bnl.fock import (
+    DomainMismatchError,
     MultiBeamState,
     basis_state,
     build_space,
@@ -22,12 +25,10 @@ from bnl.indicators import (
     DegenerateCertificateError,
     WitnessSpec,
     beam_gram,
-    build_pm_square,
     contextuality_threshold,
     contextuality_verdict,
     gram_certificate,
     lhv_bound_oracle,
-    map_witness,
     mermin_bell_value,
     mermin_lhv_value,
     nchv_bound_oracle,
@@ -80,26 +81,39 @@ class TestPeresMerminSquare:
         }
 
     def test_cells_are_the_declared_tensor_products(self):
-        square = build_pm_square(build_space(2))
         space = build_space(2)
-        for key, (p1, p2) in PM_CELL_LABELS.items():
-            want = tensor([g_operator(p1, space), g_operator(p2, space)])
-            assert (square.cells[key] - want).max_abs() == 0.0
+        operator = pm_operator(space)
+        for seed in range(20):
+            state = random_two_beam_state(seed, cutoff=2)
+            want = expectation(operator, state)
+            assert pm_expectation(state).value == pytest.approx(want, abs=1e-12)
 
     def test_line_cells_commute(self):
-        square = build_pm_square(build_space(3))
-        assert square.max_commutator_residual < 1e-12
+        cells = pm_cells(build_space(3))
         for _, line, _ in PM_LINES:
             for a, b in itertools.combinations(line, 2):
-                comm = square.cells[a] @ square.cells[b] - square.cells[b] @ square.cells[a]
+                comm = cells[a] @ cells[b] - cells[b] @ cells[a]
                 assert comm.max_abs() < 1e-12
+
+    def test_commutation_guard_rejects_a_mislabelled_cell(self, monkeypatch):
+        labels = dict(PM_CELL_LABELS)
+        labels[(1, 1)] = (1, 0)
+        monkeypatch.setattr(indicators, "PM_CELL_LABELS", labels)
+        with pytest.raises(AssertionError, match="fail to commute"):
+            pm_expectation(random_two_beam_state(0))
+
+    def test_shortcut_cross_check_rejects_a_wrong_line_sign(self, monkeypatch):
+        lines = tuple((name, line, +1) for name, line, _ in PM_LINES)
+        monkeypatch.setattr(indicators, "PM_LINES", lines)
+        with pytest.raises(RuntimeError, match="disagree"):
+            pm_expectation(random_two_beam_state(0))
 
     def test_five_plus_lines_one_minus_line(self):
         space = build_space(3)
-        square = build_pm_square(space)
+        products = pm_line_products(space)
         joint_projector = tensor([g_operator(0, space)] * 2)
         for name, _, sign in PM_LINES:
-            product = square.line_products[name]
+            product = products[name]
             target = sign * joint_projector
             assert (product - target).max_abs() < 1e-12
         signs = [sign for _, _, sign in PM_LINES]
@@ -127,10 +141,9 @@ class TestPeresMerminSquare:
         assert pm_expectation(state).value == pytest.approx(0.0, abs=1e-14)
 
     def test_shortcut_consistency_on_random_states(self):
-        square = build_pm_square(build_space(3))
         for seed in range(100):
             state = random_two_beam_state(seed)
-            result = pm_expectation(state, square)
+            result = pm_expectation(state)
             assert result.value == pytest.approx(result.shortcut_value, abs=1e-10)
 
     def test_verdict_flip(self):
@@ -165,15 +178,23 @@ class TestNchvOracle:
 
 class TestWitnessMapping:
     def test_identity_spec_maps_to_joint_projector(self):
-        space = build_space(2)
         spec = WitnessSpec(2, {(0, 0): 1.0})
-        op = map_witness(spec, space)
-        want = tensor([g_operator(0, space)] * 2)
-        assert (op - want).max_abs() == 0.0
+        projector = tensor([g_operator(0, build_space(3))] * 2)
+        for seed in range(10):
+            state = random_two_beam_state(seed)
+            want = expectation(projector, state)
+            assert witness_expectation(spec, state) == pytest.approx(want, abs=1e-12)
 
     def test_witness_operator_is_hermitian(self):
-        op = map_witness(GHZ3_WITNESS, build_space(2))
-        assert op.hermitian
+        rng = np.random.default_rng(5)
+        space = build_space(2)
+        operator = map_witness(GHZ3_WITNESS, space)
+        assert operator.hermitian
+        for _ in range(10):
+            amps = rng.standard_normal(space.dim**3) + 1j * rng.standard_normal(space.dim**3)
+            state = MultiBeamState((space,) * 3, amps / np.linalg.norm(amps))
+            want = expectation(operator, state)
+            assert witness_expectation(GHZ3_WITNESS, state) == pytest.approx(want, abs=1e-12)
 
     def test_two_party_witness_matches_qubit_arithmetic(self):
         state = qubit_embed(BELL_STATES["singlet"])
@@ -233,8 +254,8 @@ class TestWitnessMapping:
             WitnessSpec(2, {(0, 4): 1.0})
         with pytest.raises(ValueError):
             WitnessSpec(2, {(0, 0, 0): 1.0})
-        with pytest.raises(ValueError):
-            map_witness(SINGLET_WITNESS, (build_space(2),) * 3)
+        with pytest.raises(DomainMismatchError):
+            witness_expectation(SINGLET_WITNESS, qubit_embed(GHZ3))
 
 
 class TestGramCertificate:

@@ -1,0 +1,137 @@
+"""The monomial kernel against the Kronecker-built oracle.
+
+``expectation_sums`` evaluates weighted sums of product observables by
+per-axis gathers; the oracle builds the same sums as sparse operators on
+the joint space with ``tensor()`` and evaluates them by ``expectation``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bnl.fock import (
+    DomainMismatchError,
+    HermitianViolationError,
+    Monomial,
+    MultiBeamState,
+    build_space,
+    expectation,
+    expectation_sums,
+    merge_terms,
+    tensor,
+)
+from bnl.gpauli import (
+    GLabel,
+    g_minus,
+    g_monomial,
+    g_operator,
+    p_r,
+    pr_monomial,
+    s_r,
+    sr_monomial,
+)
+
+# name -> (monomial, sparse operator) constructors for one beam space.
+FACTORS = {
+    **{f"g{i}": (lambda s, i=i: g_monomial(i, s), lambda s, i=i: g_operator(i, s)) for i in range(4)},
+    **{
+        f"g{i}-": (lambda s, i=i: g_monomial(GLabel(i, True), s), lambda s, i=i: g_minus(i, s))
+        for i in (1, 2, 3)
+    },
+    "sr": (sr_monomial, s_r),
+    "pr": (pr_monomial, p_r),
+}
+
+
+def random_state(cutoffs, seed):
+    rng = np.random.default_rng(seed)
+    domain = tuple(build_space(c) for c in cutoffs)
+    dim = int(np.prod([space.dim for space in domain]))
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return MultiBeamState(domain, amps / np.linalg.norm(amps))
+
+
+def chain(space, links, monomial):
+    """Product of the named factors (optionally adjoint), left to right."""
+    result = None
+    for name, adjoint in links:
+        factor = FACTORS[name][0 if monomial else 1](space)
+        factor = factor.dagger() if adjoint else factor
+        result = factor if result is None else result @ factor
+    return result
+
+
+links = st.lists(st.tuples(st.sampled_from(sorted(FACTORS)), st.booleans()), min_size=1, max_size=3)
+weights = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cutoffs=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_kernel_matches_tensor_oracle(cutoffs, seed, data):
+    state = random_state(cutoffs, seed)
+    spec = data.draw(
+        st.lists(st.tuples(weights, st.lists(links, min_size=len(cutoffs), max_size=len(cutoffs))),
+                 min_size=1, max_size=4)
+    )
+    terms = [
+        (w, tuple(chain(space, per_beam, True) for space, per_beam in zip(state.domain, beams)))
+        for w, beams in spec
+    ]
+    oracle = None
+    for w, beams in spec:
+        term = w * tensor([chain(space, per_beam, False) for space, per_beam in zip(state.domain, beams)])
+        oracle = term if oracle is None else oracle + term
+    [value] = expectation_sums([terms], state)
+    assert abs(value - expectation(oracle, state)) <= 1e-12
+
+
+def test_proportional_terms_merge():
+    space = build_space(3)
+    g = [g_monomial(i, space) for i in range(4)]
+    merged = merge_terms([
+        (1.0, (g[1] @ g[1], g[2] @ g[2])),  # g0 x g0
+        (2.0, (g[0], g[0])),
+        (1.0, (g[1] @ g[2], g[0])),  # i g3 x g0
+    ])
+    assert len(merged) == 2
+    (w0, f0), (w1, f1) = merged
+    assert w0 == 3.0 and w1 == 1j
+    assert np.array_equal(f0[0].phase, g[0].phase) and np.array_equal(f1[0].phase, g[3].phase)
+    assert merge_terms([(1.0, (g[1] @ g[1],)), (-1.0, (g[0],))]) == []
+
+
+def test_domain_mismatch_is_rejected():
+    state = random_state((2, 3), 0)
+    same = (g_monomial(0, build_space(2)),) * 2
+    with pytest.raises(DomainMismatchError):
+        expectation_sums([[(1.0, same)]], state)
+    with pytest.raises(DomainMismatchError):
+        expectation_sums([[(1.0, same[:1])]], state)
+
+
+def test_unnormalized_state_is_rejected():
+    state = random_state((2, 2), 1)
+    doubled = MultiBeamState(state.domain, 2.0 * state.amplitudes)
+    factors = (g_monomial(0, build_space(2)),) * 2
+    with pytest.raises(ValueError, match="not normalized"):
+        expectation_sums([[(1.0, factors)]], doubled)
+
+
+def test_hermitian_sum_with_imaginary_value_is_rejected():
+    state = random_state((2, 2), 2)
+    factors = (g_monomial(0, build_space(2)),) * 2
+    assert isinstance(expectation_sums([[(1.0, factors)]], state, hermitian=True)[0], float)
+    with pytest.raises(HermitianViolationError):
+        expectation_sums([[(1j, factors)]], state, hermitian=True)
+
+
+def test_adjoint_needs_distinct_targets():
+    space = build_space(2)
+    collapse = Monomial(space, np.zeros(space.dim, dtype=int), np.ones(space.dim, dtype=complex))
+    with pytest.raises(ValueError, match="not monomial"):
+        collapse.dagger()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tensor_oracle import identity_operator
 
-from bnl.fock import apply, basis_state, build_space, identity_operator
+from bnl.fock import apply, basis_state, build_space
 from bnl.gpauli import g_operator, stokes_operator
 from bnl.modes import (
     BALANCED,
