@@ -2,17 +2,18 @@
 
 Commands emit CSV for sweep curves and JSON for structured verdicts; no
 plotting happens in-process.  Output is byte-stable for fixed flags, seed
-and BLAS thread count.  Exit codes: 0 success, 1 usage error,
-2 verification failure, 3 input parse failure.
+and BLAS thread count.  Exit codes: 0 success, 1 usage error or unwritable
+--out, 2 verification failure, 3 parse error or unreadable input file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .states import (
     bghz_state,
     bsv_state,
     load_bghz_coefficients,
+    open_text,
     qubit_embed,
     random_separable,
 )
@@ -47,6 +49,9 @@ EXIT_PARSE = 3
 T = TypeVar("T")
 
 CSV_HEADER = "gamma,p_diag,pm_value,margin,lo,hi,verdict"
+
+# --cutoff when not given; bghz derives it from the coefficients, other sources fix their space.
+DEFAULT_CUTOFFS = {"bsv": 40, "bghz-gen": 8, "separable": 4}
 
 WITNESSES: dict[str, WitnessSpec] = {
     "singlet": SINGLET_WITNESS,
@@ -76,6 +81,8 @@ class SweepSpec:
     cutoff: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.gamma_min) and math.isfinite(self.gamma_max)):
+            raise ValueError("gamma-min and gamma-max must be finite")
         if self.gamma_min > self.gamma_max:
             raise ValueError("gamma-min must not exceed gamma-max")
         if self.steps < 1:
@@ -87,7 +94,7 @@ class SweepSpec:
         return [float(g) for g in np.linspace(self.gamma_min, self.gamma_max, self.steps)]
 
 
-def load_state_file(path, cutoff: int | None = None) -> MultiBeamState:
+def load_state_file(path) -> MultiBeamState:
     """Parse amplitude lines `n_a1,n_b1,n_a2,n_b2[,n_a3,n_b3],real,imag`.
 
     The state is normalized on load; a deficit above 1e-6 triggers a
@@ -97,7 +104,7 @@ def load_state_file(path, cutoff: int | None = None) -> MultiBeamState:
     rows: list[tuple[tuple[tuple[int, int], ...], complex]] = []
     n_beams: int | None = None
     seen: dict[tuple, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path, "r", StateFileError) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
@@ -131,12 +138,7 @@ def load_state_file(path, cutoff: int | None = None) -> MultiBeamState:
             rows.append((occs, value))
     if not rows:
         raise StateFileError(f"{path}: no amplitude lines found")
-    needed = max(max(n + m for n, m in occs) for occs, _ in rows)
-    if cutoff is None:
-        cutoff = needed
-    elif needed > cutoff:
-        raise StateFileError(f"{path}: occupations need cutoff >= {needed}, got {cutoff}")
-    space = build_space(cutoff)
+    space = build_space(max(max(n + m for n, m in occs) for occs, _ in rows))
     domain = (space,) * n_beams
     amps = np.zeros(space.dim**n_beams, dtype=complex)
     for occs, value in rows:
@@ -160,7 +162,7 @@ def _fmt(value) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
+        with open_text(out, "w", _UsageError) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -176,21 +178,9 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _cmd_verify_algebra(args) -> int:
-    report = verify_algebra(build_space(args.cutoff), construction=args.construction)
+    report = verify_algebra(_checked(lambda: build_space(args.cutoff)), construction=args.construction)
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
-
-
-def _contextuality_rows(args) -> list[tuple[float | None, MultiBeamState]]:
-    if args.source == "bsv" and args.gamma is None:
-        if args.gamma_min is None or args.gamma_max is None:
-            raise _UsageError("bsv source needs --gamma or --gamma-min/--gamma-max")
-        gammas = _sweep(args).grid()
-        return [(g, _checked(lambda: bsv_state(BsvParams(g, args.cutoff)))) for g in gammas]
-    state, meta = _source_state(args)
-    if state.n_beams != 2:
-        raise _UsageError("contextuality takes a two-beam state")
-    return [(meta.get("gamma"), state)]
 
 
 class _UsageError(Exception):
@@ -205,16 +195,26 @@ def _checked(build: Callable[[], T]) -> T:
         raise _UsageError(str(exc)) from exc
 
 
-def _sweep(args) -> SweepSpec:
-    return _checked(lambda: SweepSpec(args.gamma_min, args.gamma_max, args.steps, args.cutoff))
+def _gain_grid(args, missing: str) -> Iterator[tuple[MultiBeamState, dict]]:
+    """The ``_source_state`` of each point of the --gamma-min/--gamma-max grid."""
+    if args.gamma_min is None or args.gamma_max is None:
+        raise _UsageError(missing)
+    sweep = _checked(lambda: SweepSpec(args.gamma_min, args.gamma_max, args.steps, _cutoff(args)))
+    for gamma in sweep.grid():
+        yield _source_state(argparse.Namespace(**{**vars(args), "gamma": gamma}))
 
 
 def _cmd_contextuality(args) -> int:
-    rows = _contextuality_rows(args)
+    if args.source == "bsv" and args.gamma is None:
+        rows = _gain_grid(args, "bsv source needs --gamma or --gamma-min/--gamma-max")
+    else:
+        rows = [_source_state(args)]
     records: list[tuple[float | None, float, VerdictRecord]] = []
-    for gamma, state in rows:
+    for state, meta in rows:
+        if state.n_beams != 2:
+            raise _UsageError("contextuality takes a two-beam state")
         result = indicators.pm_expectation(state)
-        records.append((gamma, result.p_diag, result.verdict_record()))
+        records.append((meta.get("gamma"), result.p_diag, result.verdict_record()))
     if args.format == "json":
         payload = {
             "rows": [
@@ -247,15 +247,20 @@ def _cmd_contextuality(args) -> int:
     return EXIT_OK
 
 
+def _cutoff(args) -> int | None:
+    return args.cutoff if args.cutoff is not None else DEFAULT_CUTOFFS.get(args.source)
+
+
 def _source_state(args) -> tuple[MultiBeamState, dict]:
     """The state named by ``args.source``, with the metadata echoed in JSON output."""
     meta: dict = {"source": args.source}
+    cutoff = _cutoff(args)
     if args.source == "bsv":
         if args.gamma is None:
             raise _UsageError("bsv source needs --gamma")
         meta["gamma"] = args.gamma
-        meta["cutoff"] = args.cutoff
-        return _checked(lambda: bsv_state(BsvParams(args.gamma, args.cutoff))), meta
+        meta["cutoff"] = cutoff
+        return _checked(lambda: bsv_state(BsvParams(args.gamma, cutoff))), meta
     if args.source == "qubit":
         if getattr(args, "ghz", False):
             meta["state"] = "ghz"
@@ -266,7 +271,8 @@ def _source_state(args) -> tuple[MultiBeamState, dict]:
         if args.coeffs is None:
             raise _UsageError("bghz source needs --coeffs FILE")
         coeffs = load_bghz_coefficients(args.coeffs)
-        cutoff = args.cutoff if args.cutoff_given else max(2 * coeffs.max_order, 1)
+        if cutoff is None:
+            cutoff = max(2 * coeffs.max_order, 1)
         meta["coeffs"] = str(args.coeffs)
         meta["cutoff"] = cutoff
         return _checked(lambda: bghz_state(coeffs, cutoff)), meta
@@ -274,36 +280,39 @@ def _source_state(args) -> tuple[MultiBeamState, dict]:
         if args.gamma is None:
             raise _UsageError("bghz-gen source needs --gamma")
         meta["gamma"] = args.gamma
-        meta["cutoff"] = args.cutoff
+        meta["cutoff"] = cutoff
         meta["authoritative"] = False
         meta["note"] = "generator-exponential path, truncation-sensitive"
-        return _checked(lambda: bghz_generator_state(args.gamma, args.cutoff)), meta
+        return _checked(lambda: bghz_generator_state(args.gamma, cutoff)), meta
     if args.source == "separable":
         beams = 3 if args.witness == "ghz3" else 2
-        meta.update({"seed": args.seed, "degree": args.degree, "cutoff": args.cutoff})
-        return _checked(lambda: random_separable(args.seed, beams, args.cutoff, args.degree)), meta
+        meta.update({"seed": args.seed, "degree": args.degree, "cutoff": cutoff})
+        return _checked(lambda: random_separable(args.seed, beams, cutoff, args.degree)), meta
+    if args.source == "product-state":
+        return basis_state((build_space(1),) * 3, [(1, 0)] * 3), meta
     if args.state is None:
         raise _UsageError("state source needs --state FILE")
     meta["file"] = str(args.state)
     return load_state_file(args.state), meta
 
 
-def _default_witness(n_beams: int) -> str:
-    return "ghz3" if n_beams == 3 else "singlet"
+def _witness(name: str, state: MultiBeamState) -> WitnessSpec:
+    spec = WITNESSES[name]
+    if spec.n_parties != state.n_beams:
+        raise _UsageError(
+            f"witness {name!r} has {spec.n_parties} parties, state has {state.n_beams} beams"
+        )
+    return spec
 
 
 def _cmd_entanglement(args) -> int:
     if args.subcommand == "witness" and args.source == "bghz-gen" and args.gamma is None:
         # Sweep mode: emit the qualitative curve from the generator path.
-        if args.gamma_min is None or args.gamma_max is None:
-            raise _UsageError("bghz-gen needs --gamma or --gamma-min/--gamma-max")
-        sweep = _sweep(args)
-        spec = WITNESSES[args.witness or "ghz3"]
+        grid = _gain_grid(args, "bghz-gen needs --gamma or --gamma-min/--gamma-max")
         curve = []
-        for gamma in sweep.grid():
-            state = _checked(lambda: bghz_generator_state(gamma, sweep.cutoff))
-            value = indicators.witness_expectation(spec, state)
-            curve.append({"gamma": gamma, "witness_value": value})
+        for state, meta in grid:
+            value = indicators.witness_expectation(_witness(args.witness or "ghz3", state), state)
+            curve.append({"gamma": meta["gamma"], "witness_value": value})
         if args.format == "csv":
             lines = ["gamma,witness_value,authoritative"]
             for point in curve:
@@ -326,40 +335,26 @@ def _cmd_entanglement(args) -> int:
     state, meta = _source_state(args)
 
     if args.subcommand == "witness":
-        name = args.witness or _default_witness(state.n_beams)
-        spec = WITNESSES[name]
-        if spec.n_parties != state.n_beams:
-            raise _UsageError(
-                f"witness {name!r} has {spec.n_parties} parties, state has {state.n_beams} beams"
-            )
-        verdict = indicators.witness_verdict(spec, state)
+        name = args.witness or ("ghz3" if state.n_beams == 3 else "singlet")
+        verdict = indicators.witness_verdict(_witness(name, state), state)
         payload = {"witness": name, **meta, **verdict.to_dict()}
         _emit_json(payload, args.out)
         return EXIT_OK
 
-    if args.subcommand == "ns-family":
-        if state.n_beams != 2:
-            raise _UsageError("ns-family takes a two-beam state")
-        report = indicators.ns_condition_family(state)
-        _emit_json({**meta, **report.to_dict()}, args.out)
-        return EXIT_OK
-
-    # gram
     if state.n_beams != 2:
-        raise _UsageError("gram takes a two-beam state")
-    certificate = indicators.gram_certificate(state)
-    _emit_json({**meta, **certificate.to_dict()}, args.out)
+        raise _UsageError(f"{args.subcommand} takes a two-beam state")
+    if args.subcommand == "ns-family":
+        report = indicators.ns_condition_family(state)
+    else:
+        report = indicators.gram_certificate(state)
+    _emit_json({**meta, **report.to_dict()}, args.out)
     return EXIT_OK
 
 
 def _cmd_bell(args) -> int:
-    if args.source == "product-state":
-        state = basis_state((build_space(1),) * 3, [(1, 0)] * 3)
-        meta = {"source": "product-state"}
-    else:
-        if args.source == "qubit" and not args.ghz:
-            raise _UsageError("bell qubit needs --ghz (three beams)")
-        state, meta = _source_state(args)
+    if args.source == "qubit" and not args.ghz:
+        raise _UsageError("bell qubit needs --ghz (three beams)")
+    state, meta = _source_state(args)
     if state.n_beams != 3:
         raise _UsageError("bell takes a three-beam state")
     result = indicators.mermin_bell_value(state)
@@ -368,7 +363,7 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    report = counterexample_report(cutoff=args.cutoff, sign_flip=args.sign_flip)
+    report = _checked(lambda: counterexample_report(cutoff=args.cutoff, sign_flip=args.sign_flip))
     payload = report.to_dict()
     payload["block"] = args.block
     payload["distance"] = (
@@ -399,7 +394,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma-min", dest="gamma_min", type=float, default=None)
     p.add_argument("--gamma-max", dest="gamma_max", type=float, default=None)
     p.add_argument("--steps", type=int, default=25)
-    p.add_argument("--cutoff", type=int, default=40)
+    p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--bell-state", dest="bell_state", choices=sorted(states.BELL_STATES), default="singlet")
     p.add_argument("--state", default=None)
     p.add_argument("--out", default=None)
@@ -456,22 +451,12 @@ def _add_format_flags(p: argparse.ArgumentParser, default: str) -> None:
     p.set_defaults(format=default)
 
 
-def _normalize_cutoffs(args) -> None:
-    # Track whether --cutoff was given so sources can pick their own default.
-    args.cutoff_given = args.cutoff is not None
-    if args.cutoff is None:
-        defaults = {"bsv": 40, "qubit": 1, "bghz-gen": 8, "separable": 4}
-        args.cutoff = defaults.get(getattr(args, "source", ""), 6)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if hasattr(args, "cutoff") and args.command in ("entanglement", "bell"):
-        _normalize_cutoffs(args)
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -120,17 +120,14 @@ def g_operator(label: GLabel | int, space: BeamSpace) -> ComplexOperator:
     return g_monomial(label, space).operator(hermitian=True)
 
 
-def g_minus(index: int, space: BeamSpace, verify_spectrum: bool = True) -> ComplexOperator:
+def g_minus(index: int, space: BeamSpace) -> ComplexOperator:
     """Dichotomized g_{index-} = g_index - diagonal projector, spectrum {-1, +1}."""
     if index not in (1, 2, 3):
         raise ValueError(f"dichotomized variant exists for indices 1..3, got {index}")
     op = g_monomial(GLabel(index, True), space).operator(hermitian=True)
-    if verify_spectrum:
-        deviation = spectrum_deviation(op, targets=(-1.0, 1.0))
-        if deviation > SPECTRUM_ATOL:
-            raise AssertionError(
-                f"g_{index}- spectrum deviates from ±1 by {deviation:.3e}"
-            )
+    deviation = spectrum_deviation(op, targets=(-1.0, 1.0))
+    if deviation > SPECTRUM_ATOL:
+        raise AssertionError(f"g_{index}- spectrum deviates from ±1 by {deviation:.3e}")
     return op
 
 
@@ -219,14 +216,9 @@ def block_eigenvalues(op: ComplexOperator, space: BeamSpace) -> np.ndarray:
     return np.sort(np.concatenate(values))
 
 
-def spectrum_deviation(
-    op: ComplexOperator,
-    targets: Iterable[float] = (-1.0, 0.0, 1.0),
-    space: BeamSpace | None = None,
-) -> float:
-    """Largest distance of any eigenvalue from the target spectrum."""
-    space = space or op.domain[0]
-    eigenvalues = block_eigenvalues(op, space)
+def spectrum_deviation(op: ComplexOperator, targets: Iterable[float] = (-1.0, 0.0, 1.0)) -> float:
+    """Largest distance of any eigenvalue of a one-beam operator from the target spectrum."""
+    eigenvalues = block_eigenvalues(op, op.domain[0])
     targets = np.asarray(tuple(targets))
     return float(np.abs(eigenvalues[:, None] - targets[None, :]).min(axis=1).max())
 
@@ -321,7 +313,7 @@ def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraRep
             g_operator(i, space) - g_operator_compact(i, space)
         ).max_abs()
 
-    max_dev = max(spectrum_deviation(gi, space=space) for gi in g)
+    max_dev = max(spectrum_deviation(gi) for gi in g)
 
     return AlgebraReport(
         cutoff=space.cutoff,

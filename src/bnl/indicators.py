@@ -211,13 +211,8 @@ def contextuality_verdict(state: MultiBeamState) -> VerdictRecord:
     return pm_expectation(state).verdict_record()
 
 
-def contextuality_threshold(
-    cutoff: int = 40,
-    lo: float = 0.5,
-    hi: float = 1.2,
-    tol: float = 1e-6,
-) -> float:
-    """Locate, by bisection on the gain, where the verdict flips.
+def contextuality_threshold(cutoff: int = 40, tol: float = 1e-6) -> float:
+    """Locate, by bisection on the gain in [0.5, 1.2], where the verdict flips.
 
     P(diagonal) for the squeezed vacuum decreases with the gain, so the
     flip is the root of P(d) = 1/3 (closed form: acosh(3)/2).
@@ -225,6 +220,7 @@ def contextuality_threshold(
     def detects(gamma: float) -> bool:
         return prob_diagonal(bsv_state(BsvParams(gamma, cutoff))) < 1.0 / 3.0
 
+    lo, hi = 0.5, 1.2
     if detects(lo) or not detects(hi):
         raise ValueError(f"bracket [{lo}, {hi}] does not straddle the flip")
     while hi - lo > tol:

@@ -14,6 +14,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +36,14 @@ DEFAULT_MAX_DIM = 10_000
 
 class CoefficientFileError(ValueError):
     """Malformed coefficient file; the message names the offending line."""
+
+
+def open_text(path, mode: str, error: type[Exception]) -> TextIO:
+    """Open UTF-8 text (bad bytes read as U+FFFD); ``error`` names the path the OS refused."""
+    try:
+        return open(path, mode, encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror}") from exc
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,8 @@ def bsv_state(params: BsvParams) -> MultiBeamState:
     dim = space.dim
     amps = np.zeros(dim * dim, dtype=complex)
     t = math.tanh(params.gamma)
-    inv_cosh2 = 1.0 / math.cosh(params.gamma) ** 2
+    # cosh(gamma)**2 overflows above gamma ~355, where every weight underflows anyway.
+    inv_cosh2 = 1.0 / math.cosh(params.gamma) ** 2 if params.gamma < 355 else 0.0
     weights = [t**n * inv_cosh2 for n in range(params.cutoff + 1)]
     kept = sum((n + 1) * weight * weight for n, weight in enumerate(weights))
     # Beam 1 in |n-m, m> pairs with beam 2 in the swapped |m, n-m>.
@@ -172,15 +182,11 @@ def bghz_state(coeffs: BghzCoefficients, cutoff: int) -> MultiBeamState:
     return MultiBeamState((space,) * 3, amps / norm)
 
 
-def psi_nm_state(n: int, m: int, cutoff: int | None = None) -> MultiBeamState:
-    """Balanced superposition (|n,m;n,m;n,m> + |m,n;m,n;m,n>)/sqrt(2)."""
+def psi_nm_state(n: int, m: int) -> MultiBeamState:
+    """Balanced superposition (|n,m;n,m;n,m> + |m,n;m,n;m,n>)/sqrt(2), at cutoff n + m."""
     if n == m:
         raise ValueError("n == m gives a diagonal ket, not a two-term superposition")
-    if cutoff is None:
-        cutoff = n + m
-    if n + m > cutoff:
-        raise ValueError(f"n + m = {n + m} exceeds cutoff {cutoff}")
-    space = build_space(cutoff)
+    space = build_space(n + m)
     domain = (space,) * 3
     amps = np.zeros(space.dim**3, dtype=complex)
     amps[joint_index(domain, [(n, m)] * 3)] = 1 / math.sqrt(2)
@@ -188,7 +194,7 @@ def psi_nm_state(n: int, m: int, cutoff: int | None = None) -> MultiBeamState:
     return MultiBeamState(domain, amps)
 
 
-def qubit_embed(amplitudes, cutoff: int = 1) -> MultiBeamState:
+def qubit_embed(amplitudes) -> MultiBeamState:
     """Embed a 2- or 3-qubit state, one photon per beam: |0> -> |1,0>, |1> -> |0,1>.
 
     Expects 4 amplitudes (two parties) or 8 (three parties), normalized to
@@ -204,9 +210,7 @@ def qubit_embed(amplitudes, cutoff: int = 1) -> MultiBeamState:
     norm = np.linalg.norm(amplitudes)
     if abs(norm - 1.0) > QUBIT_NORM_ATOL:
         raise ValueError(f"qubit amplitudes have norm {norm!r}, expected 1")
-    if cutoff < 1:
-        raise ValueError("embedding needs cutoff >= 1")
-    space = build_space(cutoff)
+    space = build_space(1)
     domain = (space,) * n_parties
     amps = np.zeros(space.dim**n_parties, dtype=complex)
     for flat, value in enumerate(amplitudes):
@@ -230,6 +234,8 @@ GHZ3 = np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
 def random_beam_state(rng: np.random.Generator, cutoff: int, degree: int) -> MultiBeamState:
     """One-beam state with complex-Gaussian amplitudes on occupations of total <= degree."""
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     if degree > cutoff:
         raise ValueError(f"degree {degree} exceeds cutoff {cutoff}")
     space = build_space(cutoff)
@@ -263,6 +269,8 @@ def bghz_generator_state(
     it for qualitative curves only.  ``relative_sign`` sets the sign s of
     the b-triple term.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if relative_sign not in (1.0, -1.0):
         raise ValueError("relative_sign must be +1 or -1")
     space = build_space(cutoff)
@@ -290,7 +298,7 @@ def bghz_generator_state(
 def load_bghz_coefficients(path) -> BghzCoefficients:
     """Read a coefficient file: one `m,real,imag` line per order, m consecutive from 0."""
     entries: list[complex] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path, "r", CoefficientFileError) as handle:
         expected = 0
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()

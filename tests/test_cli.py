@@ -43,6 +43,13 @@ def test_bsv_without_gamma_is_usage_error(capsys):
         "contextuality bsv --gamma 0.5 --cutoff -3",
         "entanglement witness bsv --gamma 0.5 --cutoff -3",
         "entanglement witness separable --degree 9 --cutoff 2",
+        "bell bghz-gen --gamma nan --cutoff 3",
+        "entanglement witness bghz-gen --gamma nan --cutoff 3",
+        "entanglement witness bghz-gen --gamma-min 0 --gamma-max inf --steps 2 --cutoff 3",
+        "verify-algebra --cutoff -1",
+        "counterexample --cutoff 1",
+        "entanglement witness separable --degree -1 --cutoff 2",
+        "entanglement witness bghz-gen --gamma-min 0.1 --gamma-max 0.2 --steps 2 --witness singlet",
     ],
 )
 def test_domain_errors_are_one_line_usage_errors(capsys, argv):
@@ -52,6 +59,33 @@ def test_domain_errors_are_one_line_usage_errors(capsys, argv):
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("bnl: error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        ("contextuality state --state {tmp}/missing.csv", 3, "bnl: parse error: "),
+        ("entanglement witness bghz --coeffs {tmp}/missing.csv", 3, "bnl: parse error: "),
+        ("contextuality state --state {tmp}", 3, "bnl: parse error: "),
+        ("contextuality qubit --out {tmp}/no/such/dir/x.csv", 1, "bnl: error: "),
+    ],
+)
+def test_file_errors_are_one_line_errors(capsys, tmp_path, argv, code, prefix):
+    got, out, err = run(capsys, *argv.format(tmp=tmp_path).split())
+    assert got == code
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(prefix)
+    assert str(tmp_path) in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_state_file_is_a_parse_error_naming_the_line(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1,0,0,1,0.7,0.0\n0,1,1,0,0.7\xe9,0.0\n")
+    code, _, err = run(capsys, "contextuality", "state", "--state", str(path))
+    assert code == 3
+    assert ":2:" in err
 
 
 def test_verify_algebra_passes(capsys):

@@ -1,0 +1,114 @@
+"""Hypothesis fuzz of ``cli.main`` over argv drawn from the CLI's own vocabulary.
+
+Every run must end in an exit code in {0, 1, 2, 3} without an exception
+escaping ``main``; a successful run must print JSON without NaN or
+Infinity, or CSV whose numbers are all finite.  Cutoffs stay in 0..6:
+state dimensions are not yet checked before allocation, so a large cutoff
+(``bsv --cutoff 300`` would ask for ~33 GB) is not drawn.
+"""
+
+import contextlib
+import io
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cli_fixtures import parse_output
+
+from bnl import cli
+
+FIXTURES = Path(__file__).parent / "fixtures" / "cli"
+
+GAINS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-0.5", "0", "1e3"]),
+    st.floats(-1.5, 1.5).map(repr),
+)
+CUTOFFS = st.integers(0, 6).map(str)
+INPUT_FILES = st.sampled_from(
+    [str(FIXTURES / name) for name in (
+        "coeffs.csv", "coeffs3.csv", "singlet.csv", "ghz.csv", "diagonal.csv",
+        "bad-coeffs.csv", "bad-state.csv", "missing.csv",
+    )] + [str(FIXTURES)]
+)
+FLAG = st.none()  # flags that take no value
+
+VALUES = {
+    "--gamma": GAINS,
+    "--gamma-min": GAINS,
+    "--gamma-max": GAINS,
+    "--steps": st.integers(0, 3).map(str),
+    "--bell-state": st.sampled_from(["singlet", "psi+", "phi+", "phi-"]),
+    "--ghz": FLAG,
+    "--coeffs": INPUT_FILES,
+    "--state": INPUT_FILES,
+    "--witness": st.sampled_from(["singlet", "phi-plus", "ghz3"]),
+    "--seed": st.integers(-1, 3).map(str),
+    "--degree": st.integers(-1, 4).map(str),
+    "--construction": st.sampled_from(["direct", "compact"]),
+    "--sign-flip": FLAG,
+    "--block": st.sampled_from(["1", "2"]),
+    "--json": FLAG,
+    "--csv": FLAG,
+    "--out": st.sampled_from(["{out}/result.txt", "{out}/no/such/dir/result.txt"]),
+}
+
+# command -> (choices for each positional, optional flags); every command takes --cutoff.
+COMMANDS = {
+    "verify-algebra": ((), ("--construction", "--out")),
+    "contextuality": (
+        (("bsv", "qubit", "state"),),
+        ("--gamma", "--gamma-min", "--gamma-max", "--steps", "--bell-state", "--state",
+         "--out", "--json", "--csv"),
+    ),
+    "entanglement": (
+        (("witness", "ns-family", "gram"), ("bsv", "qubit", "bghz", "bghz-gen", "separable", "state")),
+        ("--gamma", "--gamma-min", "--gamma-max", "--steps", "--bell-state", "--ghz", "--coeffs",
+         "--state", "--witness", "--seed", "--degree", "--out", "--json", "--csv"),
+    ),
+    "bell": (
+        (("bghz", "bghz-gen", "qubit", "product-state", "state"),),
+        ("--gamma", "--ghz", "--coeffs", "--state", "--out"),
+    ),
+    "counterexample": ((), ("--sign-flip", "--block", "--out")),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positionals, flags = COMMANDS[command]
+    argv = [command] + [draw(st.sampled_from(choices)) for choices in positionals]
+    argv += ["--cutoff", draw(CUTOFFS)]
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=5)):
+        value = draw(VALUES[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz-out")
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_cli_never_escapes_main(out_dir, argv):
+    argv = [token.format(out=out_dir) for token in argv]
+    target = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if target is not None and target.exists():
+        target.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        text = target.read_text() if target is not None else stdout.getvalue()
+        assert text
+        parsed = parse_output(text)
+        if isinstance(parsed, list):
+            assert all(math.isfinite(v) for row in parsed for v in row if isinstance(v, float))
+    else:
+        assert stderr.getvalue().strip().splitlines()[-1].startswith("bnl")

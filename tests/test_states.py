@@ -104,6 +104,12 @@ class TestBsv:
         with pytest.raises(ValueError):
             BsvParams(1.0, -1)
 
+    @pytest.mark.parametrize("gamma", [354.0, 356.0, 1e3, 1e300])
+    def test_huge_gain_leaves_all_mass_in_the_deficit(self, gamma):
+        state = bsv_state(BsvParams(gamma, 3))
+        assert np.abs(state.amplitudes).max() < 1e-150
+        assert state.norm_deficit == 1.0
+
 
 def test_prob_diagonal_trivial_cases():
     space = build_space(2)
