@@ -9,7 +9,6 @@ rotations (bnl.modes) and a CLI (bnl.cli, console script ``bnl``).
 from .fock import (
     BeamSpace,
     ComplexOperator,
-    ModeOccupation,
     MultiBeamState,
     apply,
     basis_state,
@@ -21,7 +20,6 @@ from .fock import (
 from .gpauli import (
     AlgebraReport,
     GLabel,
-    g_minus,
     g_operator,
     pauli_restriction,
     stokes_operator,

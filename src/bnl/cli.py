@@ -451,10 +451,13 @@ def _add_format_flags(p: argparse.ArgumentParser, default: str) -> None:
     p.set_defaults(format=default)
 
 
+# Built once per process: argparse keeps no state between parse_args calls.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

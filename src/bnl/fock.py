@@ -2,9 +2,10 @@
 
 A *beam* is a pair of orthogonal bosonic modes (a, b).  Everything here
 lives in the per-beam sector with at most ``cutoff`` photons in total.
-The occupation basis is enumerated in one fixed canonical order (total
-photon number ascending, then photons in mode a descending) so that
-serialized operators and regression fixtures are byte-stable across runs.
+The occupation basis has one fixed canonical order, given in closed form:
+total photon number T = n_a + n_b ascending, then photons in mode a
+descending, so |n_a, n_b> sits at position T(T+1)/2 + n_b.  Serialized
+operators and regression fixtures are therefore byte-stable across runs.
 
 Every single-beam observable used here is *monomial*: it has at most one
 nonzero entry per column.  ``Monomial`` stores such an operator as a target
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,48 +44,36 @@ class HermitianViolationError(ValueError):
     """Raised when a Hermitian-flagged evaluation produces a non-real value."""
 
 
-class ModeOccupation(NamedTuple):
-    """Photon numbers (n_a, n_b) of the two modes of a single beam."""
-
-    n_a: int
-    n_b: int
-
-    @property
-    def total(self) -> int:
-        return self.n_a + self.n_b
-
-    @property
-    def diagonal(self) -> bool:
-        """True when both modes hold the same number of photons."""
-        return self.n_a == self.n_b
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BeamSpace:
     """Two-mode occupation basis truncated at ``cutoff`` total photons.
 
-    ``basis`` lists all (n_a, n_b) with n_a + n_b <= cutoff in canonical
-    order; ``index`` is its inverse.  Dimension is
-    (cutoff+1)(cutoff+2)/2.
+    Basis state |n_a, n_b> with total T = n_a + n_b sits at position
+    T(T+1)/2 + n_b, so the space has (cutoff+1)(cutoff+2)/2 states and
+    each fixed-T block is a contiguous range.
     """
 
     cutoff: int
-    basis: tuple[ModeOccupation, ...]
-    index: dict[ModeOccupation, int]
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BeamSpace) and other.cutoff == self.cutoff
-
-    def __hash__(self) -> int:
-        return hash(("BeamSpace", self.cutoff))
+    def __post_init__(self) -> None:
+        if self.cutoff < 0:
+            raise ValueError(f"cutoff must be non-negative, got {self.cutoff}")
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return (self.cutoff + 1) * (self.cutoff + 2) // 2
 
-    def block_indices(self, total: int) -> list[int]:
-        """Basis positions of the fixed total-photon-number block."""
-        return [k for k, occ in enumerate(self.basis) if occ.total == total]
+    def position(self, n_a: int, n_b: int) -> int:
+        """Basis position of |n_a, n_b>."""
+        total = n_a + n_b
+        if n_a < 0 or n_b < 0 or total > self.cutoff:
+            raise ValueError(f"occupation ({n_a}, {n_b}) is outside the cutoff-{self.cutoff} space")
+        return total * (total + 1) // 2 + n_b
+
+    def block_indices(self, total: int) -> range:
+        """Basis positions of the fixed total-photon-number block (empty outside the space)."""
+        start = total * (total + 1) // 2
+        return range(start, min(start + total + 1, self.dim))
 
     @functools.cached_property
     def occupations(self) -> tuple[np.ndarray, np.ndarray]:
@@ -108,21 +97,11 @@ class BeamSpace:
 
 @functools.lru_cache(maxsize=None)
 def build_space(cutoff: int) -> BeamSpace:
-    """Enumerate the truncated beam space for the given total-photon cutoff.
+    """The truncated beam space for the given total-photon cutoff, one instance per cutoff.
 
-    Canonical ordering: ascending total photon number, and within each
-    block descending n_a, so the one-photon block reads |1,0>, |0,1>.
     Cutoff 0 yields the one-dimensional vacuum sector.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be non-negative, got {cutoff}")
-    basis = tuple(
-        ModeOccupation(total - n_b, n_b)
-        for total in range(cutoff + 1)
-        for n_b in range(total + 1)
-    )
-    index = {occ: k for k, occ in enumerate(basis)}
-    return BeamSpace(cutoff=cutoff, basis=basis, index=index)
+    return BeamSpace(cutoff)
 
 
 def _domain_dim(domain: Sequence[BeamSpace]) -> int:
@@ -138,7 +117,7 @@ class ComplexOperator:
 
     A set ``hermitian`` flag is verified entrywise at construction, so a
     Hermitian-flagged operator is guaranteed to satisfy
-    entry(r, c) == conj(entry(c, r)) to within 1e-14.
+    matrix[r, c] == conj(matrix[c, r]) to within 1e-14.
     """
 
     domain: tuple[BeamSpace, ...]
@@ -169,9 +148,6 @@ class ComplexOperator:
             (int(r), int(c)): complex(v)
             for r, c, v in zip(coo.row, coo.col, coo.data)
         }
-
-    def entry(self, row: int, col: int) -> complex:
-        return complex(self.matrix[row, col])
 
     def dagger(self) -> "ComplexOperator":
         return ComplexOperator(self.domain, self.matrix.getH().tocsr(), self.hermitian)
@@ -214,8 +190,9 @@ class ComplexOperator:
         """Dense submatrix on the fixed total-photon block (single-beam only)."""
         if len(self.domain) != 1:
             raise DomainMismatchError("block extraction is defined for single-beam operators")
-        idx = self.domain[0].block_indices(total)
-        return self.matrix[np.ix_(idx, idx)].toarray()
+        block = self.domain[0].block_indices(total)
+        rows = slice(block.start, block.stop)
+        return self.matrix[rows, rows].toarray()
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,7 +452,7 @@ def joint_index(
     """Flat index of a product basis ket (first beam major)."""
     flat = 0
     for space, occ in zip(domain, occupations):
-        flat = flat * space.dim + space.index[ModeOccupation(*occ)]
+        flat = flat * space.dim + space.position(*occ)
     return flat
 
 

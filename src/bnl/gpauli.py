@@ -21,6 +21,9 @@ built from the half-swap ``sr`` and half-projector ``pr``.  Both must
 agree entrywise; verify_algebra cross-checks them along with the full
 commutation, anticommutation and spectrum suite.
 
+Each observable, sr and pr included, has one builder: its ``Monomial``.
+``g_operator`` is the sparse form of ``g_monomial``.
+
 The dichotomized variants g_{i-} = g_i - (diagonal projector) assign -1
 to equal-occupation outcomes and have spectrum {-1, +1}; the standard
 Stokes operators are included solely to exhibit, by contrast, that they
@@ -35,12 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fock import (
-    BeamSpace,
-    ComplexOperator,
-    ModeOccupation,
-    Monomial,
-)
+from .fock import BeamSpace, ComplexOperator, Monomial
 
 # Entrywise tolerance for the algebra identities (products of exact 0/±1/±i
 # entries, so residuals are genuinely zero in floating point).
@@ -114,31 +112,8 @@ def pr_monomial(space: BeamSpace) -> Monomial:
 
 
 def g_operator(label: GLabel | int, space: BeamSpace) -> ComplexOperator:
-    """Observable g_index (or its dichotomized variant) on one beam."""
-    if isinstance(label, GLabel) and label.minus_variant:
-        return g_minus(label.index, space)
+    """Observable g_index (or its dichotomized variant) on one beam, as a sparse operator."""
     return g_monomial(label, space).operator(hermitian=True)
-
-
-def g_minus(index: int, space: BeamSpace) -> ComplexOperator:
-    """Dichotomized g_{index-} = g_index - diagonal projector, spectrum {-1, +1}."""
-    if index not in (1, 2, 3):
-        raise ValueError(f"dichotomized variant exists for indices 1..3, got {index}")
-    op = g_monomial(GLabel(index, True), space).operator(hermitian=True)
-    deviation = spectrum_deviation(op, targets=(-1.0, 1.0))
-    if deviation > SPECTRUM_ATOL:
-        raise AssertionError(f"g_{index}- spectrum deviates from ±1 by {deviation:.3e}")
-    return op
-
-
-def s_r(space: BeamSpace) -> ComplexOperator:
-    """Half swap: maps |m,n> -> |n,m> for m > n, zero elsewhere."""
-    return sr_monomial(space).operator()
-
-
-def p_r(space: BeamSpace) -> ComplexOperator:
-    """Projector onto the states with more photons in mode b."""
-    return pr_monomial(space).operator(hermitian=True)
 
 
 PAULI = (
@@ -153,7 +128,7 @@ def g_operator_compact(index: int, space: BeamSpace) -> ComplexOperator:
     """Alternative construction of g_index as (sr, pr)^dag sigma_index (sr, pr)."""
     if index not in (0, 1, 2, 3):
         raise ValueError(f"index must be one of 0..3, got {index}")
-    v = (s_r(space), p_r(space))
+    v = (sr_monomial(space).operator(), pr_monomial(space).operator())
     sigma = PAULI[index]
     terms = [
         complex(sigma[k, l]) * (v[k].dagger() @ v[l])
@@ -196,19 +171,17 @@ def pauli_restriction(space: BeamSpace) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     if space.cutoff < 1:
         raise ValueError("the one-photon sector needs cutoff >= 1")
-    rows = [space.index[ModeOccupation(1, 0)], space.index[ModeOccupation(0, 1)]]
-    sel = np.ix_(rows, rows)
-    return tuple(g_operator(i, space).matrix[sel].toarray() for i in range(4))
+    return tuple(g_operator(i, space).block(1) for i in range(4))
 
 
-def block_eigenvalues(op: ComplexOperator, space: BeamSpace) -> np.ndarray:
+def block_eigenvalues(op: ComplexOperator) -> np.ndarray:
     """Eigenvalues of a Hermitian single-beam operator, solved per photon-number block.
 
     The g and Stokes operators conserve total photon number, so a dense
     eigensolve of each small block is exact and scales to large cutoffs.
     """
     values: list[np.ndarray] = []
-    for total in range(space.cutoff + 1):
+    for total in range(op.domain[0].cutoff + 1):
         block = op.block(total)
         if abs(block - block.conj().T).max() > HERMITIAN_BLOCK_ATOL:
             raise ValueError("block eigensolve expects a Hermitian operator")
@@ -218,7 +191,7 @@ def block_eigenvalues(op: ComplexOperator, space: BeamSpace) -> np.ndarray:
 
 def spectrum_deviation(op: ComplexOperator, targets: Iterable[float] = (-1.0, 0.0, 1.0)) -> float:
     """Largest distance of any eigenvalue of a one-beam operator from the target spectrum."""
-    eigenvalues = block_eigenvalues(op, op.domain[0])
+    eigenvalues = block_eigenvalues(op)
     targets = np.asarray(tuple(targets))
     return float(np.abs(eigenvalues[:, None] - targets[None, :]).min(axis=1).max())
 

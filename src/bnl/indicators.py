@@ -359,7 +359,7 @@ def witness_verdict(spec: WitnessSpec, state: MultiBeamState) -> VerdictRecord:
 
 
 class DegenerateCertificateError(ValueError):
-    """The state lives in the diagonal subspace, so the certificate trace vanishes."""
+    """The certificate trace vanishes on the truncated state (diagonal subspace or truncation tail)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,9 +394,9 @@ def gram_certificate(state: MultiBeamState) -> GramCertificate:
 
     Entry (r, c) is <psi| V_c^dag V_r |psi>, where V_r applies the
     half-swap or half-projector on each beam as chosen by r.  Raises
-    DegenerateCertificateError for states inside the diagonal subspace
-    (vanishing trace); verifies positivity and the trace identity before
-    returning.
+    DegenerateCertificateError when the trace vanishes, naming the norm
+    deficit when mass lies beyond the cutoff; verifies positivity and the
+    trace identity before returning.
     """
     pairs = [(sr_monomial(space), pr_monomial(space)) for space in state.domain]
     choices = list(itertools.product((0, 1), repeat=state.n_beams))
@@ -416,6 +416,11 @@ def gram_certificate(state: MultiBeamState) -> GramCertificate:
     matrix += np.triu(matrix, 1).conj().T
     trace = float(matrix.trace().real)
     if trace < 1e-12:
+        if state.norm_deficit > 0:
+            raise DegenerateCertificateError(
+                f"certificate trace is 0 within the cutoff, and norm deficit "
+                f"{state.norm_deficit:.6g} of the state's mass lies beyond it"
+            )
         raise DegenerateCertificateError(
             "state lies in the diagonal subspace; certificate trace is 0"
         )

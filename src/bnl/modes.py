@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import BeamSpace, ComplexOperator, DomainMismatchError, ModeOccupation, build_space
+from .fock import BeamSpace, ComplexOperator, DomainMismatchError, build_space
 from .gpauli import g_operator, stokes_operator
 
 UNITARY_ATOL = 1e-12
@@ -75,9 +75,10 @@ def fock_lift(u: ModeUnitary, space: BeamSpace) -> ComplexOperator:
     rows: list[int] = []
     cols: list[int] = []
     vals: list[complex] = []
-    for col, (n, m) in enumerate(space.basis):
+    occupations = zip(*(n.tolist() for n in space.occupations))
+    for col, (n, m) in enumerate(occupations):
         norm = math.sqrt(math.factorial(n) * math.factorial(m))
-        accum: dict[ModeOccupation, complex] = {}
+        accum: dict[int, complex] = {}
         for j, k in itertools.product(range(n + 1), range(m + 1)):
             n_a = j + k
             n_b = (n - j) + (m - k)
@@ -86,10 +87,10 @@ def fock_lift(u: ModeUnitary, space: BeamSpace) -> ComplexOperator:
                 * math.comb(m, k) * da**k * db ** (m - k)
                 * math.sqrt(math.factorial(n_a) * math.factorial(n_b))
             )
-            occ = ModeOccupation(n_a, n_b)
-            accum[occ] = accum.get(occ, 0.0) + coef
-        for occ, coef in accum.items():
-            rows.append(space.index[occ])
+            row = space.position(n_a, n_b)
+            accum[row] = accum.get(row, 0.0) + coef
+        for row, coef in accum.items():
+            rows.append(row)
             cols.append(col)
             vals.append(coef / norm)
     matrix = sp.csr_matrix(

@@ -19,13 +19,7 @@ from typing import TextIO
 import numpy as np
 import scipy.linalg
 
-from .fock import (
-    ModeOccupation,
-    MultiBeamState,
-    build_space,
-    joint_index,
-    product_state,
-)
+from .fock import MultiBeamState, build_space, joint_index, product_state
 
 QUBIT_NORM_ATOL = 1e-10
 
@@ -174,7 +168,7 @@ def bghz_state(coeffs: BghzCoefficients, cutoff: int) -> MultiBeamState:
             if p + m > cutoff or cp == 0 or cm == 0:
                 continue
             weight = cp * cm * (math.factorial(p) * math.factorial(m)) ** 1.5
-            i = space.index[ModeOccupation(p, m)]
+            i = space.position(p, m)
             amps[(i * dim + i) * dim + i] += weight
     norm = np.linalg.norm(amps)
     if norm == 0.0:
@@ -240,9 +234,10 @@ def random_beam_state(rng: np.random.Generator, cutoff: int, degree: int) -> Mul
         raise ValueError(f"degree {degree} exceeds cutoff {cutoff}")
     space = build_space(cutoff)
     amps = np.zeros(space.dim, dtype=complex)
-    support = [k for k, occ in enumerate(space.basis) if occ.total <= degree]
-    draw = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
-    amps[support] = draw / np.linalg.norm(draw)
+    # The occupations of total <= degree are the basis prefix ending at |0, degree>.
+    support = space.position(0, degree) + 1
+    draw = rng.standard_normal(support) + 1j * rng.standard_normal(support)
+    amps[:support] = draw / np.linalg.norm(draw)
     return MultiBeamState((space,), amps)
 
 
@@ -282,12 +277,13 @@ def bghz_generator_state(
             f"reduced dimension {dim} exceeds the dense-exponential cap {max_dim}"
         )
     raising = np.zeros((dim, dim))
-    for col, (p, m) in enumerate(space.basis):
+    n_a, n_b = space.occupations
+    for col, (p, m) in enumerate(zip(n_a.tolist(), n_b.tolist())):
         if p + m < cutoff:
-            raising[space.index[ModeOccupation(p + 1, m)], col] += (p + 1) ** 1.5
-            raising[space.index[ModeOccupation(p, m + 1)], col] += relative_sign * (m + 1) ** 1.5
+            raising[space.position(p + 1, m), col] += (p + 1) ** 1.5
+            raising[space.position(p, m + 1), col] += relative_sign * (m + 1) ** 1.5
     generator = gamma * (raising - raising.T)
-    reduced = scipy.linalg.expm(generator)[:, space.index[ModeOccupation(0, 0)]]
+    reduced = scipy.linalg.expm(generator)[:, space.position(0, 0)]
     reduced = reduced / np.linalg.norm(reduced)
     amps = np.zeros(dim**3, dtype=complex)
     for i, value in enumerate(reduced):

@@ -237,6 +237,19 @@ def test_entanglement_gram_rejects_diagonal_state(capsys, tmp_path):
     assert "diagonal" in err
 
 
+@pytest.mark.parametrize(
+    "argv", ["entanglement gram bsv --gamma 15 --cutoff 3", "entanglement gram bsv --gamma 1e3"]
+)
+def test_entanglement_gram_names_the_deficit_of_a_truncated_away_state(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "bnl: certificate trace is 0 within the cutoff, "
+        "and norm deficit 1 of the state's mass lies beyond it\n"
+    )
+
+
 def test_entanglement_witness_embedded_ghz(capsys):
     code, out, _ = run(capsys, "entanglement", "witness", "qubit", "--ghz")
     assert code == 0
@@ -254,6 +267,16 @@ def test_entanglement_separable_source_not_detected(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "not_detected"
     assert payload["value"] >= -1e-10
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    argv = ["entanglement", "witness", "separable", "--witness", "ghz3"]
+    _, seed0, _ = run(capsys, *argv, "--seed", "0")
+    _, seed1, _ = run(capsys, *argv, "--seed", "1")
+    code, default, _ = run(capsys, *argv)
+    assert code == 0
+    assert seed1 != seed0
+    assert default == seed0
 
 
 def test_entanglement_bghz_gen_curve_is_labeled(capsys):

@@ -8,7 +8,6 @@ from bnl.fock import (
     ComplexOperator,
     DomainMismatchError,
     HermitianViolationError,
-    ModeOccupation,
     MultiBeamState,
     apply,
     basis_state,
@@ -21,16 +20,26 @@ from bnl.fock import (
 from bnl.gpauli import g_operator
 
 
+def occupation_list(space):
+    """The basis as a list of (n_a, n_b) pairs of Python ints."""
+    return list(zip(*(n.tolist() for n in space.occupations)))
+
+
+def enumerated_basis(cutoff):
+    """Reference order by explicit enumeration: total ascending, then n_a descending."""
+    return [(total - n_b, n_b) for total in range(cutoff + 1) for n_b in range(total + 1)]
+
+
 def test_vacuum_space():
     space = build_space(0)
     assert space.dim == 1
-    assert space.basis == (ModeOccupation(0, 0),)
+    assert occupation_list(space) == [(0, 0)]
 
 
 def test_cutoff_one_canonical_order():
     space = build_space(1)
     assert space.dim == 3
-    assert space.basis == (ModeOccupation(0, 0), ModeOccupation(1, 0), ModeOccupation(0, 1))
+    assert occupation_list(space) == [(0, 0), (1, 0), (0, 1)]
 
 
 def test_cutoff_four_dimension_by_enumeration():
@@ -39,7 +48,7 @@ def test_cutoff_four_dimension_by_enumeration():
     space = build_space(4)
     assert len(explicit) == 15
     assert space.dim == 15
-    assert set(space.basis) == explicit
+    assert set(occupation_list(space)) == explicit
 
 
 @pytest.mark.parametrize("cutoff", range(8))
@@ -49,9 +58,28 @@ def test_dimension_formula(cutoff):
 
 def test_index_is_inverse_of_basis():
     space = build_space(5)
-    for k, occ in enumerate(space.basis):
-        assert space.index[occ] == k
-    assert len(space.index) == space.dim
+    for k, occ in enumerate(occupation_list(space)):
+        assert space.position(*occ) == k
+
+
+@pytest.mark.parametrize("cutoff", range(13))
+def test_closed_form_matches_enumeration(cutoff):
+    space = build_space(cutoff)
+    reference = enumerated_basis(cutoff)
+    assert space.dim == len(reference)
+    assert occupation_list(space) == reference
+    for k, (n_a, n_b) in enumerate(reference):
+        assert space.position(n_a, n_b) == k
+    for total in range(cutoff + 1):
+        block = [k for k, (n_a, n_b) in enumerate(reference) if n_a + n_b == total]
+        assert list(space.block_indices(total)) == block
+    assert list(space.block_indices(cutoff + 1)) == []
+
+
+@pytest.mark.parametrize("occupation", [(-1, 0), (0, -1), (-1, 4), (4, 0), (0, 4), (2, 2), (5, -1)])
+def test_position_rejects_occupations_outside_the_space(occupation):
+    with pytest.raises(ValueError):
+        build_space(3).position(*occupation)
 
 
 def test_negative_cutoff_rejected():
@@ -142,7 +170,7 @@ def test_entries_match_matrix():
     space = build_space(2)
     op = g_operator(2, space)
     for (r, c), value in op.entries().items():
-        assert op.entry(r, c) == value
+        assert complex(op.matrix[r, c]) == value
     dense = op.matrix.toarray()
     rebuilt = np.zeros_like(dense)
     for (r, c), value in op.entries().items():
@@ -158,10 +186,11 @@ def test_entries_match_matrix():
 @settings(max_examples=60, deadline=None)
 def test_g_operators_conserve_total_photon_number(cutoff, index, pick):
     space = build_space(cutoff)
-    occ = space.basis[pick % space.dim]
+    occ = occupation_list(space)[pick % space.dim]
     out = apply(g_operator(index, space), basis_state(space, [occ]))
+    n_a, n_b = space.occupations
     for k in np.flatnonzero(np.abs(out.amplitudes) > 0):
-        assert space.basis[k].total == occ.total
+        assert n_a[k] + n_b[k] == sum(occ)
 
 
 def _random_state(space, seed):

@@ -5,16 +5,16 @@ import pytest
 
 from bnl.fock import apply, basis_state, build_space, expectation
 from bnl.gpauli import (
+    SPECTRUM_ATOL,
     GLabel,
     block_eigenvalues,
     diagonal_monomial,
-    g_minus,
     g_operator,
     g_operator_compact,
     pauli_restriction,
-    s_r,
-    p_r,
+    pr_monomial,
     spectrum_deviation,
+    sr_monomial,
     stokes_operator,
     verify_algebra,
 )
@@ -60,14 +60,19 @@ def test_compact_construction_matches_direct(cutoff, index):
 
 def test_sr_pr_building_blocks():
     space = build_space(2)
-    sr = s_r(space)
-    pr = p_r(space)
+    sr = sr_monomial(space).operator()
+    pr = pr_monomial(space).operator(hermitian=True)
     # sr maps |2,0> -> |0,2> and kills |0,2>; pr projects onto mode-b-heavy kets
     assert np.allclose(
         apply(sr, basis_state(space, [(2, 0)])).amplitudes,
         basis_state(space, [(0, 2)]).amplitudes,
     )
     assert np.all(apply(sr, basis_state(space, [(0, 2)])).amplitudes == 0)
+    assert np.array_equal(
+        apply(pr, basis_state(space, [(0, 2)])).amplitudes,
+        basis_state(space, [(0, 2)]).amplitudes,
+    )
+    assert np.all(apply(pr, basis_state(space, [(2, 0)])).amplitudes == 0)
     assert np.all(apply(pr, basis_state(space, [(2, 0)])).amplitudes == 0)
     assert np.allclose(
         apply(pr, basis_state(space, [(0, 2)])).amplitudes,
@@ -131,7 +136,7 @@ def test_equal_occupations_are_null_vectors():
 
 def test_g_minus_action():
     space = build_space(4)
-    gm3 = g_minus(3, space)
+    gm3 = g_operator(GLabel(3, True), space)
     out = apply(gm3, basis_state(space, [(2, 2)]))
     assert np.array_equal(out.amplitudes, -basis_state(space, [(2, 2)]).amplitudes)
     out = apply(gm3, basis_state(space, [(2, 1)]))
@@ -142,24 +147,26 @@ def test_g_minus_spectrum_is_dichotomic():
     space = build_space(3)
     assert space.dim == 10
     for index in (1, 2, 3):
-        op = g_minus(index, space)
+        op = g_operator(GLabel(index, True), space)
         eigenvalues = np.linalg.eigvalsh(op.matrix.toarray())
         assert np.allclose(np.abs(eigenvalues), 1.0, atol=1e-12)
-        eigenvalues_blocked = block_eigenvalues(op, space)
+        eigenvalues_blocked = block_eigenvalues(op)
         assert np.allclose(np.sort(eigenvalues), eigenvalues_blocked, atol=1e-12)
+    for cutoff in range(9):
+        for index in (1, 2, 3):
+            op = g_operator(GLabel(index, True), build_space(cutoff))
+            assert spectrum_deviation(op, targets=(-1.0, 1.0)) <= SPECTRUM_ATOL
 
 
 @pytest.mark.parametrize("index", [1, 2, 3])
 def test_g_minus_squares_to_identity(index):
     space = build_space(4)
-    op = g_minus(index, space)
+    op = g_operator(GLabel(index, True), space)
     eye = diagonal_monomial(space).operator() + g_operator(0, space)
     assert (op @ op - eye).max_abs() < 1e-12
 
 
 def test_g_minus_rejects_index_zero():
-    with pytest.raises(ValueError):
-        g_minus(0, build_space(2))
     with pytest.raises(ValueError):
         GLabel(0, minus_variant=True)
     assert GLabel(2, minus_variant=True).index == 2
@@ -168,15 +175,16 @@ def test_g_minus_rejects_index_zero():
 def test_glabel_selects_minus_variant():
     space = build_space(2)
     via_label = g_operator(GLabel(3, minus_variant=True), space)
-    assert (via_label - g_minus(3, space)).max_abs() == 0.0
+    projector = diagonal_monomial(space).operator()
+    assert (via_label - (g_operator(3, space) - projector)).max_abs() == 0.0
 
 
 def test_stokes_s3_is_half_number_difference():
     space = build_space(3)
     s3 = stokes_operator(3, space)
-    for occ in space.basis:
-        value = expectation(s3, basis_state(space, [occ]))
-        assert value == pytest.approx((occ.n_a - occ.n_b) / 2, abs=1e-14)
+    for n_a, n_b in zip(*(n.tolist() for n in space.occupations)):
+        value = expectation(s3, basis_state(space, [(n_a, n_b)]))
+        assert value == pytest.approx((n_a - n_b) / 2, abs=1e-14)
 
 
 def test_stokes_s1_ladder_arithmetic():
@@ -198,7 +206,7 @@ def test_stokes_fail_anticommutation():
 def test_stokes_spectrum_unbounded_with_cutoff():
     # spectrum of S3 grows with the sector, unlike the swap/sign observables
     space = build_space(6)
-    eigenvalues = block_eigenvalues(stokes_operator(3, space), space)
+    eigenvalues = block_eigenvalues(stokes_operator(3, space))
     assert eigenvalues.max() == pytest.approx(3.0)
     assert spectrum_deviation(g_operator(3, space)) < 1e-14
 

@@ -21,26 +21,20 @@ from bnl.fock import (
     merge_terms,
     tensor,
 )
-from bnl.gpauli import (
-    GLabel,
-    g_minus,
-    g_monomial,
-    g_operator,
-    p_r,
-    pr_monomial,
-    s_r,
-    sr_monomial,
-)
+from bnl.gpauli import GLabel, g_monomial, g_operator, pr_monomial, sr_monomial
 
 # name -> (monomial, sparse operator) constructors for one beam space.
 FACTORS = {
     **{f"g{i}": (lambda s, i=i: g_monomial(i, s), lambda s, i=i: g_operator(i, s)) for i in range(4)},
     **{
-        f"g{i}-": (lambda s, i=i: g_monomial(GLabel(i, True), s), lambda s, i=i: g_minus(i, s))
+        f"g{i}-": (
+            lambda s, i=i: g_monomial(GLabel(i, True), s),
+            lambda s, i=i: g_operator(GLabel(i, True), s),
+        )
         for i in (1, 2, 3)
     },
-    "sr": (sr_monomial, s_r),
-    "pr": (pr_monomial, p_r),
+    "sr": (sr_monomial, lambda s: sr_monomial(s).operator()),
+    "pr": (pr_monomial, lambda s: pr_monomial(s).operator()),
 }
 
 

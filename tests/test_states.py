@@ -75,12 +75,12 @@ class TestBsv:
         space = state.domain[0]
         dim = space.dim
         diagonal_counts = {n: 0 for n in range(9)}
+        n_a, n_b = space.occupations
         for flat in np.flatnonzero(np.abs(state.amplitudes) > 0):
-            occ1 = space.basis[flat // dim]
-            occ2 = space.basis[flat % dim]
-            if occ1.diagonal or occ2.diagonal:
-                assert occ1.diagonal and occ2.diagonal
-                diagonal_counts[occ1.total] += 1
+            k1, k2 = divmod(flat, dim)
+            if space.diagonal_mask[k1] or space.diagonal_mask[k2]:
+                assert space.diagonal_mask[k1] and space.diagonal_mask[k2]
+                diagonal_counts[n_a[k1] + n_b[k1]] += 1
         for n in range(9):
             assert diagonal_counts[n] == (1 if n % 2 == 0 else 0)
 
@@ -148,13 +148,11 @@ class TestBghz:
         state = bghz_state(coeffs, 6)
         space = state.domain[0]
         dim = space.dim
-        for p, m in space.basis:
-            up = state.amplitudes[
-                (space.index[(p, m)] * dim + space.index[(p, m)]) * dim + space.index[(p, m)]
-            ]
-            dn = state.amplitudes[
-                (space.index[(m, p)] * dim + space.index[(m, p)]) * dim + space.index[(m, p)]
-            ]
+        for p, m in zip(*(n.tolist() for n in space.occupations)):
+            i_up = space.position(p, m)
+            i_dn = space.position(m, p)
+            up = state.amplitudes[(i_up * dim + i_up) * dim + i_up]
+            dn = state.amplitudes[(i_dn * dim + i_dn) * dim + i_dn]
             assert up == pytest.approx(dn, abs=1e-14)
 
     def test_rejects_degenerate_coefficients(self):
@@ -250,8 +248,9 @@ class TestRandomSeparable:
     def test_degree_bounds_support(self):
         state = random_beam_state(np.random.default_rng(0), 5, 2)
         space = state.domain[0]
+        n_a, n_b = space.occupations
         for k in np.flatnonzero(np.abs(state.amplitudes) > 0):
-            assert space.basis[k].total <= 2
+            assert n_a[k] + n_b[k] <= 2
 
     def test_degree_above_cutoff_rejected(self):
         with pytest.raises(ValueError):
@@ -302,9 +301,9 @@ class TestGeneratorState:
         state = bghz_generator_state(0.4, 8)
         space = state.domain[0]
         dim = space.dim
-        for p, m in space.basis:
-            i_up = space.index[(p, m)]
-            i_dn = space.index[(m, p)]
+        for p, m in zip(*(n.tolist() for n in space.occupations)):
+            i_up = space.position(p, m)
+            i_dn = space.position(m, p)
             up = state.amplitudes[(i_up * dim + i_up) * dim + i_up]
             dn = state.amplitudes[(i_dn * dim + i_dn) * dim + i_dn]
             assert up == pytest.approx(dn, abs=1e-10)
