@@ -141,14 +141,6 @@ class ComplexOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def entries(self) -> dict[tuple[int, int], complex]:
-        """Explicitly stored nonzero entries as a (row, column) -> value map."""
-        coo = self.matrix.tocoo()
-        return {
-            (int(r), int(c)): complex(v)
-            for r, c, v in zip(coo.row, coo.col, coo.data)
-        }
-
     def dagger(self) -> "ComplexOperator":
         return ComplexOperator(self.domain, self.matrix.getH().tocsr(), self.hermitian)
 
@@ -294,7 +286,6 @@ class MultiBeamState:
     domain: tuple[BeamSpace, ...]
     amplitudes: np.ndarray
     norm_deficit: float = 0.0
-    tags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         dim = _domain_dim(self.domain)
@@ -346,7 +337,6 @@ def apply(op: ComplexOperator, state: MultiBeamState) -> MultiBeamState:
         domain=state.domain,
         amplitudes=op.matrix @ state.amplitudes,
         norm_deficit=0.0,
-        tags=state.tags,
     )
 
 
@@ -467,5 +457,4 @@ def product_state(states: Sequence[MultiBeamState]) -> MultiBeamState:
     kept = 1.0
     for state in states:
         kept *= 1.0 - state.norm_deficit
-    tags = tuple(dict.fromkeys(tag for state in states for tag in state.tags))
-    return MultiBeamState(domain, amps, norm_deficit=1.0 - kept, tags=tags)
+    return MultiBeamState(domain, amps, norm_deficit=1.0 - kept)

@@ -255,35 +255,38 @@ def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraRep
     """
     if construction not in ("direct", "compact"):
         raise ValueError(f"unknown construction {construction!r}")
-    build = g_operator if construction == "direct" else g_operator_compact
-    g = [build(i, space) for i in range(4)]
+    direct = [g_operator(i, space) for i in range(4)]
+    compact = [g_operator_compact(i, space) for i in range(4)]
+    g = direct if construction == "direct" else compact
+    prod = {(i, j): g[i] @ g[j] for i, j in itertools.product(range(4), repeat=2)}
 
+    pairs = list(itertools.product((1, 2, 3), repeat=2))
     details: dict[str, float] = {}
-    max_comm = max_anti = max_prod = 0.0
-    for i, j in itertools.product((1, 2, 3), repeat=2):
+    for i, j in pairs:
         k, sign = _eps(i, j)
-        comm_target = (2j * sign) * g[k] if k else _zero_like(g[0])
-        comm = (g[i] @ g[j] - g[j] @ g[i] - comm_target).max_abs()
-        anti_target = 2.0 * g[0] if i == j else _zero_like(g[0])
-        anti = (g[i] @ g[j] + g[j] @ g[i] - anti_target).max_abs()
-        prod_target = g[0] if i == j else (1j * sign) * g[k]
-        prod = (g[i] @ g[j] - prod_target).max_abs()
-        details[f"commutator_{i}{j}"] = comm
-        details[f"anticommutator_{i}{j}"] = anti
-        details[f"product_{i}{j}"] = prod
-        max_comm = max(max_comm, comm)
-        max_anti = max(max_anti, anti)
-        max_prod = max(max_prod, prod)
+        comm = prod[i, j] - prod[j, i]
+        anti = prod[i, j] + prod[j, i]
+        if k:
+            comm = comm - (2j * sign) * g[k]
+            product = prod[i, j] - (1j * sign) * g[k]
+        else:
+            anti = anti - 2.0 * g[0]
+            product = prod[i, j] - g[0]
+        details[f"commutator_{i}{j}"] = comm.max_abs()
+        details[f"anticommutator_{i}{j}"] = anti.max_abs()
+        details[f"product_{i}{j}"] = product.max_abs()
+    max_comm, max_anti, max_prod = (
+        max(details[f"{kind}_{i}{j}"] for i, j in pairs)
+        for kind in ("commutator", "anticommutator", "product")
+    )
 
     identity_residuals = {
-        "g2_equals_minus_i_g3_g1": (g[2] - (-1j) * (g[3] @ g[1])).max_abs(),
+        "g2_equals_minus_i_g3_g1": (g[2] - (-1j) * prod[3, 1]).max_abs(),
     }
     for i in range(4):
-        identity_residuals[f"g0_commutes_g{i}"] = (
-            g[0] @ g[i] - g[i] @ g[0]
-        ).max_abs()
+        identity_residuals[f"g0_commutes_g{i}"] = (prod[0, i] - prod[i, 0]).max_abs()
         identity_residuals[f"construction_cross_check_g{i}"] = (
-            g_operator(i, space) - g_operator_compact(i, space)
+            direct[i] - compact[i]
         ).max_abs()
 
     max_dev = max(spectrum_deviation(gi) for gi in g)
@@ -299,7 +302,3 @@ def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraRep
         identity_residuals=identity_residuals,
         details=details,
     )
-
-
-def _zero_like(op: ComplexOperator) -> ComplexOperator:
-    return 0.0 * op

@@ -10,7 +10,6 @@ error accounting honest.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -122,26 +121,27 @@ def bsv_state(params: BsvParams) -> MultiBeamState:
     return MultiBeamState((space, space), amps, norm_deficit=deficit)
 
 
-@functools.lru_cache(maxsize=None)
-def _joint_diagonal_mask(cutoffs: tuple[int, ...]) -> np.ndarray:
-    """1.0 on the joint basis states where some beam has equal occupations, else 0.0."""
-    mask = np.ones(1)
-    for cutoff in cutoffs:
-        space = build_space(cutoff)
-        mask = np.kron(mask, (~space.diagonal_mask).astype(float))
-    return 1.0 - mask
-
-
 def prob_diagonal(state: MultiBeamState) -> float:
     """Probability that at least one beam shows equal occupations.
+
+    The diagonal kets are split by the first beam k with n_a == n_b: the
+    beams before k are off the diagonal, beam k is on it and the beams after
+    k are free.  These slices of the amplitudes, one per beam, are disjoint
+    and together hold every diagonal ket, so their weights add up to the
+    probability, and no array the size of the joint space is allocated.
 
     Computed on the truncated amplitudes; the unresolved tail can only add
     mass, so the true value lies in [value, value + norm_deficit] (see
     prob_diagonal_bounds).
     """
-    diagonal = _joint_diagonal_mask(tuple(s.cutoff for s in state.domain))
-    weights = np.abs(state.amplitudes) ** 2
-    return float(np.sum(weights * diagonal))
+    psi = state.amplitudes.reshape([space.dim for space in state.domain])
+    off_before: list[np.ndarray] = []
+    total = 0.0
+    for space in state.domain:
+        block = psi[np.ix_(*off_before, space.diagonal_mask)]
+        total += float(np.sum(np.abs(block) ** 2))
+        off_before.append(~space.diagonal_mask)
+    return total
 
 
 def prob_diagonal_bounds(state: MultiBeamState) -> tuple[float, float]:
@@ -252,7 +252,6 @@ def bghz_generator_state(
     gamma: float,
     cutoff: int,
     relative_sign: float = 1.0,
-    max_dim: int | None = None,
 ) -> MultiBeamState:
     """Non-authoritative stand-in: exp(gamma (T_a + s T_b - h.c.)) |vacuum>.
 
@@ -260,9 +259,10 @@ def bghz_generator_state(
     propagator never leaves the span of |p,m; p,m; p,m> kets and the dense
     exponential is taken on that reduced subspace, which equals the
     full-space truncated exponential restricted to it.  The result depends
-    on where the sector is cut, hence the "truncation-sensitive" tag; use
-    it for qualitative curves only.  ``relative_sign`` sets the sign s of
-    the b-triple term.
+    on where the sector is cut, so it is truncation-sensitive; use it for
+    qualitative curves only.  ``relative_sign`` sets the sign s of the
+    b-triple term.  The reduced dimension is capped by the ``BNL_MAX_DIM``
+    environment variable.
     """
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
@@ -270,8 +270,11 @@ def bghz_generator_state(
         raise ValueError("relative_sign must be +1 or -1")
     space = build_space(cutoff)
     dim = space.dim
-    if max_dim is None:
-        max_dim = int(os.environ.get(MAX_DIM_ENV, DEFAULT_MAX_DIM))
+    raw_max_dim = os.environ.get(MAX_DIM_ENV, str(DEFAULT_MAX_DIM))
+    try:
+        max_dim = int(raw_max_dim)
+    except ValueError:
+        raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {raw_max_dim!r}") from None
     if dim > max_dim:
         raise ValueError(
             f"reduced dimension {dim} exceeds the dense-exponential cap {max_dim}"
@@ -288,7 +291,7 @@ def bghz_generator_state(
     amps = np.zeros(dim**3, dtype=complex)
     for i, value in enumerate(reduced):
         amps[(i * dim + i) * dim + i] = value
-    return MultiBeamState((space,) * 3, amps, tags=("truncation-sensitive",))
+    return MultiBeamState((space,) * 3, amps)
 
 
 def load_bghz_coefficients(path) -> BghzCoefficients:

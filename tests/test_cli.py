@@ -61,6 +61,14 @@ def test_domain_errors_are_one_line_usage_errors(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_malformed_dimension_cap_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("BNL_MAX_DIM", "abc")
+    code, out, err = run(capsys, "bell", "bghz-gen", "--gamma", "0.3")
+    assert code == 1
+    assert out == ""
+    assert err == "bnl: error: BNL_MAX_DIM must be an integer, got 'abc'\n"
+
+
 @pytest.mark.parametrize(
     "argv, code, prefix",
     [

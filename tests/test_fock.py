@@ -166,18 +166,6 @@ def test_g_operators_pass_hermitian_check():
         assert (op - op.dagger()).max_abs() == 0.0
 
 
-def test_entries_match_matrix():
-    space = build_space(2)
-    op = g_operator(2, space)
-    for (r, c), value in op.entries().items():
-        assert complex(op.matrix[r, c]) == value
-    dense = op.matrix.toarray()
-    rebuilt = np.zeros_like(dense)
-    for (r, c), value in op.entries().items():
-        rebuilt[r, c] = value
-    assert np.array_equal(dense, rebuilt)
-
-
 @given(
     cutoff=st.integers(min_value=1, max_value=5),
     index=st.integers(min_value=0, max_value=3),

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from bnl.fock import apply, basis_state, build_space, expectation
+from bnl import gpauli
+from bnl.fock import Monomial, apply, basis_state, build_space, expectation
 from bnl.gpauli import (
+    ALGEBRA_ATOL,
     SPECTRUM_ATOL,
     GLabel,
     block_eigenvalues,
     diagonal_monomial,
     g_operator,
+    g_monomial,
     g_operator_compact,
     pauli_restriction,
     pr_monomial,
@@ -104,6 +107,40 @@ def test_reports_agree_between_constructions():
     for key, value in direct.details.items():
         assert abs(value - compact.details[key]) < 1e-14
     assert abs(direct.max_spectrum_deviation - compact.max_spectrum_deviation) < 1e-14
+
+
+@pytest.mark.parametrize("construction", ["direct", "compact"])
+@pytest.mark.parametrize("index", [0, 3])
+def test_verify_algebra_detects_corrupted_direct_construction(monkeypatch, index, construction):
+    space = build_space(2)
+    original = gpauli.g_operator
+
+    def corrupted(label, space):
+        if label != index:
+            return original(label, space)
+        # A diagonal g_i with the sign of its |2,0> column flipped stays
+        # Hermitian with spectrum {-1, 0, +1}, so only the identities expose it.
+        monomial = g_monomial(index, space)
+        phase = monomial.phase.copy()
+        phase[space.position(2, 0)] *= -1
+        return Monomial(space, monomial.target, phase).operator(hermitian=True)
+
+    monkeypatch.setattr(gpauli, "g_operator", corrupted)
+    report = verify_algebra(space, construction=construction)
+    assert not report.passed
+    assert report.spectrum_ok
+    for kind in ("commutator", "anticommutator", "product"):
+        worst = max(v for key, v in report.details.items() if key.startswith(f"{kind}_"))
+        assert getattr(report, f"max_{kind}_residual") == worst
+    cross_checks = [report.identity_residuals[f"construction_cross_check_g{i}"] for i in range(4)]
+    assert cross_checks == [2.0 if i == index else 0.0 for i in range(4)]
+    if construction == "direct":
+        assert report.max_product_residual > ALGEBRA_ATOL
+        if index == 0:
+            assert report.identity_residuals["g0_commutes_g1"] > ALGEBRA_ATOL
+    else:
+        assert max(report.details.values()) == 0.0
+        assert report.identity_residuals["g0_commutes_g1"] == 0.0
 
 
 @pytest.mark.parametrize("n,m", [(1, 0), (2, 0), (3, 1), (2, 1)])

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnl.fock import (
+    MultiBeamState,
     apply,
     basis_state,
     build_space,
@@ -115,6 +118,40 @@ def test_prob_diagonal_trivial_cases():
     space = build_space(2)
     assert prob_diagonal(basis_state((space, space), [(1, 1), (2, 0)])) == 1.0
     assert prob_diagonal(basis_state((space, space), [(2, 0), (0, 1)])) == 0.0
+
+
+@given(
+    cutoffs=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3),
+    deficit=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_prob_diagonal_matches_brute_force(cutoffs, deficit, seed):
+    domain = tuple(build_space(cutoff) for cutoff in cutoffs)
+    rng = np.random.default_rng(seed)
+    dim = math.prod(space.dim for space in domain)
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    amps *= math.sqrt(1.0 - deficit) / np.linalg.norm(amps)
+    state = MultiBeamState(domain, amps, norm_deficit=deficit)
+    per_beam = [list(zip(*(n.tolist() for n in space.occupations))) for space in domain]
+    expected = 0.0
+    for occs in itertools.product(*per_beam):
+        if any(n_a == n_b for n_a, n_b in occs):
+            expected += abs(amps[joint_index(domain, occs)]) ** 2
+    assert prob_diagonal(state) == pytest.approx(expected, abs=1e-14)
+
+
+def test_prob_diagonal_allocates_no_joint_space_array():
+    # The cutoff-40 squeezed vacuum has 741,321 amplitudes (11.3 MiB); only
+    # the equal-occupation rows and columns of each beam may be copied.
+    state = bsv_state(BsvParams(0.7, 40))
+    tracemalloc.start()
+    try:
+        prob_diagonal(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestBghz:
@@ -285,7 +322,6 @@ class TestGeneratorState:
     def test_zero_gain_is_vacuum(self):
         state = bghz_generator_state(0.0, 4)
         assert state.amplitudes[0] == pytest.approx(1.0)
-        assert "truncation-sensitive" in state.tags
 
     def test_support_structure(self):
         state = bghz_generator_state(0.35, 6)
@@ -312,14 +348,19 @@ class TestGeneratorState:
         state = bghz_generator_state(0.4, 6, relative_sign=-1.0)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            bghz_generator_state(0.2, 8, max_dim=10)
-
     def test_dimension_cap_from_environment(self, monkeypatch):
-        monkeypatch.setenv("BNL_MAX_DIM", "5")
-        with pytest.raises(ValueError, match="cap"):
-            bghz_generator_state(0.2, 8)
+        # Cutoff 8 has reduced dimension 45.
+        cases = [
+            ("5", "dimension 45 exceeds the dense-exponential cap 5"),
+            ("10", "dimension 45 exceeds the dense-exponential cap 10"),
+            ("abc", "BNL_MAX_DIM must be an integer, got 'abc'"),
+            ("1e4", "BNL_MAX_DIM must be an integer, got '1e4'"),
+            ("", "BNL_MAX_DIM must be an integer, got ''"),
+        ]
+        for value, message in cases:
+            monkeypatch.setenv("BNL_MAX_DIM", value)
+            with pytest.raises(ValueError, match=message):
+                bghz_generator_state(0.2, 8)
 
 
 class TestCoefficientFile:
