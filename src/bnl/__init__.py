@@ -28,14 +28,12 @@ from .gpauli import (
 from .states import (
     BghzCoefficients,
     BsvParams,
-    EnsembleState,
     bghz_generator_state,
     bghz_state,
     bsv_state,
     load_bghz_coefficients,
     prob_diagonal,
     prob_diagonal_bounds,
-    psi_nm_state,
     qubit_embed,
     random_separable,
 )

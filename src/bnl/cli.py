@@ -18,7 +18,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from . import indicators, states
-from .fock import MultiBeamState, basis_state, build_space, joint_index
+from .fock import MultiBeamState, basis_state, build_space, check_stored, joint_index
 from .gpauli import verify_algebra
 from .indicators import (
     GHZ3_WITNESS,
@@ -99,7 +99,8 @@ def load_state_file(path) -> MultiBeamState:
 
     The state is normalized on load; a deficit above 1e-6 triggers a
     warning on stderr.  Duplicate occupation rows and inconsistent beam
-    counts are parse errors naming the line.
+    counts are parse errors naming the line.  Each line stores one
+    amplitude, so the line count is checked against ``BNL_MAX_DIM``.
     """
     rows: list[tuple[tuple[tuple[int, int], ...], complex]] = []
     n_beams: int | None = None
@@ -138,12 +139,11 @@ def load_state_file(path) -> MultiBeamState:
             rows.append((occs, value))
     if not rows:
         raise StateFileError(f"{path}: no amplitude lines found")
+    check_stored(len(rows))
     space = build_space(max(max(n + m for n, m in occs) for occs, _ in rows))
     domain = (space,) * n_beams
-    amps = np.zeros(space.dim**n_beams, dtype=complex)
-    for occs, value in rows:
-        amps[joint_index(domain, occs)] = value
-    norm = float(np.linalg.norm(amps))
+    values = np.array([value for _, value in rows])
+    norm = float(np.linalg.norm(values))
     if norm == 0.0:
         raise StateFileError(f"{path}: state has zero norm")
     if abs(1.0 - norm * norm) > 1e-6:
@@ -151,7 +151,8 @@ def load_state_file(path) -> MultiBeamState:
             f"warning: {path}: renormalizing, |amplitudes|^2 was {norm * norm!r}",
             file=sys.stderr,
         )
-    return MultiBeamState(domain, amps / norm)
+    index = [joint_index(domain, occs) for occs, _ in rows]
+    return MultiBeamState.from_support(domain, index, values / norm)
 
 
 def _fmt(value) -> str:
@@ -188,9 +189,14 @@ class _UsageError(Exception):
 
 
 def _checked(build: Callable[[], T]) -> T:
-    """Run a constructor, reporting its domain ValueError as a usage error."""
+    """Run a constructor, reporting its domain ValueError as a usage error.
+
+    A file's parse error, also a ValueError, keeps its own exit code.
+    """
     try:
         return build()
+    except (CoefficientFileError, StateFileError):
+        raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -293,7 +299,7 @@ def _source_state(args) -> tuple[MultiBeamState, dict]:
     if args.state is None:
         raise _UsageError("state source needs --state FILE")
     meta["file"] = str(args.state)
-    return load_state_file(args.state), meta
+    return _checked(lambda: load_state_file(args.state)), meta
 
 
 def _witness(name: str, state: MultiBeamState) -> WitnessSpec:

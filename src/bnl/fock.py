@@ -9,19 +9,21 @@ operators and regression fixtures are therefore byte-stable across runs.
 
 Every single-beam observable used here is *monomial*: it has at most one
 nonzero entry per column.  ``Monomial`` stores such an operator as a target
-index and a phase per basis column, and ``expectation_sums`` evaluates
-weighted sums of their tensor products on a state by gathers along each
-beam axis, without forming an operator on the joint space.  General
-operators are stored as sparse complex matrices; states are dense complex
-amplitude vectors over the tensored basis of one or more beams.  All
-containers are immutable after construction, so evaluation is safe to run
-concurrently over independent states and operators.
+index and a phase per basis column.  A state over the tensored basis of one
+or more beams stores only its support: the sorted flat positions of its
+nonzero amplitudes and their values.  ``expectation_sums`` evaluates
+weighted sums of tensor products of monomials on that support, so neither
+an operator nor a vector on the joint space is formed.  General operators
+are stored as sparse complex matrices.  All containers are immutable after
+construction, so evaluation is safe to run concurrently over independent
+states and operators.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,6 +36,12 @@ HERMITIAN_ATOL = 1e-14
 NORM_ATOL = 1e-8
 # Imaginary part allowed in the expectation of a Hermitian-flagged operator.
 HERMITIAN_IMAG_ATOL = 1e-12
+# Cap on the amplitudes a state stores, overridable through BNL_MAX_DIM; it is
+# checked against each constructor's closed-form count before any array exists.
+MAX_DIM_ENV = "BNL_MAX_DIM"
+DEFAULT_MAX_DIM = 10_000
+# Flat positions on the joint space are int64.
+MAX_JOINT_DIM = np.iinfo(np.int64).max
 
 
 class DomainMismatchError(ValueError):
@@ -105,10 +113,30 @@ def build_space(cutoff: int) -> BeamSpace:
 
 
 def _domain_dim(domain: Sequence[BeamSpace]) -> int:
-    dim = 1
-    for space in domain:
-        dim *= space.dim
+    dim = math.prod(space.dim for space in domain)
+    if dim > MAX_JOINT_DIM:
+        raise ValueError(
+            f"joint dimension {dim} of cutoffs {_cutoffs(domain)} exceeds int64 positions"
+        )
     return dim
+
+
+def amplitude_cap() -> int:
+    """The cap on stored amplitudes: ``BNL_MAX_DIM`` if set, else DEFAULT_MAX_DIM."""
+    raw = os.environ.get(MAX_DIM_ENV, str(DEFAULT_MAX_DIM))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}") from None
+
+
+def check_stored(count: int) -> None:
+    """Refuse, before allocating, a state that would store ``count`` amplitudes above the cap."""
+    cap = amplitude_cap()
+    if count > cap:
+        raise ValueError(
+            f"state needs {count} stored amplitudes, above the {MAX_DIM_ENV} cap {cap}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,18 +256,18 @@ class Monomial:
         )
         return ComplexOperator((self.space,), matrix, hermitian=hermitian)
 
-    @functools.cached_property
-    def canonical(self) -> tuple[complex, bytes, "Monomial"] | None:
+    def canonical(self) -> tuple[complex, tuple[bytes, bytes], "Monomial"] | None:
         """(scale, key, M): self = scale * M, M's first nonzero phase is 1 and
         its ``key`` is shared by every multiple of self; None for the zero map."""
         cols = np.flatnonzero(self.phase)
         if cols.size == 0:
             return None
         scale = complex(self.phase[cols[0]])
+        phase = self.phase / scale
         # Adding 0.0 turns the signed zeros of the division into +0.0.
-        phase = self.phase / scale + 0.0
+        phase += 0.0
         target = np.where(self.phase != 0, self.target, np.arange(self.space.dim))
-        return scale, target.tobytes() + phase.tobytes(), Monomial(self.space, target, phase)
+        return scale, (target.tobytes(), phase.tobytes()), Monomial(self.space, target, phase)
 
 
 # One term of a sum of product observables: weight and one factor per beam.
@@ -252,9 +280,9 @@ def merge_terms(terms: Iterable[Term]) -> list[tuple[complex, tuple[Monomial, ..
     Factors become their canonical forms, the scales moving into the
     weight; terms that vanish are dropped.
     """
-    merged: dict[tuple[bytes, ...], list] = {}
+    merged: dict[tuple, list] = {}
     for weight, factors in terms:
-        forms = [factor.canonical for factor in factors]
+        forms = [factor.canonical() for factor in factors]
         if None in forms:
             continue
         entry = merged.setdefault(
@@ -272,9 +300,16 @@ def _sparse_max_abs(matrix: sp.spmatrix) -> float:
     return float(abs(matrix).max()) if matrix.nnz else 0.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MultiBeamState:
-    """Complex amplitude vector over the tensored occupation basis of n beams.
+    """Complex amplitudes over the tensored occupation basis of n beams, kept on their support.
+
+    ``index`` holds the sorted, distinct flat positions (first beam major)
+    of the stored amplitudes and ``values`` the amplitudes there; every
+    other amplitude is zero.  The observables conserve each beam's photon
+    number and the states studied are sparse, so the joint space is never
+    stored.  ``MultiBeamState(domain, amplitudes)`` keeps the nonzero
+    entries of a dense vector; ``from_support`` takes the support directly.
 
     ``norm_deficit`` carries the probability mass truncated away when the
     state has analytically infinite support; generators keep
@@ -284,29 +319,83 @@ class MultiBeamState:
     """
 
     domain: tuple[BeamSpace, ...]
-    amplitudes: np.ndarray
-    norm_deficit: float = 0.0
+    index: np.ndarray
+    values: np.ndarray
+    norm_deficit: float
 
-    def __post_init__(self) -> None:
-        dim = _domain_dim(self.domain)
-        if self.amplitudes.shape != (dim,):
+    def __init__(self, domain, amplitudes, norm_deficit: float = 0.0) -> None:
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        dim = _domain_dim(domain)
+        if amplitudes.shape != (dim,):
             raise ValueError(
-                f"amplitude vector of length {self.amplitudes.shape} does not match "
+                f"amplitude vector of length {amplitudes.shape} does not match "
                 f"domain dimension {dim}"
             )
-        if self.norm_deficit < -1e-12:
-            raise ValueError(f"norm_deficit must be non-negative, got {self.norm_deficit}")
+        index = np.flatnonzero(amplitudes)
+        self._store(domain, index, amplitudes[index], norm_deficit)
+
+    @classmethod
+    def from_support(cls, domain, index, values, norm_deficit: float = 0.0) -> "MultiBeamState":
+        """Amplitudes ``values`` at the distinct flat positions ``index`` (any order), else zero."""
+        index = np.asarray(index, dtype=np.int64)
+        values = np.asarray(values, dtype=complex)
+        if index.ndim != 1 or index.shape != values.shape:
+            raise ValueError(
+                f"support of shape {index.shape} and values of shape {values.shape} differ"
+            )
+        if np.any(index[1:] <= index[:-1]):
+            order = np.argsort(index)
+            index, values = index[order], values[order]
+            if np.any(index[1:] == index[:-1]):
+                raise ValueError("a support position repeats")
+        state = cls.__new__(cls)
+        state._store(domain, index, values, norm_deficit)
+        return state
+
+    def _store(self, domain, index: np.ndarray, values: np.ndarray, norm_deficit: float) -> None:
+        domain = tuple(domain)
+        dim = _domain_dim(domain)
+        if index.size and not 0 <= index[0] <= index[-1] < dim:
+            raise ValueError(f"support position outside the cutoffs-{_cutoffs(domain)} space")
+        if norm_deficit < -1e-12:
+            raise ValueError(f"norm_deficit must be non-negative, got {norm_deficit}")
+        for name, value in zip(("domain", "index", "values", "norm_deficit"),
+                               (domain, index, values, norm_deficit)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_beams(self) -> int:
         return len(self.domain)
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(space.dim for space in self.domain)
+
+    @property
     def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        return _domain_dim(self.domain)
+
+    @functools.cached_property
+    def coordinates(self) -> tuple[np.ndarray, ...]:
+        """Each beam's basis position at every stored amplitude (the unravelled ``index``)."""
+        return np.unravel_index(self.index, self.shape)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense vector over the joint space, built on each access (for the tensor() oracle)."""
+        dense = np.zeros(self.dim, dtype=complex)
+        dense[self.index] = self.values
+        return dense
+
+    def lookup(self, positions: np.ndarray) -> np.ndarray:
+        """Amplitudes at the given flat positions, zero off the support."""
+        if not self.index.size:
+            return np.zeros(np.shape(positions), dtype=complex)
+        at = np.minimum(np.searchsorted(self.index, positions), self.index.size - 1)
+        return np.where(self.index[at] == positions, self.values[at], 0.0)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.values))
 
 
 def _as_domain(domain: BeamSpace | Sequence[BeamSpace]) -> tuple[BeamSpace, ...]:
@@ -358,45 +447,44 @@ def expectation_sums(
 ) -> list[complex | float]:
     """<psi| sum_t w_t A_t1 x ... x A_tn |psi> for each given sum of product monomials.
 
-    With psi viewed as an array with one axis per beam, a product term is a
-    gather of psi along every axis followed by one phase-weighted vdot, so
-    no operator on the joint space is formed.  Terms are merged first (see
-    merge_terms).  The checks are those of ``expectation``: matching
-    domains, a normalized state and, for sums declared Hermitian, an
-    imaginary part below 1e-12, the real part being returned as a float.
+    A product term sends each stored ket position to one bra position and
+    a phase, so it is evaluated on the support alone (see _product_value);
+    no operator or vector on the joint space is formed.  Terms are merged
+    first (see merge_terms).  The checks are those of ``expectation``:
+    matching domains, a normalized state and, for sums declared Hermitian,
+    an imaginary part below 1e-12, the real part being returned as a float.
     """
     for terms in sums:
         for _, factors in terms:
             _check_op_state(tuple(factor.space for factor in factors), state)
     _check_normalized(state)
-    psi = state.amplitudes.reshape([space.dim for space in state.domain])
     return [
         _hermitian_value(
-            complex(sum(w * _product_value(psi, f) for w, f in merge_terms(terms))),
+            complex(sum(w * _product_value(state, f) for w, f in merge_terms(terms))),
             hermitian,
         )
         for terms in sums
     ]
 
 
-def _product_value(psi: np.ndarray, factors: Sequence[Monomial]) -> complex:
-    """<psi| A_1 x ... x A_n |psi>: gather the bra at the targets, weight the ket by the phases."""
-    bra = ket = psi
-    for axis, factor in enumerate(factors):
-        cols = np.flatnonzero(factor.phase)
-        rows = factor.target[cols]
-        # A diagonal factor gathers bra and ket alike while they still coincide.
-        shared = bra is ket and np.array_equal(rows, cols)
-        ket = np.take(ket, cols, axis=axis)
-        bra = ket if shared else np.take(bra, rows, axis=axis)
-        phase = factor.phase[cols]
-        if not np.all(phase == 1):
-            ket = ket * phase.reshape((-1,) + (1,) * (psi.ndim - axis - 1))
+def _product_value(state: MultiBeamState, factors: Sequence[Monomial]) -> complex:
+    """<psi| A_1 x ... x A_n |psi> on the support.
+
+    Each beam's phase and target are gathered at the stored coordinates;
+    the raveled targets are looked up in the support, where a miss is a
+    zero bra amplitude.
+    """
+    ket = state.values
+    targets = []
+    for factor, coords in zip(factors, state.coordinates):
+        ket = ket * factor.phase[coords]
+        targets.append(factor.target[coords])
+    bra = state.lookup(np.ravel_multi_index(targets, state.shape))
     return complex(np.vdot(bra, ket))
 
 
 def _check_normalized(state: MultiBeamState) -> None:
-    total = float(np.vdot(state.amplitudes, state.amplitudes).real) + state.norm_deficit
+    total = float(np.vdot(state.values, state.values).real) + state.norm_deficit
     if abs(total - 1.0) > NORM_ATOL:
         raise ValueError(
             f"state is not normalized: |amplitudes|^2 + deficit = {total!r}"
@@ -431,9 +519,7 @@ def basis_state(
         raise ValueError(
             f"{len(occupations)} occupations given for {len(domain)} beams"
         )
-    amps = np.zeros(_domain_dim(domain), dtype=complex)
-    amps[joint_index(domain, occupations)] = 1.0
-    return MultiBeamState(domain, amps)
+    return MultiBeamState.from_support(domain, [joint_index(domain, occupations)], [1.0])
 
 
 def joint_index(
@@ -450,11 +536,12 @@ def product_state(states: Sequence[MultiBeamState]) -> MultiBeamState:
     """Tensor product of per-beam (or per-group) states."""
     if not states:
         raise ValueError("product_state() needs at least one factor")
+    check_stored(math.prod(state.index.size for state in states))
     domain = tuple(space for state in states for space in state.domain)
-    amps = states[0].amplitudes
+    _domain_dim(domain)  # refuses a joint space whose positions overflow int64
+    index, values = states[0].index, states[0].values
     for state in states[1:]:
-        amps = np.kron(amps, state.amplitudes)
-    kept = 1.0
-    for state in states:
-        kept *= 1.0 - state.norm_deficit
-    return MultiBeamState(domain, amps, norm_deficit=1.0 - kept)
+        index = np.add.outer(index * state.dim, state.index).ravel()
+        values = np.multiply.outer(values, state.values).ravel()
+    kept = math.prod(1.0 - state.norm_deficit for state in states)
+    return MultiBeamState.from_support(domain, index, values, norm_deficit=1.0 - kept)

@@ -20,6 +20,7 @@ and a verdict that straddles its bound is reported as inconclusive.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,11 +33,12 @@ from .fock import (
     DomainMismatchError,
     MultiBeamState,
     Term,
+    build_space,
     expectation_sums,
     merge_terms,
 )
 from .gpauli import GLabel, g_monomial, pr_monomial, sr_monomial
-from .states import BsvParams, EnsembleState, bsv_state, prob_diagonal
+from .states import BsvParams, bsv_state, prob_diagonal
 
 PM_BOUND = 4.0
 LHV_BOUND = 2.0
@@ -109,16 +111,23 @@ PM_LINES: tuple[tuple[str, tuple[tuple[int, int], ...], int], ...] = (
 )
 
 
-def _pm_terms(space: BeamSpace) -> list[Term]:
-    """The six signed line products as per-beam monomials, after the commutation guard."""
-    g = [g_monomial(i, space) for i in range(4)]
-    # Every per-beam product of two cells' factors, built (and canonicalized) once.
+@functools.lru_cache(maxsize=None)
+def _check_contexts_commute(cells: tuple, lines: tuple) -> None:
+    """Transcription guard: the three cells of every context must commute.
+
+    The g_i act alike on every photon-number block that holds an
+    off-diagonal pair, so the cell table is checked on the cutoff-2 space,
+    whatever the cutoff of the state, and once per distinct table.
+    """
+    labels = dict(cells)
+    g = [g_monomial(i, build_space(2)) for i in range(4)]
+    # Every per-beam product of two cells' factors, built once.
     prod = {(i, j): g[i] @ g[j] for i in range(4) for j in range(4)}
 
     def commutator_bound(a: tuple[int, int], b: tuple[int, int]) -> float:
         # Bounds the largest entry of [A, B] by merging AB - BA as a two-term
         # sum: zero when the per-beam factors commute or anticommute in pairs.
-        pairs = list(zip(PM_CELL_LABELS[a], PM_CELL_LABELS[b]))
+        pairs = list(zip(labels[a], labels[b]))
         ab = tuple(prod[x, y] for x, y in pairs)
         ba = tuple(prod[y, x] for x, y in pairs)
         return sum(
@@ -126,22 +135,31 @@ def _pm_terms(space: BeamSpace) -> list[Term]:
             for weight, factors in merge_terms([(1.0, ab), (-1.0, ba)])
         )
 
-    # Transcription guard: the three cells of every context must commute.
     worst = max(
         commutator_bound(a, b)
-        for _, line, _ in PM_LINES
+        for _, line, _ in lines
         for a, b in itertools.combinations(line, 2)
     )
     if worst > LINE_COMMUTE_ATOL:
         raise AssertionError(
             f"cells within a context fail to commute (residual {worst:.3e})"
         )
-    return [
+
+
+def _pm_terms(space: BeamSpace) -> list[Term]:
+    """The six signed line products as per-beam monomials, after the commutation guard.
+
+    They are merged as they are built, so only one line's products are
+    held at a time besides the merged terms.
+    """
+    _check_contexts_commute(tuple(PM_CELL_LABELS.items()), PM_LINES)
+    g = [g_monomial(i, space) for i in range(4)]
+    return merge_terms(
         (float(sign), tuple(
-            prod[x, y] @ g[z] for x, y, z in zip(*(PM_CELL_LABELS[c] for c in line))
+            g[x] @ g[y] @ g[z] for x, y, z in zip(*(PM_CELL_LABELS[c] for c in line))
         ))
         for _, line, sign in PM_LINES
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -181,8 +199,8 @@ class PmResult:
 def pm_expectation(state: MultiBeamState) -> PmResult:
     """Evaluate the square expression as the sum of its six line products.
 
-    The line products all collapse to +-g0 x g0, so the kernel merges them
-    into one term.  The independently computed shortcut 6(1 - P(diagonal))
+    The line products all collapse to +-g0 x g0, so they merge into one
+    term.  The independently computed shortcut 6(1 - P(diagonal))
     must agree with that value up to the tail mass weighted by the six
     contexts; disagreement beyond that signals an internal inconsistency
     and raises.
@@ -305,10 +323,8 @@ PHI_PLUS_WITNESS = WitnessSpec(
 )
 
 
-def witness_expectation(
-    spec: WitnessSpec, state: MultiBeamState | EnsembleState
-) -> float:
-    """Witness value on a pure state or a convex mixture (weighted member average).
+def witness_expectation(spec: WitnessSpec, state: MultiBeamState) -> float:
+    """Witness value on a pure state.
 
     The boson image of the witness is sum_s w_s  g_{s_1} x ... x g_{s_n};
     it is nonnegative on every separable input, so a negative value
@@ -323,10 +339,8 @@ def witness_expectation(
         for key, weight in sorted(spec.coefficients.items())
         if weight != 0
     ]
-    members = state.members if isinstance(state, EnsembleState) else ((1.0, state),)
-    return float(
-        sum(w * expectation_sums([terms], member, hermitian=True)[0] for w, member in members)
-    )
+    [value] = expectation_sums([terms], state, hermitian=True)
+    return value
 
 
 def witness_verdict(spec: WitnessSpec, state: MultiBeamState) -> VerdictRecord:
@@ -574,13 +588,15 @@ def _is_pair_symmetric_triple(state: MultiBeamState) -> bool:
     space = state.domain[0]
     if any(s != space for s in state.domain):
         return False
-    amps = state.amplitudes.reshape((space.dim,) * 3)
-    scale = np.abs(amps).max() or 1.0
-    i1, i2, i3 = np.nonzero(np.abs(amps) > 1e-14)
+    magnitude = np.abs(state.values)
+    scale = magnitude.max(initial=0.0) or 1.0
+    kept = magnitude > 1e-14
+    i1, i2, i3 = (coords[kept] for coords in state.coordinates)
     if not (np.array_equal(i1, i2) and np.array_equal(i2, i3)):
         return False
     mirrored = space.swap_index[i1]
-    gap = np.abs(amps[i1, i1, i1] - amps[mirrored, mirrored, mirrored])
+    dim = space.dim
+    gap = np.abs(state.values[kept] - state.lookup((mirrored * dim + mirrored) * dim + mirrored))
     return bool(np.all(gap <= 1e-12 * scale))
 
 

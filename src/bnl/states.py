@@ -10,21 +10,23 @@ error accounting honest.
 
 from __future__ import annotations
 
+import bisect
 import math
-import os
 from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-import scipy.linalg
 
-from .fock import MultiBeamState, build_space, joint_index, product_state
+from .fock import (
+    MultiBeamState,
+    amplitude_cap,
+    build_space,
+    check_stored,
+    joint_index,
+    product_state,
+)
 
 QUBIT_NORM_ATOL = 1e-10
-
-# Cap on the reduced dimension handed to the dense matrix exponential.
-MAX_DIM_ENV = "BNL_MAX_DIM"
-DEFAULT_MAX_DIM = 10_000
 
 
 class CoefficientFileError(ValueError):
@@ -72,29 +74,6 @@ class BghzCoefficients:
         return len(self.entries) - 1
 
 
-@dataclass(frozen=True)
-class EnsembleState:
-    """Convex mixture of pure multi-beam states."""
-
-    members: tuple[tuple[float, MultiBeamState], ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("ensemble needs at least one member")
-        weights = [w for w, _ in self.members]
-        if any(w <= 0 for w in weights):
-            raise ValueError("ensemble weights must be positive")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"ensemble weights sum to {sum(weights)!r}, expected 1")
-        domains = {state.domain for _, state in self.members}
-        if len(domains) != 1:
-            raise ValueError("ensemble members live on different domains")
-
-    @property
-    def domain(self):
-        return self.members[0][1].domain
-
-
 def bsv_state(params: BsvParams) -> MultiBeamState:
     """Two-beam bright squeezed vacuum at gain ``gamma``.
 
@@ -103,11 +82,13 @@ def bsv_state(params: BsvParams) -> MultiBeamState:
         sum_m (-1)^m |(n-m)_a1, m_b1; m_a2, (n-m)_b2>
 
     weighted by tanh^n(gamma)/cosh^2(gamma); the analytic tail mass of the
-    components beyond the cutoff is stored as ``norm_deficit``.
+    components beyond the cutoff is stored as ``norm_deficit``.  Each
+    beam-1 ket pairs with exactly one beam-2 ket, so the state stores
+    (cutoff+1)(cutoff+2)/2 amplitudes.
     """
     space = build_space(params.cutoff)
     dim = space.dim
-    amps = np.zeros(dim * dim, dtype=complex)
+    check_stored(dim)
     t = math.tanh(params.gamma)
     # cosh(gamma)**2 overflows above gamma ~355, where every weight underflows anyway.
     inv_cosh2 = 1.0 / math.cosh(params.gamma) ** 2 if params.gamma < 355 else 0.0
@@ -116,32 +97,29 @@ def bsv_state(params: BsvParams) -> MultiBeamState:
     # Beam 1 in |n-m, m> pairs with beam 2 in the swapped |m, n-m>.
     n_a, n_b = space.occupations
     signs = np.where(n_b % 2, -1.0, 1.0)
-    amps[np.arange(dim) * dim + space.swap_index] = signs * np.take(weights, n_a + n_b)
-    deficit = max(0.0, 1.0 - kept)
-    return MultiBeamState((space, space), amps, norm_deficit=deficit)
+    return MultiBeamState.from_support(
+        (space, space),
+        np.arange(dim) * dim + space.swap_index,
+        signs * np.take(weights, n_a + n_b),
+        norm_deficit=max(0.0, 1.0 - kept),
+    )
 
 
 def prob_diagonal(state: MultiBeamState) -> float:
     """Probability that at least one beam shows equal occupations.
 
-    The diagonal kets are split by the first beam k with n_a == n_b: the
-    beams before k are off the diagonal, beam k is on it and the beams after
-    k are free.  These slices of the amplitudes, one per beam, are disjoint
-    and together hold every diagonal ket, so their weights add up to the
-    probability, and no array the size of the joint space is allocated.
+    Each beam's diagonal mask is read at the stored coordinates, so only
+    the support is visited.
 
     Computed on the truncated amplitudes; the unresolved tail can only add
     mass, so the true value lies in [value, value + norm_deficit] (see
     prob_diagonal_bounds).
     """
-    psi = state.amplitudes.reshape([space.dim for space in state.domain])
-    off_before: list[np.ndarray] = []
-    total = 0.0
-    for space in state.domain:
-        block = psi[np.ix_(*off_before, space.diagonal_mask)]
-        total += float(np.sum(np.abs(block) ** 2))
-        off_before.append(~space.diagonal_mask)
-    return total
+    on_diagonal = np.logical_or.reduce(
+        [space.diagonal_mask[coords] for space, coords in zip(state.domain, state.coordinates)]
+    )
+    kept = state.values[on_diagonal]
+    return float(np.vdot(kept, kept).real)
 
 
 def prob_diagonal_bounds(state: MultiBeamState) -> tuple[float, float]:
@@ -158,34 +136,28 @@ def bghz_state(coeffs: BghzCoefficients, cutoff: int) -> MultiBeamState:
     ket in the support shows the same occupation pair in all three beams.
     The assembled vector is normalized on the truncated space; the
     structural identities probed downstream hold for any normalized state
-    of this shape, independent of the coefficient values.
+    of this shape, independent of the coefficient values.  It stores one
+    amplitude per representable (p, m) term, at most (cutoff+1)(cutoff+2)/2.
     """
     space = build_space(cutoff)
     dim = space.dim
-    amps = np.zeros(dim**3, dtype=complex)
-    for p, cp in enumerate(coeffs.entries):
-        for m, cm in enumerate(coeffs.entries):
-            if p + m > cutoff or cp == 0 or cm == 0:
-                continue
-            weight = cp * cm * (math.factorial(p) * math.factorial(m)) ** 1.5
+    orders = [k for k, c in enumerate(coeffs.entries) if c != 0 and k <= cutoff]
+    # For each order p, the orders m with p + m <= cutoff form a prefix of ``orders``.
+    partners = [bisect.bisect_right(orders, cutoff - p) for p in orders]
+    check_stored(sum(partners))
+    index, values = [], []
+    for p, count in zip(orders, partners):
+        for m in orders[:count]:
             i = space.position(p, m)
-            amps[(i * dim + i) * dim + i] += weight
-    norm = np.linalg.norm(amps)
+            index.append((i * dim + i) * dim + i)
+            values.append(
+                coeffs.entries[p] * coeffs.entries[m]
+                * (math.factorial(p) * math.factorial(m)) ** 1.5
+            )
+    norm = np.linalg.norm(values)
     if norm == 0.0:
         raise ValueError("no coefficient term is representable at this cutoff")
-    return MultiBeamState((space,) * 3, amps / norm)
-
-
-def psi_nm_state(n: int, m: int) -> MultiBeamState:
-    """Balanced superposition (|n,m;n,m;n,m> + |m,n;m,n;m,n>)/sqrt(2), at cutoff n + m."""
-    if n == m:
-        raise ValueError("n == m gives a diagonal ket, not a two-term superposition")
-    space = build_space(n + m)
-    domain = (space,) * 3
-    amps = np.zeros(space.dim**3, dtype=complex)
-    amps[joint_index(domain, [(n, m)] * 3)] = 1 / math.sqrt(2)
-    amps[joint_index(domain, [(m, n)] * 3)] = 1 / math.sqrt(2)
-    return MultiBeamState(domain, amps)
+    return MultiBeamState.from_support((space,) * 3, index, np.divide(values, norm))
 
 
 def qubit_embed(amplitudes) -> MultiBeamState:
@@ -204,16 +176,14 @@ def qubit_embed(amplitudes) -> MultiBeamState:
     norm = np.linalg.norm(amplitudes)
     if abs(norm - 1.0) > QUBIT_NORM_ATOL:
         raise ValueError(f"qubit amplitudes have norm {norm!r}, expected 1")
-    space = build_space(1)
-    domain = (space,) * n_parties
-    amps = np.zeros(space.dim**n_parties, dtype=complex)
-    for flat, value in enumerate(amplitudes):
-        if value == 0:
-            continue
-        bits = [(flat >> (n_parties - 1 - party)) & 1 for party in range(n_parties)]
-        occs = [(0, 1) if bit else (1, 0) for bit in bits]
-        amps[joint_index(domain, occs)] = value
-    return MultiBeamState(domain, amps)
+    domain = (build_space(1),) * n_parties
+    flat = np.flatnonzero(amplitudes)
+    # The bits of amplitude k, first party first, pick |1,0> for 0 and |0,1> for 1.
+    index = [
+        joint_index(domain, [((1, 0), (0, 1))[int(bit)] for bit in f"{k:0{n_parties}b}"])
+        for k in flat.tolist()
+    ]
+    return MultiBeamState.from_support(domain, index, amplitudes[flat])
 
 
 BELL_STATES = {
@@ -233,12 +203,10 @@ def random_beam_state(rng: np.random.Generator, cutoff: int, degree: int) -> Mul
     if degree > cutoff:
         raise ValueError(f"degree {degree} exceeds cutoff {cutoff}")
     space = build_space(cutoff)
-    amps = np.zeros(space.dim, dtype=complex)
     # The occupations of total <= degree are the basis prefix ending at |0, degree>.
     support = space.position(0, degree) + 1
     draw = rng.standard_normal(support) + 1j * rng.standard_normal(support)
-    amps[:support] = draw / np.linalg.norm(draw)
-    return MultiBeamState((space,), amps)
+    return MultiBeamState.from_support((space,), np.arange(support), draw / np.linalg.norm(draw))
 
 
 def random_separable(seed: int, n_beams: int, cutoff: int, degree: int) -> MultiBeamState:
@@ -261,8 +229,8 @@ def bghz_generator_state(
     full-space truncated exponential restricted to it.  The result depends
     on where the sector is cut, so it is truncation-sensitive; use it for
     qualitative curves only.  ``relative_sign`` sets the sign s of the
-    b-triple term.  The reduced dimension is capped by the ``BNL_MAX_DIM``
-    environment variable.
+    b-triple term.  The reduced dimension, which is also the number of
+    stored amplitudes, is capped by the ``BNL_MAX_DIM`` environment variable.
     """
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
@@ -270,11 +238,7 @@ def bghz_generator_state(
         raise ValueError("relative_sign must be +1 or -1")
     space = build_space(cutoff)
     dim = space.dim
-    raw_max_dim = os.environ.get(MAX_DIM_ENV, str(DEFAULT_MAX_DIM))
-    try:
-        max_dim = int(raw_max_dim)
-    except ValueError:
-        raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {raw_max_dim!r}") from None
+    max_dim = amplitude_cap()
     if dim > max_dim:
         raise ValueError(
             f"reduced dimension {dim} exceeds the dense-exponential cap {max_dim}"
@@ -286,12 +250,15 @@ def bghz_generator_state(
             raising[space.position(p + 1, m), col] += (p + 1) ** 1.5
             raising[space.position(p, m + 1), col] += relative_sign * (m + 1) ** 1.5
     generator = gamma * (raising - raising.T)
+    # Imported here, on the one path that needs it: loading scipy.linalg adds
+    # ~8 MiB to the resident set of every other command.
+    import scipy.linalg
+
     reduced = scipy.linalg.expm(generator)[:, space.position(0, 0)]
     reduced = reduced / np.linalg.norm(reduced)
-    amps = np.zeros(dim**3, dtype=complex)
-    for i, value in enumerate(reduced):
-        amps[(i * dim + i) * dim + i] = value
-    return MultiBeamState((space,) * 3, amps)
+    # Reduced entry i sits on |p,m; p,m; p,m> with i the position of |p,m>.
+    i = np.arange(dim)
+    return MultiBeamState.from_support((space,) * 3, (i * dim + i) * dim + i, reduced)
 
 
 def load_bghz_coefficients(path) -> BghzCoefficients:

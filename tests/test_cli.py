@@ -1,10 +1,14 @@
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bnl import cli, gpauli
+
+FIXTURES = Path(__file__).parent / "fixtures" / "cli"
 
 
 def run(capsys, *argv):
@@ -67,6 +71,78 @@ def test_malformed_dimension_cap_names_the_variable(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "bnl: error: BNL_MAX_DIM must be an integer, got 'abc'\n"
+
+
+def traced_peak(capsys, *argv) -> tuple[int, int]:
+    """Exit code and tracemalloc peak in bytes of one CLI call."""
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+# A source and the amplitudes its state stores, counted in closed form.
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        # (c+1)(c+2)/2 at cutoff 12.
+        ("contextuality bsv --gamma 0.5 --cutoff 12", 13 * 14 // 2),
+        # Three beams with support (d+1)(d+2)/2 = 10 each at degree 3.
+        ("entanglement witness separable --witness ghz3 --cutoff 9 --degree 3", 10**3),
+        # Orders 0, 1, 2 paired with p + m <= 3: 3 + 3 + 2 terms.
+        ("bell bghz --coeffs {fixtures}/coeffs3.csv --cutoff 3", 8),
+        # One amplitude per line.
+        ("contextuality state --state {fixtures}/singlet.csv", 2),
+    ],
+)
+def test_stored_amplitude_cap(capsys, monkeypatch, argv, count):
+    argv = argv.format(fixtures=FIXTURES).split()
+    monkeypatch.setenv("BNL_MAX_DIM", str(count))
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("BNL_MAX_DIM", str(count - 1))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"bnl: error: state needs {count} stored amplitudes, above the BNL_MAX_DIM cap {count - 1}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2,003,001 amplitudes, one per beam-1 ket.
+        "contextuality bsv --gamma 0.5 --cutoff 2000",
+        # 496 amplitudes per beam, 496^3 for three beams.
+        "entanglement witness separable --witness ghz3 --degree 30 --cutoff 40",
+        # A 2,003,001-dim dense exponential.
+        "bell bghz-gen --gamma 0.3 --cutoff 2000",
+    ],
+)
+def test_refused_state_allocates_nothing(capsys, argv):
+    code, peak = traced_peak(capsys, *argv.split())
+    assert code == 1
+    assert peak < 2**20
+
+
+def test_separable_state_at_high_cutoff_stores_only_its_support(capsys):
+    # Three beams of 6 amplitudes each: 216 stored amplitudes at cutoff 150.
+    code, out, err = run(
+        capsys, "entanglement", "witness", "separable", "--witness", "ghz3", "--cutoff", "150"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "not_detected"
+
+
+def test_squeezed_vacuum_at_cutoff_120_stays_small(capsys):
+    # The dense vector over the joint space would take 872 MB.
+    code, peak = traced_peak(
+        capsys, "contextuality", "bsv", "--gamma", "0.9", "--cutoff", "120", "--json"
+    )
+    assert code == 0
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize(

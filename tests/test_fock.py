@@ -224,3 +224,25 @@ def test_product_state_combines_deficits():
     b = basis_state(space, [(0, 0)])
     combined = product_state([a, b])
     assert combined.norm_deficit == pytest.approx(0.1)
+
+
+def test_support_is_stored_sorted_and_checked():
+    domain = (build_space(1),) * 2
+    state = MultiBeamState.from_support(domain, [5, 1], [2.0, 1.0j])
+    assert state.index.tolist() == [1, 5]
+    assert state.values.tolist() == [1.0j, 2.0]
+    assert np.array_equal(state.amplitudes, [0, 1.0j, 0, 0, 0, 2.0, 0, 0, 0])
+    dense = MultiBeamState(domain, state.amplitudes)
+    assert dense.index.tolist() == [1, 5] and dense.values.tolist() == [1.0j, 2.0]
+    with pytest.raises(ValueError, match="repeats"):
+        MultiBeamState.from_support(domain, [4, 1, 4], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="outside"):
+        MultiBeamState.from_support(domain, [9], [1.0])
+    with pytest.raises(ValueError, match="differ"):
+        MultiBeamState.from_support(domain, [1, 2], [1.0])
+
+
+def test_joint_space_beyond_int64_positions_is_refused():
+    # 4,504,501 kets per beam; three beams have more than 2^63 joint positions.
+    with pytest.raises(ValueError, match="int64"):
+        basis_state((build_space(3000),) * 3, [(0, 0)] * 3)

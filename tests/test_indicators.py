@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from tensor_oracle import map_witness, pm_cells, pm_line_products, pm_operator
 
 from bnl import indicators
@@ -42,7 +44,6 @@ from bnl.states import (
     GHZ3,
     BghzCoefficients,
     BsvParams,
-    EnsembleState,
     bghz_state,
     bsv_state,
     prob_diagonal,
@@ -87,6 +88,16 @@ class TestPeresMerminSquare:
             state = random_two_beam_state(seed, cutoff=2)
             want = expectation(operator, state)
             assert pm_expectation(state).value == pytest.approx(want, abs=1e-12)
+
+    @given(
+        gamma=st.floats(min_value=0.0, max_value=1.2, exclude_min=True),
+        cutoff=st.sampled_from([4, 10, 20, 40]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_interval_contains_the_value_at_twice_the_cutoff(self, gamma, cutoff):
+        lo, hi = pm_expectation(bsv_state(BsvParams(gamma, cutoff))).interval
+        finer = pm_expectation(bsv_state(BsvParams(gamma, 2 * cutoff))).value
+        assert lo - 1e-13 <= finer <= hi + 1e-13
 
     def test_line_cells_commute(self):
         cells = pm_cells(build_space(3))
@@ -234,16 +245,6 @@ class TestWitnessMapping:
         for seed in range(200):
             state = random_separable(seed, n_beams, 4, 2)
             assert witness_expectation(spec, state) >= -1e-10
-
-    def test_ensemble_expectation_is_weighted_average(self):
-        a = qubit_embed(BELL_STATES["singlet"])
-        b = qubit_embed(BELL_STATES["phi+"])
-        ensemble = EnsembleState(((0.25, a), (0.75, b)))
-        got = witness_expectation(SINGLET_WITNESS, ensemble)
-        want = 0.25 * witness_expectation(SINGLET_WITNESS, a) + 0.75 * witness_expectation(
-            SINGLET_WITNESS, b
-        )
-        assert got == pytest.approx(want, abs=1e-13)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """The monomial kernel against the Kronecker-built oracle.
 
-``expectation_sums`` evaluates weighted sums of product observables by
-per-axis gathers; the oracle builds the same sums as sparse operators on
-the joint space with ``tensor()`` and evaluates them by ``expectation``.
+``expectation_sums`` evaluates weighted sums of product observables on the
+stored support of a state; the oracle builds the same sums as sparse
+operators on the joint space with ``tensor()`` and evaluates them by
+``expectation`` on the dense amplitude vector.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -79,6 +82,42 @@ def test_kernel_matches_tensor_oracle(cutoffs, seed, data):
     oracle = None
     for w, beams in spec:
         term = w * tensor([chain(space, per_beam, False) for space, per_beam in zip(state.domain, beams)])
+        oracle = term if oracle is None else oracle + term
+    [value] = expectation_sums([terms], state)
+    assert abs(value - expectation(oracle, state)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cutoffs=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    density=st.sampled_from([0.02, 0.1, 0.5, 1.0]),
+    n_terms=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_kernel_matches_tensor_oracle(cutoffs, density, n_terms, seed):
+    # Sparse supports in shuffled order, and monomials with random targets
+    # and some zero phases: most targets leave the support.
+    rng = np.random.default_rng(seed)
+    domain = tuple(build_space(c) for c in cutoffs)
+    dim = math.prod(space.dim for space in domain)
+    index = rng.permutation(np.flatnonzero(rng.random(dim) < density))
+    if not index.size:
+        index = rng.integers(dim, size=1)
+    values = rng.standard_normal(index.size) + 1j * rng.standard_normal(index.size)
+    state = MultiBeamState.from_support(domain, index, values / np.linalg.norm(values))
+
+    def random_monomial(space):
+        phase = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        phase[rng.random(space.dim) < 0.3] = 0.0
+        return Monomial(space, rng.integers(space.dim, size=space.dim), phase)
+
+    terms = [
+        (complex(*rng.standard_normal(2)), tuple(random_monomial(space) for space in domain))
+        for _ in range(n_terms)
+    ]
+    oracle = None
+    for w, factors in terms:
+        term = w * tensor([factor.operator() for factor in factors])
         oracle = term if oracle is None else oracle + term
     [value] = expectation_sums([terms], state)
     assert abs(value - expectation(oracle, state)) <= 1e-12
