@@ -215,32 +215,22 @@ def _cmd_contextuality(args) -> int:
         rows = _gain_grid(args, "bsv source needs --gamma or --gamma-min/--gamma-max")
     else:
         rows = [_source_state(args)]
-    records: list[tuple[float | None, float, VerdictRecord]] = []
+    records: list[tuple[float | None, VerdictRecord]] = []
     for state, meta in rows:
         if state.n_beams != 2:
             raise _UsageError("contextuality takes a two-beam state")
-        result = indicators.pm_expectation(state)
-        records.append((meta.get("gamma"), result.p_diag, result.verdict_record()))
+        records.append((meta.get("gamma"), indicators.pm_expectation(state)))
     if args.format == "json":
-        payload = {
-            "rows": [
-                {
-                    "gamma": gamma,
-                    "p_diag": p_diag,
-                    **verdict.to_dict(),
-                }
-                for gamma, p_diag, verdict in records
-            ]
-        }
+        payload = {"rows": [{"gamma": gamma, **v.to_dict()} for gamma, v in records]}
         _emit_json(payload, args.out)
         return EXIT_OK
     lines = [CSV_HEADER]
-    for gamma, p_diag, v in records:
+    for gamma, v in records:
         lines.append(
             ",".join(
                 [
                     _fmt(gamma),
-                    _fmt(p_diag),
+                    _fmt(v.details["p_diag"]),
                     _fmt(v.value),
                     _fmt(v.margin),
                     _fmt(v.interval_lo),

@@ -13,9 +13,14 @@ bound:
 * a three-beam Mermin expression over the dichotomized observables, with
   local-hidden-variable bound 2 (also re-derived by enumeration).
 
-Each verdict carries a truncation interval: when the input state has a
-nonzero ``norm_deficit`` the unresolved tail widens the admissible range,
-and a verdict that straddles its bound is reported as inconclusive.
+The three linear quantities share one verdict rule (``_verdict``) and one
+record (``VerdictRecord``).  The margin is positive when the bound is
+violated.  A state truncated with ``norm_deficit`` d moves it by at most
+d times the range of the quantity's operator: ±sum |w| over the declared
+product terms, each of norm at most 1, or [0, 6] for the square, whose six
+line products sum to the positive 6 g0 x g0.  The verdict reads that
+margin interval against VERDICT_ATOL, and an interval that straddles it
+is reported as inconclusive.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,16 +52,24 @@ SHORTCUT_ATOL = 1e-10
 GRAM_PSD_ATOL = 1e-10
 GRAM_TRACE_ATOL = 1e-10
 VERDICT_ATOL = 1e-10
-# Deficit multipliers: worst-case propagation of tail mass through the
-# bracketed expectations (operator norm <= 2 per bracket, values <= 2,
-# squared terms) and through the four Mermin products (norm 1 each).
+# Deficit multiplier of the quadratic family: worst-case propagation of tail
+# mass through the bracketed expectations (operator norm <= 2 per bracket,
+# values <= 2, squared terms).
 NS_DEFICIT_FACTOR = 32.0
-MERMIN_DEFICIT_FACTOR = 4.0
+# Range of the square's operator 6 g0 x g0, by which a unit of tail mass can
+# move its value.
+PM_SPREAD = (0.0, 6.0)
 
 
 @dataclass(frozen=True)
 class VerdictRecord:
-    """One evaluated quantity with its bound, margin and truncation interval."""
+    """One linear quantity against its classical bound.
+
+    ``margin`` is positive when the bound is violated, and
+    [``interval_lo``, ``interval_hi``] is the range it admits for the
+    untruncated state.  ``details`` holds fields particular to the
+    quantity; ``to_dict`` merges them in.
+    """
 
     quantity: str
     value: float
@@ -65,6 +78,7 @@ class VerdictRecord:
     interval_lo: float
     interval_hi: float
     verdict: str
+    details: Mapping = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -74,16 +88,34 @@ class VerdictRecord:
             "margin": self.margin,
             "interval": [self.interval_lo, self.interval_hi],
             "verdict": self.verdict,
+            **self.details,
         }
 
 
-def _interval_verdict(lo: float, hi: float, bound: float) -> str:
-    """The verdict rule: violated when the whole interval exceeds the bound."""
-    if lo > bound:
-        return "violated"
-    if hi <= bound:
-        return "not_violated"
-    return "inconclusive"
+def _verdict(
+    quantity: str,
+    value: float,
+    bound: float,
+    margin: float,
+    deficit: float,
+    spread: tuple[float, float],
+    labels: tuple[str, str] = ("violated", "not_violated"),
+    **details,
+) -> VerdictRecord:
+    """The verdict rule shared by every linear quantity.
+
+    The margin interval is ``margin + deficit * spread``.  The first label
+    applies when it lies wholly above VERDICT_ATOL, the second when it
+    lies wholly at or below it; otherwise the verdict is inconclusive.
+    """
+    lo, hi = (margin + deficit * s for s in spread)
+    if lo > VERDICT_ATOL:
+        verdict = labels[0]
+    elif hi <= VERDICT_ATOL:
+        verdict = labels[1]
+    else:
+        verdict = "inconclusive"
+    return VerdictRecord(quantity, value, bound, margin, lo, hi, verdict, details)
 
 
 # ---------------------------------------------------------------------------
@@ -162,48 +194,14 @@ def _pm_terms(space: BeamSpace) -> list[Term]:
     )
 
 
-@dataclass(frozen=True)
-class PmResult:
-    """Square expression value with its diagonal-probability shortcut."""
+def pm_expectation(state: MultiBeamState) -> VerdictRecord:
+    """Violated iff the square expression exceeds 4 (equivalently P(diagonal) < 1/3).
 
-    value: float
-    shortcut_value: float
-    p_diag: float
-    norm_deficit: float
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        """Range admitted for the untruncated value.
-
-        The truncated evaluation treats the missing tail as if it were all
-        diagonal (contributing zero), so the true value sits between the
-        operator value and the shortcut 6(1 - P(diagonal)), at most
-        6 * deficit higher.
-        """
-        return self.value, self.value + 6.0 * self.norm_deficit
-
-    def verdict_record(self) -> VerdictRecord:
-        """Violated iff the square expression exceeds 4 (equivalently P(diagonal) < 1/3)."""
-        lo, hi = self.interval
-        return VerdictRecord(
-            quantity="peres_mermin_square",
-            value=self.value,
-            bound=PM_BOUND,
-            margin=self.value - PM_BOUND,
-            interval_lo=lo - PM_BOUND,
-            interval_hi=hi - PM_BOUND,
-            verdict=_interval_verdict(lo, hi, PM_BOUND),
-        )
-
-
-def pm_expectation(state: MultiBeamState) -> PmResult:
-    """Evaluate the square expression as the sum of its six line products.
-
-    The line products all collapse to +-g0 x g0, so they merge into one
-    term.  The independently computed shortcut 6(1 - P(diagonal))
-    must agree with that value up to the tail mass weighted by the six
-    contexts; disagreement beyond that signals an internal inconsistency
-    and raises.
+    The expression is evaluated as the sum of its six line products, which
+    all collapse to +-g0 x g0 and so merge into one term.  The
+    independently computed shortcut 6(1 - P(diagonal)) must agree with
+    that value up to the tail mass weighted by the six contexts;
+    disagreement beyond that signals an internal inconsistency and raises.
     """
     if state.n_beams != 2:
         raise DomainMismatchError("the square expression takes a two-beam state")
@@ -212,21 +210,17 @@ def pm_expectation(state: MultiBeamState) -> PmResult:
     [value] = expectation_sums([_pm_terms(state.domain[0])], state, hermitian=True)
     p_diag = prob_diagonal(state)
     shortcut = 6.0 * (1.0 - p_diag)
-    if abs(value - shortcut) > SHORTCUT_ATOL + 6.0 * state.norm_deficit:
+    if abs(value - shortcut) > SHORTCUT_ATOL + PM_SPREAD[1] * state.norm_deficit:
         raise RuntimeError(
             f"operator value {value!r} and shortcut {shortcut!r} disagree"
         )
-    return PmResult(
-        value=value,
-        shortcut_value=shortcut,
-        p_diag=p_diag,
-        norm_deficit=state.norm_deficit,
+    return _verdict(
+        "peres_mermin_square", value, PM_BOUND, value - PM_BOUND,
+        state.norm_deficit, PM_SPREAD, p_diag=p_diag,
     )
 
 
-def contextuality_verdict(state: MultiBeamState) -> VerdictRecord:
-    """Violated iff the square expression exceeds 4 (equivalently P(diagonal) < 1/3)."""
-    return pm_expectation(state).verdict_record()
+contextuality_verdict = pm_expectation
 
 
 def contextuality_threshold(cutoff: int = 40, tol: float = 1e-6) -> float:
@@ -344,26 +338,12 @@ def witness_expectation(spec: WitnessSpec, state: MultiBeamState) -> float:
 
 
 def witness_verdict(spec: WitnessSpec, state: MultiBeamState) -> VerdictRecord:
-    """Entangled iff the witness interval lies below 0.
-
-    The slack is the tail mass times the witness's largest possible value,
-    sum |w|, plus VERDICT_ATOL.
-    """
+    """Entangled iff the margin -value stays above 0 across its truncation interval."""
+    weight = sum(abs(w) for w in spec.coefficients.values())
     value = witness_expectation(spec, state)
-    slack = state.norm_deficit * sum(
-        abs(w) for w in spec.coefficients.values()
-    ) + VERDICT_ATOL
-    lo, hi = value - slack, value + slack
-    # Entanglement violates the separable bound value >= 0, i.e. -value <= 0.
-    rule = _interval_verdict(-hi, -lo, 0.0)
-    return VerdictRecord(
-        quantity="witness_expectation",
-        value=value,
-        bound=0.0,
-        margin=-value,
-        interval_lo=lo,
-        interval_hi=hi,
-        verdict={"violated": "entangled", "not_violated": "not_detected"}.get(rule, rule),
+    return _verdict(
+        "witness_expectation", value, 0.0, -value, state.norm_deficit,
+        (-weight, weight), labels=("entangled", "not_detected"),
     )
 
 
@@ -555,31 +535,6 @@ def ns_condition_family(state: MultiBeamState) -> NsFamilyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MerminResult:
-    """Mermin expression value, its bound, and the structural cross-check."""
-
-    value: float
-    bound: float
-    violated: bool
-    interval_lo: float
-    interval_hi: float
-    verdict: str
-    dichotomized: bool
-    structural_expected: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "bound": self.bound,
-            "margin": abs(self.value) - self.bound,
-            "interval": [self.interval_lo, self.interval_hi],
-            "verdict": self.verdict,
-            "dichotomized": self.dichotomized,
-            "structural_expected": self.structural_expected,
-        }
-
-
 def _is_pair_symmetric_triple(state: MultiBeamState) -> bool:
     """True when every support ket repeats one occupation pair across all
     three beams and the (p,m) and (m,p) amplitudes coincide."""
@@ -600,15 +555,15 @@ def _is_pair_symmetric_triple(state: MultiBeamState) -> bool:
     return bool(np.all(gap <= 1e-12 * scale))
 
 
-def mermin_bell_value(state: MultiBeamState, dichotomized: bool = True) -> MerminResult:
+def mermin_bell_value(state: MultiBeamState, dichotomized: bool = True) -> VerdictRecord:
     """<b1 b1 b1 - b1 b2 b2 - b2 b1 b2 - b2 b2 b1> with b_i per beam.
 
     With ``dichotomized`` (the default) b_i are the spectrum-{-1,+1}
-    variants and the local-hidden-variable bound is 2.  For states that
-    repeat one occupation pair across all beams with symmetric pair
-    amplitudes, the value must equal 4 - 2 P(diagonal) (4 - 4 P(diagonal)
-    without dichotomization); that expectation is returned alongside as a
-    cross-check.
+    variants and the local-hidden-variable bound 2 applies to |value|.
+    For states that repeat one occupation pair across all beams with
+    symmetric pair amplitudes, the value must equal 4 - 2 P(diagonal)
+    (4 - 4 P(diagonal) without dichotomization); that expectation is
+    returned in ``details["structural_expected"]`` as a cross-check.
     """
     if state.n_beams != 3:
         raise DomainMismatchError("the Mermin expression takes a three-beam state")
@@ -627,18 +582,11 @@ def mermin_bell_value(state: MultiBeamState, dichotomized: bool = True) -> Mermi
         p_diag = prob_diagonal(state)
         structural = 4.0 - (2.0 if dichotomized else 4.0) * p_diag
 
-    slack = MERMIN_DEFICIT_FACTOR * state.norm_deficit
-    lo, hi = abs(value) - slack, abs(value) + slack
-    verdict = _interval_verdict(lo, hi, LHV_BOUND)
-    return MerminResult(
-        value=value,
-        bound=LHV_BOUND,
-        violated=verdict == "violated",
-        interval_lo=lo,
-        interval_hi=hi,
-        verdict=verdict,
-        dichotomized=dichotomized,
-        structural_expected=structural,
+    weight = sum(abs(w) for w, _ in terms)
+    return _verdict(
+        "mermin_expression", value, LHV_BOUND, abs(value) - LHV_BOUND,
+        state.norm_deficit, (-weight, weight),
+        dichotomized=dichotomized, structural_expected=structural,
     )
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fock import (
     MultiBeamState,
-    amplitude_cap,
     build_space,
     check_stored,
     joint_index,
@@ -27,6 +27,10 @@ from .fock import (
 )
 
 QUBIT_NORM_ATOL = 1e-10
+# Largest 1-norm of the scaled reduced generator that bghz_generator_state
+# exponentiates: the sparse exponential takes a number of products
+# proportional to it, about 0.1-0.3 ms per unit (up to ~1.5 s at this cap).
+GENERATOR_NORM_CAP = 5000.0
 
 
 class CoefficientFileError(ValueError):
@@ -93,7 +97,9 @@ def bsv_state(params: BsvParams) -> MultiBeamState:
     # cosh(gamma)**2 overflows above gamma ~355, where every weight underflows anyway.
     inv_cosh2 = 1.0 / math.cosh(params.gamma) ** 2 if params.gamma < 355 else 0.0
     weights = [t**n * inv_cosh2 for n in range(params.cutoff + 1)]
-    kept = sum((n + 1) * weight * weight for n, weight in enumerate(weights))
+    # With x = tanh^2(gamma) the n-pair mass is (n+1) x^n (1-x)^2, and its
+    # tail past n = cutoff sums to x^(c+1) ((c+2) - (c+1) x) in closed form.
+    x, c = t * t, params.cutoff
     # Beam 1 in |n-m, m> pairs with beam 2 in the swapped |m, n-m>.
     n_a, n_b = space.occupations
     signs = np.where(n_b % 2, -1.0, 1.0)
@@ -101,7 +107,7 @@ def bsv_state(params: BsvParams) -> MultiBeamState:
         (space, space),
         np.arange(dim) * dim + space.swap_index,
         signs * np.take(weights, n_a + n_b),
-        norm_deficit=max(0.0, 1.0 - kept),
+        norm_deficit=x ** (c + 1) * ((c + 2) - (c + 1) * x),
     )
 
 
@@ -224,13 +230,15 @@ def bghz_generator_state(
     """Non-authoritative stand-in: exp(gamma (T_a + s T_b - h.c.)) |vacuum>.
 
     T_a and T_b raise all three a modes (resp. b modes) together, so the
-    propagator never leaves the span of |p,m; p,m; p,m> kets and the dense
-    exponential is taken on that reduced subspace, which equals the
-    full-space truncated exponential restricted to it.  The result depends
-    on where the sector is cut, so it is truncation-sensitive; use it for
-    qualitative curves only.  ``relative_sign`` sets the sign s of the
-    b-triple term.  The reduced dimension, which is also the number of
-    stored amplitudes, is capped by the ``BNL_MAX_DIM`` environment variable.
+    propagator never leaves the span of |p,m; p,m; p,m> kets.  The
+    exponential is applied to the vacuum on that reduced subspace, with a
+    sparse generator, and equals the full-space truncated exponential
+    restricted to it.  The result depends on where the sector is cut, so
+    it is truncation-sensitive; use it for qualitative curves only.
+    ``relative_sign`` sets the sign s of the b-triple term.  The reduced
+    dimension, which is also the number of stored amplitudes, is capped by
+    the ``BNL_MAX_DIM`` environment variable, and the generator's 1-norm,
+    which sets the cost of the exponential, by GENERATOR_NORM_CAP.
     """
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
@@ -238,23 +246,33 @@ def bghz_generator_state(
         raise ValueError("relative_sign must be +1 or -1")
     space = build_space(cutoff)
     dim = space.dim
-    max_dim = amplitude_cap()
-    if dim > max_dim:
-        raise ValueError(
-            f"reduced dimension {dim} exceeds the dense-exponential cap {max_dim}"
-        )
-    raising = np.zeros((dim, dim))
+    check_stored(dim)
     n_a, n_b = space.occupations
-    for col, (p, m) in enumerate(zip(n_a.tolist(), n_b.tolist())):
-        if p + m < cutoff:
-            raising[space.position(p + 1, m), col] += (p + 1) ** 1.5
-            raising[space.position(p, m + 1), col] += relative_sign * (m + 1) ** 1.5
+    col = np.flatnonzero(n_a + n_b < cutoff)
+    p, m = n_a[col], n_b[col]
+    # |p+1, m> opens the next block at position m, and |p, m+1> sits one past it.
+    row = (p + m + 1) * (p + m + 2) // 2 + m
+    raising = sp.csr_matrix(
+        (
+            np.concatenate([(p + 1) ** 1.5, relative_sign * (m + 1) ** 1.5]),
+            (np.concatenate([row, row + 1]), np.concatenate([col, col])),
+        ),
+        shape=(dim, dim),
+    )
     generator = gamma * (raising - raising.T)
-    # Imported here, on the one path that needs it: loading scipy.linalg adds
-    # ~8 MiB to the resident set of every other command.
-    import scipy.linalg
+    norm = float(abs(generator).sum(axis=0).max())
+    if norm > GENERATOR_NORM_CAP:
+        raise ValueError(
+            f"gain {gamma} at cutoff {cutoff} gives a generator of 1-norm {norm:.6g}, "
+            f"above the {GENERATOR_NORM_CAP:g} the sparse exponential takes"
+        )
+    vacuum = np.zeros(dim)
+    vacuum[space.position(0, 0)] = 1.0
+    # Imported here, on the one path that needs it: loading scipy.sparse.linalg
+    # adds ~8.7 MiB to the resident set of every other command.
+    import scipy.sparse.linalg
 
-    reduced = scipy.linalg.expm(generator)[:, space.position(0, 0)]
+    reduced = scipy.sparse.linalg.expm_multiply(generator, vacuum)
     reduced = reduced / np.linalg.norm(reduced)
     # Reduced entry i sits on |p,m; p,m; p,m> with i the position of |p,m>.
     i = np.arange(dim)

@@ -49,6 +49,7 @@ def test_bsv_without_gamma_is_usage_error(capsys):
         "entanglement witness separable --degree 9 --cutoff 2",
         "bell bghz-gen --gamma nan --cutoff 3",
         "entanglement witness bghz-gen --gamma nan --cutoff 3",
+        "bell bghz-gen --gamma 1e3 --cutoff 8",
         "entanglement witness bghz-gen --gamma-min 0 --gamma-max inf --steps 2 --cutoff 3",
         "verify-algebra --cutoff -1",
         "counterexample --cutoff 1",
@@ -117,7 +118,7 @@ def test_stored_amplitude_cap(capsys, monkeypatch, argv, count):
         "contextuality bsv --gamma 0.5 --cutoff 2000",
         # 496 amplitudes per beam, 496^3 for three beams.
         "entanglement witness separable --witness ghz3 --degree 30 --cutoff 40",
-        # A 2,003,001-dim dense exponential.
+        # A 2,003,001-dim reduced generator.
         "bell bghz-gen --gamma 0.3 --cutoff 2000",
     ],
 )
@@ -134,6 +135,13 @@ def test_separable_state_at_high_cutoff_stores_only_its_support(capsys):
     )
     assert (code, err) == (0, "")
     assert json.loads(out)["verdict"] == "not_detected"
+
+
+def test_generator_state_at_cutoff_60_stays_small(capsys):
+    # A dense exponential of the 1,891-dim reduced generator peaked at 273 MiB.
+    code, peak = traced_peak(capsys, "bell", "bghz-gen", "--gamma", "0.3", "--cutoff", "60")
+    assert code == 0
+    assert peak < 5 * 2**20
 
 
 def test_squeezed_vacuum_at_cutoff_120_stays_small(capsys):
@@ -334,6 +342,16 @@ def test_entanglement_gram_names_the_deficit_of_a_truncated_away_state(capsys, a
     )
 
 
+def test_entanglement_witness_on_the_diagonal_subspace_is_not_detected(capsys):
+    # Every witness term vanishes on the diagonal subspace: value exactly 0, no tail.
+    code, out, _ = run(
+        capsys, "entanglement", "witness", "state", "--state", str(FIXTURES / "diagonal.csv")
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["verdict"]) == (0.0, "not_detected")
+
+
 def test_entanglement_witness_embedded_ghz(capsys):
     code, out, _ = run(capsys, "entanglement", "witness", "qubit", "--ghz")
     assert code == 0
@@ -385,6 +403,18 @@ def test_bell_bghz(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["verdict"] == "violated"
     assert payload["value"] == pytest.approx(payload["structural_expected"], abs=1e-12)
+
+
+# One order's triple-emission state has Mermin value exactly 2, the local bound.
+@pytest.mark.parametrize(
+    "coeffs", ["0,0.078,0.5\n", "0,0,0\n1,0.15,-0.3\n", "0,0,0\n1,0,0\n2,0.15,-0.3\n"]
+)
+def test_bell_single_order_state_sits_on_the_bound(capsys, tmp_path, coeffs):
+    code, out, _ = run(capsys, "bell", "bghz", "--coeffs", write_coeffs(tmp_path, coeffs))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == pytest.approx(2.0, abs=1e-12)
+    assert payload["verdict"] == "not_violated"
 
 
 def test_bell_qubit_ghz(capsys):

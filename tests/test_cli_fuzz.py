@@ -6,11 +6,11 @@ Infinity, or CSV whose numbers are all finite.
 
 States store only their support, and each source checks its amplitude
 count against ``BNL_MAX_DIM`` before allocating, so the commands that
-build a state draw cutoffs up to 200, across the default cap (``bsv``
-reaches it at cutoff 140).  Three stay in 0..6, because their cost grows
-with the cutoff below the cap: ``verify-algebra`` and ``counterexample``
-(whose ``fock_lift`` took minutes at cutoff 150) build no state, and
-``bghz-gen`` takes a dense exponential on a space of (c+1)(c+2)/2 kets.
+build a state draw cutoffs up to 200, across the default cap (``bsv`` and
+``bghz-gen`` reach it at cutoff 140).  ``verify-algebra`` and
+``counterexample`` build no state and stay in 0..6, because their cost
+grows with the cutoff below any cap (``fock_lift`` took minutes at
+cutoff 150).
 """
 
 import contextlib
@@ -87,7 +87,7 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     positionals, flags = COMMANDS[command]
     argv = [command] + [draw(st.sampled_from(choices)) for choices in positionals]
-    small = command in ("verify-algebra", "counterexample") or "bghz-gen" in argv
+    small = command in ("verify-algebra", "counterexample")
     argv += ["--cutoff", draw(SMALL_CUTOFFS if small else STATE_CUTOFFS)]
     for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=5)):
         value = draw(VALUES[flag])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -38,6 +39,7 @@ from bnl.indicators import (
     ns_condition_family,
     pm_expectation,
     witness_expectation,
+    witness_verdict,
 )
 from bnl.states import (
     BELL_STATES,
@@ -73,6 +75,14 @@ def random_coefficients(seed, length):
     )
 
 
+# Linear verdicts on two-beam states, for the truncation-interval property.
+TWO_BEAM_VERDICTS = {
+    "peres_mermin_square": pm_expectation,
+    "singlet_witness": functools.partial(witness_verdict, SINGLET_WITNESS),
+    "phi_plus_witness": functools.partial(witness_verdict, PHI_PLUS_WITNESS),
+}
+
+
 class TestPeresMerminSquare:
     def test_cell_table_matches_fixed_constants(self):
         assert PM_CELL_LABELS == {
@@ -92,12 +102,14 @@ class TestPeresMerminSquare:
     @given(
         gamma=st.floats(min_value=0.0, max_value=1.2, exclude_min=True),
         cutoff=st.sampled_from([4, 10, 20, 40]),
+        quantity=st.sampled_from(sorted(TWO_BEAM_VERDICTS)),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_interval_contains_the_value_at_twice_the_cutoff(self, gamma, cutoff):
-        lo, hi = pm_expectation(bsv_state(BsvParams(gamma, cutoff))).interval
-        finer = pm_expectation(bsv_state(BsvParams(gamma, 2 * cutoff))).value
-        assert lo - 1e-13 <= finer <= hi + 1e-13
+    @settings(max_examples=60, deadline=None)
+    def test_interval_contains_the_value_at_twice_the_cutoff(self, gamma, cutoff, quantity):
+        verdict = TWO_BEAM_VERDICTS[quantity]
+        coarse = verdict(bsv_state(BsvParams(gamma, cutoff)))
+        finer = verdict(bsv_state(BsvParams(gamma, 2 * cutoff))).margin
+        assert coarse.interval_lo - 1e-13 <= finer <= coarse.interval_hi + 1e-13
 
     def test_line_cells_commute(self):
         cells = pm_cells(build_space(3))
@@ -143,8 +155,7 @@ class TestPeresMerminSquare:
         result = pm_expectation(state)
         want = 6.0 - 6.0 / math.cosh(2.0)
         assert result.value == pytest.approx(want, abs=1e-8 + 6 * state.norm_deficit)
-        lo, hi = result.interval
-        assert lo <= want <= hi
+        assert result.interval_lo <= want - 4.0 <= result.interval_hi
 
     def test_fully_diagonal_state_gives_zero(self):
         space = build_space(2)
@@ -155,7 +166,8 @@ class TestPeresMerminSquare:
         for seed in range(100):
             state = random_two_beam_state(seed)
             result = pm_expectation(state)
-            assert result.value == pytest.approx(result.shortcut_value, abs=1e-10)
+            shortcut = 6.0 * (1.0 - result.details["p_diag"])
+            assert result.value == pytest.approx(shortcut, abs=1e-10)
 
     def test_verdict_flip(self):
         not_violated = contextuality_verdict(bsv_state(BsvParams(0.5, 40)))
@@ -383,7 +395,7 @@ class TestMermin:
         want = np.vdot(GHZ3, oracle_op @ GHZ3).real
         assert want == pytest.approx(4.0, abs=1e-13)
         assert result.value == pytest.approx(want, abs=1e-12)
-        assert result.structural_expected == pytest.approx(4.0, abs=1e-13)
+        assert result.details["structural_expected"] == pytest.approx(4.0, abs=1e-13)
 
     def test_product_ket_respects_local_bound(self):
         space = build_space(1)
@@ -391,14 +403,14 @@ class TestMermin:
         result = mermin_bell_value(state)
         assert abs(result.value) <= 2.0
         assert result.verdict == "not_violated"
-        assert result.structural_expected is None
+        assert result.details["structural_expected"] is None
 
     def test_structural_identity_for_random_coefficients(self):
         for seed in range(10):
             state = bghz_state(random_coefficients(seed, 3), 4)
             result = mermin_bell_value(state)
             want = 4.0 - 2.0 * prob_diagonal(state)
-            assert result.structural_expected == pytest.approx(want, abs=1e-14)
+            assert result.details["structural_expected"] == pytest.approx(want, abs=1e-14)
             assert result.value == pytest.approx(want, abs=1e-12)
 
     def test_undichotomized_variant(self):

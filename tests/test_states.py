@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from bnl.fock import (
 from bnl.gpauli import g_operator
 from bnl.states import (
     BELL_STATES,
+    GENERATOR_NORM_CAP,
     GHZ3,
     BghzCoefficients,
     BsvParams,
@@ -69,14 +71,16 @@ class TestBsv:
         assert bsv_amplitude(state, (0, 1), (1, 0)) == pytest.approx(-scale, abs=1e-15)
 
     def test_norm_deficit_matches_analytic_tail(self):
-        gamma, cutoff = 1.0, 40
-        state = bsv_state(BsvParams(gamma, cutoff))
-        x = math.tanh(gamma) ** 2
-        # closed form of the dropped tail: sech^4 sum_{n>cutoff} (n+1) x^n
-        tail = x ** (cutoff + 1) * ((cutoff + 2) - (cutoff + 1) * x)
-        assert state.norm_deficit == pytest.approx(tail, rel=1e-6)
-        assert state.norm_deficit < 1e-8
-        assert state.norm() ** 2 + state.norm_deficit == pytest.approx(1.0, abs=1e-12)
+        # 1 - (kept mass) loses the digits of a small tail: it read 1.52656e-13
+        # at (0.3, 12) and 0.0 at (0.7, 40).
+        for gamma, cutoff in ((1.0, 40), (0.3, 12), (0.7, 40)):
+            state = bsv_state(BsvParams(gamma, cutoff))
+            x = math.tanh(gamma) ** 2
+            # closed form of the dropped tail: sech^4 sum_{n>cutoff} (n+1) x^n
+            tail = x ** (cutoff + 1) * ((cutoff + 2) - (cutoff + 1) * x)
+            assert state.norm_deficit == pytest.approx(tail, rel=1e-12)
+            assert state.norm() ** 2 + state.norm_deficit == pytest.approx(1.0, abs=1e-12)
+        assert bsv_state(BsvParams(1.0, 40)).norm_deficit < 1e-8
 
     def test_parity_structure_of_diagonal_terms(self):
         state = bsv_state(BsvParams(0.9, 8))
@@ -353,11 +357,35 @@ class TestGeneratorState:
         state = bghz_generator_state(0.4, 6, relative_sign=-1.0)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("relative_sign", [1.0, -1.0])
+    def test_matches_dense_exponential_of_the_reduced_generator(self, relative_sign):
+        for cutoff in range(13):
+            space = build_space(cutoff)
+            raising = np.zeros((space.dim, space.dim))
+            for col, (p, m) in enumerate(zip(*(n.tolist() for n in space.occupations))):
+                if p + m < cutoff:
+                    raising[space.position(p + 1, m), col] += (p + 1) ** 1.5
+                    raising[space.position(p, m + 1), col] += relative_sign * (m + 1) ** 1.5
+            for gamma in (0.0, 0.05, 0.3, -0.45, 1.0):
+                want = scipy.linalg.expm(gamma * (raising - raising.T))[:, space.position(0, 0)]
+                state = bghz_generator_state(gamma, cutoff, relative_sign)
+                i = np.arange(space.dim)
+                assert np.array_equal(state.index, (i * space.dim + i) * space.dim + i)
+                assert np.abs(state.values - want / np.linalg.norm(want)).max() < 1e-13
+
+    def test_generator_norm_cap(self):
+        # At cutoff 1 the reduced generator's 1-norm is 2|gamma|: the vacuum
+        # column holds gamma and s * gamma.
+        state = bghz_generator_state(GENERATOR_NORM_CAP / 2, 1)
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="gives a generator of 1-norm 5001, above the 5000"):
+            bghz_generator_state(-(GENERATOR_NORM_CAP + 1) / 2, 1)
+
     def test_dimension_cap_from_environment(self, monkeypatch):
         # Cutoff 8 has reduced dimension 45.
         cases = [
-            ("5", "dimension 45 exceeds the dense-exponential cap 5"),
-            ("10", "dimension 45 exceeds the dense-exponential cap 10"),
+            ("5", "state needs 45 stored amplitudes, above the BNL_MAX_DIM cap 5"),
+            ("10", "state needs 45 stored amplitudes, above the BNL_MAX_DIM cap 10"),
             ("abc", "BNL_MAX_DIM must be an integer, got 'abc'"),
             ("1e4", "BNL_MAX_DIM must be an integer, got '1e4'"),
             ("", "BNL_MAX_DIM must be an integer, got ''"),
