@@ -7,10 +7,11 @@ Infinity, or CSV whose numbers are all finite.
 States store only their support, and each source checks its amplitude
 count against ``BNL_MAX_DIM`` before allocating, so the commands that
 build a state draw cutoffs up to 200, across the default cap (``bsv`` and
-``bghz-gen`` reach it at cutoff 140).  ``verify-algebra`` and
-``counterexample`` build no state and stay in 0..6, because their cost
-grows with the cutoff below any cap (``fock_lift`` took minutes at
-cutoff 150).
+``bghz-gen`` reach it at cutoff 140; ``bghz-gen`` also refuses, before its
+exponential, a gain whose generator norm would make that slow).
+``verify-algebra`` and ``counterexample`` build no state and stay in
+0..6, because their cost grows with the cutoff below any cap
+(``fock_lift`` took minutes at cutoff 150).
 """
 
 import contextlib
