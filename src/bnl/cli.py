@@ -179,7 +179,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _cmd_verify_algebra(args) -> int:
-    report = verify_algebra(_checked(lambda: build_space(args.cutoff)), construction=args.construction)
+    report = _checked(lambda: verify_algebra(build_space(args.cutoff), args.construction))
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 

@@ -7,16 +7,19 @@ total photon number T = n_a + n_b ascending, then photons in mode a
 descending, so |n_a, n_b> sits at position T(T+1)/2 + n_b.  Serialized
 operators and regression fixtures are therefore byte-stable across runs.
 
-Every single-beam observable used here is *monomial*: it has at most one
-nonzero entry per column.  ``Monomial`` stores such an operator as a target
-index and a phase per basis column.  A state over the tensored basis of one
-or more beams stores only its support: the sorted flat positions of its
-nonzero amplitudes and their values.  ``expectation_sums`` evaluates
-weighted sums of tensor products of monomials on that support, so neither
-an operator nor a vector on the joint space is formed.  General operators
-are stored as sparse complex matrices.  All containers are immutable after
-construction, so evaluation is safe to run concurrently over independent
-states and operators.
+Every single-beam observable a verdict evaluates is a *sign-sector
+monomial*: it either keeps each ket |n_a, n_b> or sends it to the swapped
+|n_b, n_a>, times a phase that depends only on the sector
+s = sign(n_a - n_b).  ``Monomial`` stores such an operator as a swap bit
+and three phases, so it holds nothing that grows with the cutoff.  A state
+over the tensored basis of one or more beams stores only its support: the
+sorted flat positions of its nonzero amplitudes and their values, with
+each beam's occupations there.  ``expectation_sums`` evaluates weighted
+sums of tensor products of monomials on that support, so neither an
+operator nor a vector on the joint space, nor an array over a beam's
+basis, is formed.  General operators are stored as sparse complex
+matrices.  All containers are immutable after construction, so evaluation
+is safe to run concurrently over independent states and operators.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+# scipy loads its submodules on first use, so a command that builds no sparse
+# matrix, as no verdict does, never loads scipy.sparse (~20 MiB resident).
+import scipy
 
 # Entrywise tolerance for verifying a declared Hermitian flag.
 HERMITIAN_ATOL = 1e-14
@@ -83,24 +88,27 @@ class BeamSpace:
         start = total * (total + 1) // 2
         return range(start, min(start + total + 1, self.dim))
 
-    @functools.cached_property
-    def occupations(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer arrays (n_a, n_b) of every basis state, in basis order."""
-        total = np.repeat(np.arange(self.cutoff + 1), np.arange(1, self.cutoff + 2))
-        n_b = np.arange(self.dim) - total * (total + 1) // 2
-        return total - n_b, n_b
 
-    @functools.cached_property
-    def diagonal_mask(self) -> np.ndarray:
-        """Boolean vector marking equal-occupation basis states."""
-        n_a, n_b = self.occupations
-        return n_a == n_b
+def occupations(positions) -> tuple[np.ndarray, np.ndarray]:
+    """Integer arrays (n_a, n_b) of the basis states at the given positions.
 
-    @functools.cached_property
-    def swap_index(self) -> np.ndarray:
-        """Basis position of |n_b, n_a> for every basis state |n_a, n_b>."""
-        n_a, n_b = self.occupations
-        return np.arange(self.dim) + n_a - n_b
+    The inverse of ``BeamSpace.position`` and exact for every int64 position.
+    The float estimate of the total T = floor((sqrt(8p + 1) - 1) / 2) is
+    never below T: rounding is monotone, and at a block start
+    p = T(T+1)/2 the square root rounds to 2T+1 exactly.  Just below a
+    block start it can exceed T by one, and one integer step corrects it.
+    T stays below 2**32, so T(T+1) fits in uint64.
+    """
+    p = np.asarray(positions, dtype=np.int64).astype(np.uint64)
+    total = ((np.sqrt(8.0 * p + 1.0) - 1.0) // 2.0).astype(np.uint64)
+    total -= total * (total + 1) // 2 > p
+    n_b = (p - total * (total + 1) // 2).astype(np.int64)
+    return total.astype(np.int64) - n_b, n_b
+
+
+def _sector(shift: np.ndarray) -> np.ndarray:
+    """Index into a monomial's phases of s = sign(n_a - n_b), given n_a - n_b."""
+    return np.sign(shift) % 3
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,6 +147,16 @@ def check_stored(count: int) -> None:
         )
 
 
+def check_beam(space: BeamSpace) -> None:
+    """Refuse, before allocating, an operator over more beam basis states than the cap."""
+    cap = amplitude_cap()
+    if space.dim > cap:
+        raise ValueError(
+            f"cutoff {space.cutoff} gives a beam dimension of {space.dim}, "
+            f"above the {MAX_DIM_ENV} cap {cap}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexOperator:
     """Sparse complex linear map on one or more tensored beam spaces.
@@ -149,7 +167,7 @@ class ComplexOperator:
     """
 
     domain: tuple[BeamSpace, ...]
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix
     hermitian: bool = False
 
     def __post_init__(self) -> None:
@@ -215,59 +233,59 @@ class ComplexOperator:
         return self.matrix[rows, rows].toarray()
 
 
+# Phases are indexed by s = sign(n_a - n_b) in the order 0, +1, -1, that of the
+# basis states |0,0>, |1,0>, |0,1>.  _MIRROR maps each index to that of -s.
+_MIRROR = np.array([0, 2, 1])
+
+
 @dataclass(frozen=True, eq=False)
 class Monomial:
-    """Single-beam operator with at most one nonzero entry per column.
+    """Single-beam sign-sector monomial, the same map on every cutoff.
 
-    Basis column ``c`` is sent to ``phase[c] |target[c]>``; a zero phase
-    annihilates it.  Products and adjoints of such operators stay monomial.
+    Basis ket |n_a, n_b> is sent to ``phase[s]`` times |n_b, n_a> if
+    ``swap`` is set, else times itself, where s = sign(n_a - n_b) indexes
+    the phases in the order 0, +1, -1.  A zero phase annihilates the
+    sector.  Products and adjoints of such operators stay monomial.
     """
 
-    space: BeamSpace
-    target: np.ndarray
+    swap: bool
     phase: np.ndarray
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "phase", np.asarray(self.phase, dtype=complex))
+
     def __matmul__(self, other: "Monomial") -> "Monomial":
-        if self.space != other.space:
-            raise DomainMismatchError(
-                f"monomial spaces differ: {self.space.cutoff} vs {other.space.cutoff}"
-            )
-        return Monomial(
-            self.space, self.target[other.target], self.phase[other.target] * other.phase
-        )
+        # A swapping right factor hands the left one the mirrored sector.
+        phase = self.phase[_MIRROR] if other.swap else self.phase
+        return Monomial(self.swap != other.swap, phase * other.phase)
 
     def dagger(self) -> "Monomial":
-        cols = np.flatnonzero(self.phase)
-        rows = self.target[cols]
-        if np.unique(rows).size != rows.size:
-            raise ValueError("adjoint is not monomial: two columns share a target row")
-        target = np.arange(self.space.dim)
-        phase = np.zeros(self.space.dim, dtype=complex)
-        target[rows] = cols
-        phase[rows] = self.phase[cols].conj()
-        return Monomial(self.space, target, phase)
+        phase = self.phase.conj()
+        return Monomial(self.swap, phase[_MIRROR] if self.swap else phase)
 
-    def operator(self, hermitian: bool = False) -> ComplexOperator:
-        """The same map as a sparse operator, storing no explicit zeros."""
-        cols = np.flatnonzero(self.phase)
-        dim = self.space.dim
-        matrix = sp.csr_matrix(
-            (self.phase[cols], (self.target[cols], cols)), shape=(dim, dim)
-        )
-        return ComplexOperator((self.space,), matrix, hermitian=hermitian)
+    def operator(self, space: BeamSpace, hermitian: bool = False) -> ComplexOperator:
+        """The same map as a sparse operator on ``space``, storing no explicit zeros."""
+        n_a, n_b = occupations(np.arange(space.dim))
+        shift = n_a - n_b
+        phase = self.phase[_sector(shift)]
+        cols = np.flatnonzero(phase)
+        rows = cols + shift[cols] if self.swap else cols
+        shape = (space.dim, space.dim)
+        matrix = scipy.sparse.csr_matrix((phase[cols], (rows, cols)), shape=shape)
+        return ComplexOperator((space,), matrix, hermitian=hermitian)
 
-    def canonical(self) -> tuple[complex, tuple[bytes, bytes], "Monomial"] | None:
+    def canonical(self) -> tuple[complex, tuple[bool, bytes], "Monomial"] | None:
         """(scale, key, M): self = scale * M, M's first nonzero phase is 1 and
         its ``key`` is shared by every multiple of self; None for the zero map."""
-        cols = np.flatnonzero(self.phase)
-        if cols.size == 0:
+        nonzero = np.flatnonzero(self.phase)
+        if nonzero.size == 0:
             return None
-        scale = complex(self.phase[cols[0]])
-        phase = self.phase / scale
+        scale = complex(self.phase[nonzero[0]])
         # Adding 0.0 turns the signed zeros of the division into +0.0.
-        phase += 0.0
-        target = np.where(self.phase != 0, self.target, np.arange(self.space.dim))
-        return scale, (target.tobytes(), phase.tobytes()), Monomial(self.space, target, phase)
+        phase = self.phase / scale + 0.0
+        # On the s = 0 sector the swap is the identity.
+        swap = self.swap and bool(phase[1] or phase[2])
+        return scale, (swap, phase.tobytes()), Monomial(swap, phase)
 
 
 # One term of a sum of product observables: weight and one factor per beam.
@@ -296,7 +314,7 @@ def _cutoffs(domain: Sequence[BeamSpace]) -> tuple[int, ...]:
     return tuple(space.cutoff for space in domain)
 
 
-def _sparse_max_abs(matrix: sp.spmatrix) -> float:
+def _sparse_max_abs(matrix: scipy.sparse.spmatrix) -> float:
     return float(abs(matrix).max()) if matrix.nnz else 0.0
 
 
@@ -380,6 +398,11 @@ class MultiBeamState:
         """Each beam's basis position at every stored amplitude (the unravelled ``index``)."""
         return np.unravel_index(self.index, self.shape)
 
+    @functools.cached_property
+    def occupations(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each beam's occupations (n_a, n_b) at every stored amplitude."""
+        return tuple(occupations(coords) for coords in self.coordinates)
+
     @property
     def amplitudes(self) -> np.ndarray:
         """The dense vector over the joint space, built on each access (for the tensor() oracle)."""
@@ -398,12 +421,6 @@ class MultiBeamState:
         return float(np.linalg.norm(self.values))
 
 
-def _as_domain(domain: BeamSpace | Sequence[BeamSpace]) -> tuple[BeamSpace, ...]:
-    if isinstance(domain, BeamSpace):
-        return (domain,)
-    return tuple(domain)
-
-
 def tensor(ops: Sequence[ComplexOperator]) -> ComplexOperator:
     """Kronecker product of operators on distinct beams (first factor major).
 
@@ -415,7 +432,7 @@ def tensor(ops: Sequence[ComplexOperator]) -> ComplexOperator:
     domain = tuple(space for op in ops for space in op.domain)
     matrix = ops[0].matrix
     for op in ops[1:]:
-        matrix = sp.kron(matrix, op.matrix, format="csr")
+        matrix = scipy.sparse.kron(matrix, op.matrix, format="csr")
     return ComplexOperator(domain, matrix.tocsr(), hermitian=all(op.hermitian for op in ops))
 
 
@@ -449,36 +466,41 @@ def expectation_sums(
 
     A product term sends each stored ket position to one bra position and
     a phase, so it is evaluated on the support alone (see _product_value);
-    no operator or vector on the joint space is formed.  Terms are merged
-    first (see merge_terms).  The checks are those of ``expectation``:
-    matching domains, a normalized state and, for sums declared Hermitian,
-    an imaginary part below 1e-12, the real part being returned as a float.
+    no operator or vector on the joint space is formed.  Terms are evaluated
+    as given; a caller whose terms collapse merges them first (see
+    merge_terms).  The checks are those of ``expectation``: one factor per
+    beam, a normalized state and, for sums declared Hermitian, an imaginary
+    part below 1e-12, the real part being returned as a float.
     """
-    for terms in sums:
-        for _, factors in terms:
-            _check_op_state(tuple(factor.space for factor in factors), state)
+    if any(len(factors) != state.n_beams for terms in sums for _, factors in terms):
+        raise DomainMismatchError(f"a term's factor count differs from the {state.n_beams} beams")
     _check_normalized(state)
+    # Each beam's coordinates, n_a - n_b and sector at the stored amplitudes.
+    beams = [
+        (coords, n_a - n_b, _sector(n_a - n_b))
+        for coords, (n_a, n_b) in zip(state.coordinates, state.occupations)
+    ]
     return [
         _hermitian_value(
-            complex(sum(w * _product_value(state, f) for w, f in merge_terms(terms))),
-            hermitian,
+            complex(sum(w * _product_value(state, beams, f) for w, f in terms)), hermitian
         )
         for terms in sums
     ]
 
 
-def _product_value(state: MultiBeamState, factors: Sequence[Monomial]) -> complex:
+def _product_value(state: MultiBeamState, beams: list, factors: Sequence[Monomial]) -> complex:
     """<psi| A_1 x ... x A_n |psi> on the support.
 
-    Each beam's phase and target are gathered at the stored coordinates;
-    the raveled targets are looked up in the support, where a miss is a
-    zero bra amplitude.
+    Each beam's phase is gathered by sector at the stored coordinates and
+    a swapping factor moves the coordinate by n_a - n_b; the raveled
+    targets are looked up in the support, where a miss is a zero bra
+    amplitude.
     """
     ket = state.values
     targets = []
-    for factor, coords in zip(factors, state.coordinates):
-        ket = ket * factor.phase[coords]
-        targets.append(factor.target[coords])
+    for factor, (coords, shift, sector) in zip(factors, beams):
+        ket = ket * factor.phase[sector]
+        targets.append(coords + shift if factor.swap else coords)
     bra = state.lookup(np.ravel_multi_index(targets, state.shape))
     return complex(np.vdot(bra, ket))
 
@@ -514,7 +536,7 @@ def basis_state(
     occupations: Sequence[tuple[int, int]],
 ) -> MultiBeamState:
     """Unit-amplitude basis ket |occ_1; occ_2; ...> over the tensored domain."""
-    domain = _as_domain(domain)
+    domain = (domain,) if isinstance(domain, BeamSpace) else tuple(domain)
     if len(occupations) != len(domain):
         raise ValueError(
             f"{len(occupations)} occupations given for {len(domain)} beams"

@@ -21,24 +21,28 @@ built from the half-swap ``sr`` and half-projector ``pr``.  Both must
 agree entrywise; verify_algebra cross-checks them along with the full
 commutation, anticommutation and spectrum suite.
 
-Each observable, sr and pr included, has one builder: its ``Monomial``.
-``g_operator`` is the sparse form of ``g_monomial``.
+Each observable, sr and pr included, either keeps a ket or swaps its two
+occupations, with a phase set by sign(Na - Nb) alone.  So each has one
+builder, its cutoff-free sign-sector ``Monomial``, and ``g_operator`` is
+the sparse form of ``g_monomial`` on a given space.
 
 The dichotomized variants g_{i-} = g_i - (diagonal projector) assign -1
 to equal-occupation outcomes and have spectrum {-1, +1}; the standard
 Stokes operators are included solely to exhibit, by contrast, that they
-fail the anticommutation relation.
+fail the anticommutation relation; they are not sign-sector monomials and
+are built directly as sparse matrices.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
+import scipy
 
-from .fock import BeamSpace, ComplexOperator, Monomial
+from .fock import BeamSpace, ComplexOperator, Monomial, check_beam, occupations
 
 # Entrywise tolerance for the algebra identities (products of exact 0/±1/±i
 # entries, so residuals are genuinely zero in floating point).
@@ -48,19 +52,12 @@ SPECTRUM_ATOL = 1e-10
 # Hermiticity slack accepted by the per-block eigensolver.
 HERMITIAN_BLOCK_ATOL = 1e-12
 
-_LEVI_CIVITA = {
-    (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-    (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1,
-}
-
 
 def _eps(i: int, j: int) -> tuple[int, int]:
-    """Return (k, sign) with eps_ijk = sign, or (0, 0) when i == j."""
-    for k in (1, 2, 3):
-        sign = _LEVI_CIVITA.get((i, j, k))
-        if sign is not None:
-            return k, sign
-    return 0, 0
+    """Return (k, sign) with eps_ijk = sign for i, j in 1..3, or (0, 0) when i == j."""
+    if i == j:
+        return 0, 0
+    return 6 - i - j, 1 if (j - i) % 3 == 1 else -1
 
 
 @dataclass(frozen=True)
@@ -77,43 +74,44 @@ class GLabel:
             raise ValueError("g0 has no dichotomized variant")
 
 
-def diagonal_monomial(space: BeamSpace) -> Monomial:
-    """sum_n |n,n><n,n| restricted to the space."""
-    return Monomial(space, np.arange(space.dim), space.diagonal_mask.astype(complex))
+def diagonal_monomial() -> Monomial:
+    """sum_n |n,n><n,n|: the s = 0 sector."""
+    return Monomial(False, (1, 0, 0))
 
 
-def g_monomial(label: GLabel | int, space: BeamSpace) -> Monomial:
+# g_i as (swap, phases on the sectors s = 0, +1, -1).  g2 = -i sign(Na - Nb) g1
+# reads the sign on the swapped target, so its phase on |n_a, n_b> is
+# -i sign(n_b - n_a) = i sign(n_a - n_b).
+_G_SECTORS = {
+    0: (False, (0, 1, 1)), 1: (True, (0, 1, 1)), 2: (True, (0, 1j, -1j)), 3: (False, (0, 1, -1)),
+}
+
+
+def g_monomial(label: GLabel | int) -> Monomial:
     """Observable g_index (or its dichotomized variant) on one beam, as a monomial."""
     if isinstance(label, int):
         label = GLabel(label)
-    n_a, n_b = space.occupations
-    sign = np.sign(n_a - n_b)
-    target = space.swap_index if label.index in (1, 2) else np.arange(space.dim)
-    # g2 = -i sign(Na - Nb) g1: the sign is read on the swapped target, so
-    # the phase on column |n_a, n_b> is -i sign(n_b - n_a) = i sign(n_a - n_b).
-    phase = {0: sign != 0, 1: sign != 0, 2: 1j * sign, 3: sign}[label.index].astype(complex)
+    swap, phase = _G_SECTORS[label.index]
     if label.minus_variant:
         # g_i annihilates the diagonal states, the support of the projector,
         # so g_i - projector stays monomial.
-        phase = phase - diagonal_monomial(space).phase
-    return Monomial(space, target, phase)
+        phase = np.subtract(phase, diagonal_monomial().phase)
+    return Monomial(swap, phase)
 
 
-def sr_monomial(space: BeamSpace) -> Monomial:
+def sr_monomial() -> Monomial:
     """Half swap |m,n> -> |n,m> for m > n, as a monomial."""
-    n_a, n_b = space.occupations
-    return Monomial(space, space.swap_index, (n_a > n_b).astype(complex))
+    return Monomial(True, (0, 1, 0))
 
 
-def pr_monomial(space: BeamSpace) -> Monomial:
+def pr_monomial() -> Monomial:
     """Projector onto the states with more photons in mode b, as a monomial."""
-    n_a, n_b = space.occupations
-    return Monomial(space, np.arange(space.dim), (n_b > n_a).astype(complex))
+    return Monomial(False, (0, 0, 1))
 
 
 def g_operator(label: GLabel | int, space: BeamSpace) -> ComplexOperator:
     """Observable g_index (or its dichotomized variant) on one beam, as a sparse operator."""
-    return g_monomial(label, space).operator(hermitian=True)
+    return g_monomial(label).operator(space, hermitian=True)
 
 
 PAULI = (
@@ -128,7 +126,7 @@ def g_operator_compact(index: int, space: BeamSpace) -> ComplexOperator:
     """Alternative construction of g_index as (sr, pr)^dag sigma_index (sr, pr)."""
     if index not in (0, 1, 2, 3):
         raise ValueError(f"index must be one of 0..3, got {index}")
-    v = (sr_monomial(space).operator(), pr_monomial(space).operator())
+    v = (sr_monomial().operator(space), pr_monomial().operator(space))
     sigma = PAULI[index]
     terms = [
         complex(sigma[k, l]) * (v[k].dagger() @ v[l])
@@ -136,10 +134,7 @@ def g_operator_compact(index: int, space: BeamSpace) -> ComplexOperator:
         for l in range(2)
         if sigma[k, l] != 0
     ]
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total.with_hermitian_flag()
+    return sum(terms[1:], terms[0]).with_hermitian_flag()
 
 
 def stokes_operator(index: int, space: BeamSpace) -> ComplexOperator:
@@ -150,17 +145,21 @@ def stokes_operator(index: int, space: BeamSpace) -> ComplexOperator:
     """
     if index not in (0, 1, 2, 3):
         raise ValueError(f"index must be one of 0..3, got {index}")
-
-    n_a, n_b = space.occupations
-    identity = np.arange(space.dim)
+    cols = np.arange(space.dim)
+    n_a, n_b = occupations(cols)
     if index in (0, 3):
-        diagonal = (n_a + n_b if index == 0 else n_a - n_b) / 2.0
-        return Monomial(space, identity, diagonal.astype(complex)).operator(hermitian=True)
-    # a^dag b / 2 sends |n,m> to |n+1,m-1>, one basis position back; the
-    # b^dag a / 2 half is its adjoint.
-    phase = np.sqrt(n_b * (n_a + 1)) / 2.0 * (1.0 if index == 1 else -1j)
-    raising = Monomial(space, identity - (n_b > 0), phase.astype(complex))
-    return (raising.operator() + raising.dagger().operator()).with_hermitian_flag()
+        rows, values = cols, (n_a + n_b if index == 0 else n_a - n_b) / 2.0
+    else:
+        # a^dag b / 2 sends |n,m> to |n+1,m-1>, one basis position back; the
+        # b^dag a / 2 half is its adjoint.
+        rows, values = cols - 1, np.sqrt(n_b * (n_a + 1)) / 2.0 * (1.0 if index == 1 else -1j)
+    kept = np.flatnonzero(values)
+    matrix = scipy.sparse.csr_matrix(
+        (values[kept].astype(complex), (rows[kept], kept)), shape=(space.dim, space.dim)
+    )
+    if index in (1, 2):
+        matrix = (matrix + matrix.getH()).tocsr()
+    return ComplexOperator((space,), matrix, hermitian=True)
 
 
 def pauli_restriction(space: BeamSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -223,20 +222,7 @@ class AlgebraReport:
         return worst <= self.atol_identity and self.spectrum_ok
 
     def to_dict(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "construction": self.construction,
-            "passed": self.passed,
-            "max_commutator_residual": self.max_commutator_residual,
-            "max_anticommutator_residual": self.max_anticommutator_residual,
-            "max_product_residual": self.max_product_residual,
-            "spectrum_ok": self.spectrum_ok,
-            "max_spectrum_deviation": self.max_spectrum_deviation,
-            "identity_residuals": dict(sorted(self.identity_residuals.items())),
-            "details": dict(sorted(self.details.items())),
-            "atol_identity": self.atol_identity,
-            "atol_spectrum": self.atol_spectrum,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraReport:
@@ -251,10 +237,12 @@ def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraRep
       * direct vs quadratic-form construction of every g_i
     plus the eigenvalue check: every g_i spectrum inside {-1, 0, +1}.
 
-    Failures are reported in the residual table, never raised.
+    Failures are reported in the residual table, never raised.  A space
+    above the ``BNL_MAX_DIM`` cap is refused before any operator is built.
     """
     if construction not in ("direct", "compact"):
         raise ValueError(f"unknown construction {construction!r}")
+    check_beam(space)
     direct = [g_operator(i, space) for i in range(4)]
     compact = [g_operator_compact(i, space) for i in range(4)]
     g = direct if construction == "direct" else compact

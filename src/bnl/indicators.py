@@ -13,6 +13,9 @@ bound:
 * a three-beam Mermin expression over the dichotomized observables, with
   local-hidden-variable bound 2 (also re-derived by enumeration).
 
+Each is a sum of products of the cutoff-free monomials of ``bnl.gpauli``,
+evaluated at the state's stored kets only, whatever the cutoff.
+
 The three linear quantities share one verdict rule (``_verdict``) and one
 record (``VerdictRecord``).  The margin is positive when the bound is
 violated.  A state truncated with ``norm_deficit`` d moves it by at most
@@ -34,11 +37,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fock import (
-    BeamSpace,
     DomainMismatchError,
     MultiBeamState,
     Term,
-    build_space,
     expectation_sums,
     merge_terms,
 )
@@ -144,15 +145,15 @@ PM_LINES: tuple[tuple[str, tuple[tuple[int, int], ...], int], ...] = (
 
 
 @functools.lru_cache(maxsize=None)
-def _check_contexts_commute(cells: tuple, lines: tuple) -> None:
-    """Transcription guard: the three cells of every context must commute.
+def _pm_terms(cells: tuple, lines: tuple) -> tuple[Term, ...]:
+    """The six signed line products as per-beam monomials, merged.
 
-    The g_i act alike on every photon-number block that holds an
-    off-diagonal pair, so the cell table is checked on the cutoff-2 space,
-    whatever the cutoff of the state, and once per distinct table.
+    A transcription guard runs first: the three cells of every context
+    must commute.  The g_i are cutoff-free, so the guard holds on every
+    space, and terms and guard are built once per distinct cell table.
     """
     labels = dict(cells)
-    g = [g_monomial(i, build_space(2)) for i in range(4)]
+    g = [g_monomial(i) for i in range(4)]
     # Every per-beam product of two cells' factors, built once.
     prod = {(i, j): g[i] @ g[j] for i in range(4) for j in range(4)}
 
@@ -176,22 +177,10 @@ def _check_contexts_commute(cells: tuple, lines: tuple) -> None:
         raise AssertionError(
             f"cells within a context fail to commute (residual {worst:.3e})"
         )
-
-
-def _pm_terms(space: BeamSpace) -> list[Term]:
-    """The six signed line products as per-beam monomials, after the commutation guard.
-
-    They are merged as they are built, so only one line's products are
-    held at a time besides the merged terms.
-    """
-    _check_contexts_commute(tuple(PM_CELL_LABELS.items()), PM_LINES)
-    g = [g_monomial(i, space) for i in range(4)]
-    return merge_terms(
-        (float(sign), tuple(
-            g[x] @ g[y] @ g[z] for x, y, z in zip(*(PM_CELL_LABELS[c] for c in line))
-        ))
-        for _, line, sign in PM_LINES
-    )
+    return tuple(merge_terms(
+        (float(sign), tuple(g[x] @ g[y] @ g[z] for x, y, z in zip(*(labels[c] for c in line))))
+        for _, line, sign in lines
+    ))
 
 
 def pm_expectation(state: MultiBeamState) -> VerdictRecord:
@@ -205,9 +194,8 @@ def pm_expectation(state: MultiBeamState) -> VerdictRecord:
     """
     if state.n_beams != 2:
         raise DomainMismatchError("the square expression takes a two-beam state")
-    if state.domain[0] != state.domain[1]:
-        raise DomainMismatchError("both beams must share one cutoff")
-    [value] = expectation_sums([_pm_terms(state.domain[0])], state, hermitian=True)
+    terms = _pm_terms(tuple(PM_CELL_LABELS.items()), PM_LINES)
+    [value] = expectation_sums([terms], state, hermitian=True)
     p_diag = prob_diagonal(state)
     shortcut = 6.0 * (1.0 - p_diag)
     if abs(value - shortcut) > SHORTCUT_ATOL + PM_SPREAD[1] * state.norm_deficit:
@@ -329,7 +317,7 @@ def witness_expectation(spec: WitnessSpec, state: MultiBeamState) -> float:
             f"witness has {spec.n_parties} parties but {len(state.domain)} spaces were given"
         )
     terms = [
-        (float(weight), tuple(g_monomial(s, space) for s, space in zip(key, state.domain)))
+        (float(weight), tuple(g_monomial(s) for s in key))
         for key, weight in sorted(spec.coefficients.items())
         if weight != 0
     ]
@@ -392,14 +380,14 @@ def gram_certificate(state: MultiBeamState) -> GramCertificate:
     deficit when mass lies beyond the cutoff; verifies positivity and the
     trace identity before returning.
     """
-    pairs = [(sr_monomial(space), pr_monomial(space)) for space in state.domain]
+    v = (sr_monomial(), pr_monomial())
     choices = list(itertools.product((0, 1), repeat=state.n_beams))
     n = len(choices)
     upper = [(r, c) for r in range(n) for c in range(r, n)]
     entries = expectation_sums(
         [
             [(1.0, tuple(
-                v[pc].dagger() @ v[pr] for v, pr, pc in zip(pairs, choices[r], choices[c])
+                v[pc].dagger() @ v[pr] for pr, pc in zip(choices[r], choices[c])
             ))]
             for r, c in upper
         ],
@@ -418,7 +406,7 @@ def gram_certificate(state: MultiBeamState) -> GramCertificate:
         raise DegenerateCertificateError(
             "state lies in the diagonal subspace; certificate trace is 0"
         )
-    g0_product = tuple(g_monomial(0, space) for space in state.domain)
+    g0_product = (g_monomial(0),) * state.n_beams
     [reference] = expectation_sums([[(1.0, g0_product)]], state, hermitian=True)
     if abs(trace - reference) > GRAM_TRACE_ATOL:
         raise RuntimeError(
@@ -504,11 +492,9 @@ def ns_condition_family(state: MultiBeamState) -> NsFamilyReport:
     """
     if state.n_beams != 2:
         raise DomainMismatchError("the criterion family takes a two-beam state")
-    g = [[g_monomial(i, space) for i in range(4)] for space in state.domain]
+    g = [g_monomial(i) for i in range(4)]
     keys = list(itertools.product(range(4), repeat=2))
-    values = expectation_sums(
-        [[(1.0, (g[0][i], g[1][j]))] for i, j in keys], state, hermitian=True
-    )
+    values = expectation_sums([[(1.0, (g[i], g[j]))] for i, j in keys], state, hermitian=True)
     pairs = dict(zip(keys, values))
     slack = VERDICT_ATOL + NS_DEFICIT_FACTOR * state.norm_deficit
     members = []
@@ -549,7 +535,8 @@ def _is_pair_symmetric_triple(state: MultiBeamState) -> bool:
     i1, i2, i3 = (coords[kept] for coords in state.coordinates)
     if not (np.array_equal(i1, i2) and np.array_equal(i2, i3)):
         return False
-    mirrored = space.swap_index[i1]
+    n_a, n_b = state.occupations[0]
+    mirrored = i1 + n_a[kept] - n_b[kept]
     dim = space.dim
     gap = np.abs(state.values[kept] - state.lookup((mirrored * dim + mirrored) * dim + mirrored))
     return bool(np.all(gap <= 1e-12 * scale))
@@ -567,12 +554,9 @@ def mermin_bell_value(state: MultiBeamState, dichotomized: bool = True) -> Verdi
     """
     if state.n_beams != 3:
         raise DomainMismatchError("the Mermin expression takes a three-beam state")
-    b = [
-        {i: g_monomial(GLabel(i, dichotomized), space) for i in (1, 2)}
-        for space in state.domain
-    ]
+    b = {i: g_monomial(GLabel(i, dichotomized)) for i in (1, 2)}
     terms = [
-        (sign, tuple(b[beam][i] for beam, i in enumerate(idx)))
+        (sign, tuple(b[i] for i in idx))
         for idx, sign in (((1, 1, 1), 1.0), ((1, 2, 2), -1.0), ((2, 1, 2), -1.0), ((2, 2, 1), -1.0))
     ]
     [value] = expectation_sums([terms], state, hermitian=True)
@@ -602,7 +586,7 @@ def mermin_lhv_value(a: Sequence[int], b: Sequence[int]) -> int:
 
 def lhv_bound_oracle() -> int:
     """Brute-force maximum over the 2^6 dichotomic local assignments; equals 2."""
-    best = -(10**9)
-    for outcomes in itertools.product((-1, 1), repeat=6):
-        best = max(best, mermin_lhv_value(outcomes[:3], outcomes[3:]))
-    return best
+    return max(
+        mermin_lhv_value(outcomes[:3], outcomes[3:])
+        for outcomes in itertools.product((-1, 1), repeat=6)
+    )

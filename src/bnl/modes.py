@@ -21,9 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
-from .fock import BeamSpace, ComplexOperator, DomainMismatchError, build_space
+from .fock import (
+    BeamSpace, ComplexOperator, DomainMismatchError, build_space, check_beam, occupations,
+)
 from .gpauli import g_operator, stokes_operator
 
 UNITARY_ATOL = 1e-12
@@ -75,8 +77,8 @@ def fock_lift(u: ModeUnitary, space: BeamSpace) -> ComplexOperator:
     rows: list[int] = []
     cols: list[int] = []
     vals: list[complex] = []
-    occupations = zip(*(n.tolist() for n in space.occupations))
-    for col, (n, m) in enumerate(occupations):
+    pairs = zip(*(n.tolist() for n in occupations(np.arange(space.dim))))
+    for col, (n, m) in enumerate(pairs):
         norm = math.sqrt(math.factorial(n) * math.factorial(m))
         accum: dict[int, complex] = {}
         for j, k in itertools.product(range(n + 1), range(m + 1)):
@@ -93,7 +95,7 @@ def fock_lift(u: ModeUnitary, space: BeamSpace) -> ComplexOperator:
             rows.append(row)
             cols.append(col)
             vals.append(coef / norm)
-    matrix = sp.csr_matrix(
+    matrix = scipy.sparse.csr_matrix(
         (np.asarray(vals, dtype=complex), (rows, cols)),
         shape=(space.dim, space.dim),
     )
@@ -157,10 +159,12 @@ def counterexample_report(cutoff: int = 2, sign_flip: bool = False) -> Counterex
     g3 coincides with g1 only on the one-photon block; on the two-photon
     block it differs by more than 0.5 in max norm and takes the explicit
     1/sqrt(2) coupling form, up to a global sign set by the convention.
+    A space above the ``BNL_MAX_DIM`` cap is refused before anything is built.
     """
     if cutoff < 2:
         raise ValueError("the contrast needs the two-photon block, so cutoff >= 2")
     space = build_space(cutoff)
+    check_beam(space)
     u = ModeUnitary(BALANCED_FLIPPED if sign_flip else BALANCED)
     g3_rotated = conjugate(g_operator(3, space), u)
     g1 = g_operator(1, space)

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .fock import (
     MultiBeamState,
     build_space,
     check_stored,
     joint_index,
+    occupations,
     product_state,
 )
 
@@ -100,12 +101,14 @@ def bsv_state(params: BsvParams) -> MultiBeamState:
     # With x = tanh^2(gamma) the n-pair mass is (n+1) x^n (1-x)^2, and its
     # tail past n = cutoff sums to x^(c+1) ((c+2) - (c+1) x) in closed form.
     x, c = t * t, params.cutoff
-    # Beam 1 in |n-m, m> pairs with beam 2 in the swapped |m, n-m>.
-    n_a, n_b = space.occupations
+    # Beam 1 in |n-m, m> pairs with beam 2 in the swapped |m, n-m>, which
+    # sits n_a - n_b positions further on.
+    beam1 = np.arange(dim)
+    n_a, n_b = occupations(beam1)
     signs = np.where(n_b % 2, -1.0, 1.0)
     return MultiBeamState.from_support(
         (space, space),
-        np.arange(dim) * dim + space.swap_index,
+        beam1 * dim + beam1 + n_a - n_b,
         signs * np.take(weights, n_a + n_b),
         norm_deficit=x ** (c + 1) * ((c + 2) - (c + 1) * x),
     )
@@ -114,16 +117,14 @@ def bsv_state(params: BsvParams) -> MultiBeamState:
 def prob_diagonal(state: MultiBeamState) -> float:
     """Probability that at least one beam shows equal occupations.
 
-    Each beam's diagonal mask is read at the stored coordinates, so only
+    Each beam's occupations are read at the stored coordinates, so only
     the support is visited.
 
     Computed on the truncated amplitudes; the unresolved tail can only add
     mass, so the true value lies in [value, value + norm_deficit] (see
     prob_diagonal_bounds).
     """
-    on_diagonal = np.logical_or.reduce(
-        [space.diagonal_mask[coords] for space, coords in zip(state.domain, state.coordinates)]
-    )
+    on_diagonal = np.logical_or.reduce([n_a == n_b for n_a, n_b in state.occupations])
     kept = state.values[on_diagonal]
     return float(np.vdot(kept, kept).real)
 
@@ -247,12 +248,11 @@ def bghz_generator_state(
     space = build_space(cutoff)
     dim = space.dim
     check_stored(dim)
-    n_a, n_b = space.occupations
-    col = np.flatnonzero(n_a + n_b < cutoff)
-    p, m = n_a[col], n_b[col]
+    col = np.arange(space.block_indices(cutoff).start)  # every ket below the top block
+    p, m = occupations(col)
     # |p+1, m> opens the next block at position m, and |p, m+1> sits one past it.
     row = (p + m + 1) * (p + m + 2) // 2 + m
-    raising = sp.csr_matrix(
+    raising = scipy.sparse.csr_matrix(
         (
             np.concatenate([(p + 1) ** 1.5, relative_sign * (m + 1) ** 1.5]),
             (np.concatenate([row, row + 1]), np.concatenate([col, col])),
@@ -268,10 +268,6 @@ def bghz_generator_state(
         )
     vacuum = np.zeros(dim)
     vacuum[space.position(0, 0)] = 1.0
-    # Imported here, on the one path that needs it: loading scipy.sparse.linalg
-    # adds ~8.7 MiB to the resident set of every other command.
-    import scipy.sparse.linalg
-
     reduced = scipy.sparse.linalg.expm_multiply(generator, vacuum)
     reduced = reduced / np.linalg.norm(reduced)
     # Reduced entry i sits on |p,m; p,m; p,m> with i the position of |p,m>.

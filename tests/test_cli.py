@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -53,6 +55,8 @@ def test_bsv_without_gamma_is_usage_error(capsys):
         "entanglement witness bghz-gen --gamma-min 0 --gamma-max inf --steps 2 --cutoff 3",
         "verify-algebra --cutoff -1",
         "counterexample --cutoff 1",
+        "verify-algebra --cutoff 3000000",
+        "counterexample --cutoff 3000000",
         "entanglement witness separable --degree -1 --cutoff 2",
         "entanglement witness bghz-gen --gamma-min 0.1 --gamma-max 0.2 --steps 2 --witness singlet",
     ],
@@ -111,6 +115,17 @@ def test_stored_amplitude_cap(capsys, monkeypatch, argv, count):
     )
 
 
+@pytest.mark.parametrize("command", ["verify-algebra", "counterexample"])
+def test_beam_dimension_cap(capsys, monkeypatch, command):
+    # Both commands build sparse operators over one beam's 10 basis states at cutoff 3.
+    monkeypatch.setenv("BNL_MAX_DIM", "10")
+    assert run(capsys, command, "--cutoff", "3")[0] == 0
+    monkeypatch.setenv("BNL_MAX_DIM", "9")
+    code, out, err = run(capsys, command, "--cutoff", "3")
+    assert (code, out) == (1, "")
+    assert err == "bnl: error: cutoff 3 gives a beam dimension of 10, above the BNL_MAX_DIM cap 9\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -128,13 +143,26 @@ def test_refused_state_allocates_nothing(capsys, argv):
     assert peak < 2**20
 
 
-def test_separable_state_at_high_cutoff_stores_only_its_support(capsys):
+def test_separable_state_at_high_cutoff_stores_only_its_support(capsys, tmp_path):
     # Three beams of 6 amplitudes each: 216 stored amplitudes at cutoff 150.
     code, out, err = run(
         capsys, "entanglement", "witness", "separable", "--witness", "ghz3", "--cutoff", "150"
     )
     assert (code, err) == (0, "")
     assert json.loads(out)["verdict"] == "not_detected"
+    # Verdicts read only the support, whatever the cutoff: arrays over the
+    # 721,801-state beam basis at cutoff 1200 peaked at 198-454 MiB.
+    state = tmp_path / "state.csv"
+    state.write_text("1200,0,0,1200,1,0\n")
+    for argv in (
+        "entanglement witness separable --witness singlet --cutoff 1200",
+        "entanglement ns-family separable --cutoff 1200",
+        "entanglement gram separable --cutoff 600",
+        f"contextuality state --state {state}",
+    ):
+        code, peak = traced_peak(capsys, *argv.split())
+        assert code == 0, argv
+        assert peak < 2 * 2**20, argv
 
 
 def test_generator_state_at_cutoff_60_stays_small(capsys):
@@ -151,6 +179,21 @@ def test_squeezed_vacuum_at_cutoff_120_stays_small(capsys):
     )
     assert code == 0
     assert peak < 5 * 2**20
+
+
+def test_verdicts_never_load_scipy_sparse():
+    # Only verify-algebra, counterexample and bghz-gen build sparse matrices;
+    # loading scipy.sparse adds ~20 MiB to the resident set of any command.
+    script = (
+        "import sys\nfrom bnl import cli\n"
+        "for argv in ('contextuality bsv --gamma 0.9', 'entanglement gram separable',\n"
+        "             'entanglement ns-family bsv --gamma 0.5', 'bell qubit --ghz'):\n"
+        "    assert cli.main(argv.split()) == 0\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize(

@@ -4,14 +4,16 @@ Every run must end in an exit code in {0, 1, 2, 3} without an exception
 escaping ``main``; a successful run must print JSON without NaN or
 Infinity, or CSV whose numbers are all finite.
 
-States store only their support, and each source checks its amplitude
-count against ``BNL_MAX_DIM`` before allocating, so the commands that
-build a state draw cutoffs up to 200, across the default cap (``bsv`` and
-``bghz-gen`` reach it at cutoff 140; ``bghz-gen`` also refuses, before its
-exponential, a gain whose generator norm would make that slow).
-``verify-algebra`` and ``counterexample`` build no state and stay in
-0..6, because their cost grows with the cutoff below any cap
-(``fock_lift`` took minutes at cutoff 150).
+States store only their support, each source checks its amplitude count
+against ``BNL_MAX_DIM`` before allocating, and the verdicts evaluate
+cutoff-free monomials at the stored coordinates alone, so the commands
+that build a state draw cutoffs up to 20,000, far across the default cap
+(``bsv`` and ``bghz-gen`` reach it at cutoff 140; ``bghz-gen`` also
+refuses, before its exponential, a gain whose generator norm would make
+that slow).  ``verify-algebra`` and ``counterexample`` build per-beam
+sparse operators and stay in 0..6, because their cost grows with the
+cutoff below the cap they check (``fock_lift`` took minutes at cutoff
+150).
 """
 
 import contextlib
@@ -32,7 +34,7 @@ GAINS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "-0.5", "0", "1e3"]),
     st.floats(-1.5, 1.5).map(repr),
 )
-STATE_CUTOFFS = st.integers(0, 200).map(str)
+STATE_CUTOFFS = st.integers(0, 20_000).map(str)
 SMALL_CUTOFFS = st.integers(0, 6).map(str)
 INPUT_FILES = st.sampled_from(
     [str(FIXTURES / name) for name in (

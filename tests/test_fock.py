@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from tensor_oracle import identity_operator, zero_operator
 
 from bnl.fock import (
+    MAX_JOINT_DIM,
+    BeamSpace,
     ComplexOperator,
     DomainMismatchError,
     HermitianViolationError,
@@ -14,6 +18,7 @@ from bnl.fock import (
     build_space,
     expectation,
     joint_index,
+    occupations,
     product_state,
     tensor,
 )
@@ -22,7 +27,7 @@ from bnl.gpauli import g_operator
 
 def occupation_list(space):
     """The basis as a list of (n_a, n_b) pairs of Python ints."""
-    return list(zip(*(n.tolist() for n in space.occupations)))
+    return list(zip(*(n.tolist() for n in occupations(np.arange(space.dim)))))
 
 
 def enumerated_basis(cutoff):
@@ -74,6 +79,19 @@ def test_closed_form_matches_enumeration(cutoff):
         block = [k for k, (n_a, n_b) in enumerate(reference) if n_a + n_b == total]
         assert list(space.block_indices(total)) == block
     assert list(space.block_indices(cutoff + 1)) == []
+
+
+def test_occupations_invert_position_at_large_positions():
+    # Positions up to the largest beam dimension whose two-beam joint space
+    # has int64 positions, and above 2**53, where a float misses integers.
+    # Just below a block start the float estimate of the total overshoots.
+    two_beam = math.isqrt(MAX_JOINT_DIM)
+    starts = [total * (total + 1) // 2 for total in (2**26 + 1, 2**31 + 7, 2**32 - 1)]
+    positions = [two_beam - 2, two_beam - 1, 2**53 - 1, 2**53, 2**53 + 1, MAX_JOINT_DIM]
+    positions += [start + shift for start in starts for shift in (-1, 0, 1)]
+    n_a, n_b = occupations(np.array(positions, dtype=np.int64))
+    for position, a, b in zip(positions, n_a.tolist(), n_b.tolist()):
+        assert BeamSpace(a + b).position(a, b) == position
 
 
 @pytest.mark.parametrize("occupation", [(-1, 0), (0, -1), (-1, 4), (4, 0), (0, 4), (2, 2), (5, -1)])
@@ -176,7 +194,7 @@ def test_g_operators_conserve_total_photon_number(cutoff, index, pick):
     space = build_space(cutoff)
     occ = occupation_list(space)[pick % space.dim]
     out = apply(g_operator(index, space), basis_state(space, [occ]))
-    n_a, n_b = space.occupations
+    n_a, n_b = occupations(np.arange(space.dim))
     for k in np.flatnonzero(np.abs(out.amplitudes) > 0):
         assert n_a[k] + n_b[k] == sum(occ)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bnl import gpauli
-from bnl.fock import Monomial, apply, basis_state, build_space, expectation
+from bnl.fock import ComplexOperator, apply, basis_state, build_space, expectation, occupations
 from bnl.gpauli import (
     ALGEBRA_ATOL,
     SPECTRUM_ATOL,
@@ -12,7 +12,6 @@ from bnl.gpauli import (
     block_eigenvalues,
     diagonal_monomial,
     g_operator,
-    g_monomial,
     g_operator_compact,
     pauli_restriction,
     pr_monomial,
@@ -63,8 +62,8 @@ def test_compact_construction_matches_direct(cutoff, index):
 
 def test_sr_pr_building_blocks():
     space = build_space(2)
-    sr = sr_monomial(space).operator()
-    pr = pr_monomial(space).operator(hermitian=True)
+    sr = sr_monomial().operator(space)
+    pr = pr_monomial().operator(space, hermitian=True)
     # sr maps |2,0> -> |0,2> and kills |0,2>; pr projects onto mode-b-heavy kets
     assert np.allclose(
         apply(sr, basis_state(space, [(2, 0)])).amplitudes,
@@ -116,14 +115,15 @@ def test_verify_algebra_detects_corrupted_direct_construction(monkeypatch, index
     original = gpauli.g_operator
 
     def corrupted(label, space):
+        op = original(label, space)
         if label != index:
-            return original(label, space)
+            return op
         # A diagonal g_i with the sign of its |2,0> column flipped stays
         # Hermitian with spectrum {-1, 0, +1}, so only the identities expose it.
-        monomial = g_monomial(index, space)
-        phase = monomial.phase.copy()
-        phase[space.position(2, 0)] *= -1
-        return Monomial(space, monomial.target, phase).operator(hermitian=True)
+        matrix = op.matrix.tolil()
+        k = space.position(2, 0)
+        matrix[k, k] *= -1
+        return ComplexOperator((space,), matrix.tocsr(), hermitian=True)
 
     monkeypatch.setattr(gpauli, "g_operator", corrupted)
     report = verify_algebra(space, construction=construction)
@@ -199,7 +199,7 @@ def test_g_minus_spectrum_is_dichotomic():
 def test_g_minus_squares_to_identity(index):
     space = build_space(4)
     op = g_operator(GLabel(index, True), space)
-    eye = diagonal_monomial(space).operator() + g_operator(0, space)
+    eye = diagonal_monomial().operator(space) + g_operator(0, space)
     assert (op @ op - eye).max_abs() < 1e-12
 
 
@@ -212,14 +212,14 @@ def test_g_minus_rejects_index_zero():
 def test_glabel_selects_minus_variant():
     space = build_space(2)
     via_label = g_operator(GLabel(3, minus_variant=True), space)
-    projector = diagonal_monomial(space).operator()
+    projector = diagonal_monomial().operator(space)
     assert (via_label - (g_operator(3, space) - projector)).max_abs() == 0.0
 
 
 def test_stokes_s3_is_half_number_difference():
     space = build_space(3)
     s3 = stokes_operator(3, space)
-    for n_a, n_b in zip(*(n.tolist() for n in space.occupations)):
+    for n_a, n_b in zip(*(n.tolist() for n in occupations(np.arange(space.dim)))):
         value = expectation(s3, basis_state(space, [(n_a, n_b)]))
         assert value == pytest.approx((n_a - n_b) / 2, abs=1e-14)
 

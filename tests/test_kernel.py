@@ -1,9 +1,9 @@
 """The monomial kernel against the Kronecker-built oracle.
 
-``expectation_sums`` evaluates weighted sums of product observables on the
-stored support of a state; the oracle builds the same sums as sparse
-operators on the joint space with ``tensor()`` and evaluates them by
-``expectation`` on the dense amplitude vector.
+``expectation_sums`` evaluates weighted sums of products of cutoff-free
+sign-sector monomials on the stored support of a state; the oracle builds
+the same sums as sparse operators on the joint space with ``tensor()`` and
+evaluates them by ``expectation`` on the dense amplitude vector.
 """
 
 import math
@@ -24,20 +24,15 @@ from bnl.fock import (
     merge_terms,
     tensor,
 )
-from bnl.gpauli import GLabel, g_monomial, g_operator, pr_monomial, sr_monomial
+from bnl.gpauli import GLabel, diagonal_monomial, g_monomial, pr_monomial, sr_monomial
 
-# name -> (monomial, sparse operator) constructors for one beam space.
+# name -> monomial; the oracle takes each one's sparse form on a space.
 FACTORS = {
-    **{f"g{i}": (lambda s, i=i: g_monomial(i, s), lambda s, i=i: g_operator(i, s)) for i in range(4)},
-    **{
-        f"g{i}-": (
-            lambda s, i=i: g_monomial(GLabel(i, True), s),
-            lambda s, i=i: g_operator(GLabel(i, True), s),
-        )
-        for i in (1, 2, 3)
-    },
-    "sr": (sr_monomial, lambda s: sr_monomial(s).operator()),
-    "pr": (pr_monomial, lambda s: pr_monomial(s).operator()),
+    **{f"g{i}": g_monomial(i) for i in range(4)},
+    **{f"g{i}-": g_monomial(GLabel(i, True)) for i in (1, 2, 3)},
+    "sr": sr_monomial(),
+    "pr": pr_monomial(),
+    "diagonal": diagonal_monomial(),
 }
 
 
@@ -50,10 +45,11 @@ def random_state(cutoffs, seed):
 
 
 def chain(space, links, monomial):
-    """Product of the named factors (optionally adjoint), left to right."""
+    """Product of the named factors (optionally adjoint), left to right, as a
+    monomial or, multiplied as sparse operators on ``space``, as the oracle."""
     result = None
     for name, adjoint in links:
-        factor = FACTORS[name][0 if monomial else 1](space)
+        factor = FACTORS[name] if monomial else FACTORS[name].operator(space)
         factor = factor.dagger() if adjoint else factor
         result = factor if result is None else result @ factor
     return result
@@ -95,8 +91,9 @@ def test_kernel_matches_tensor_oracle(cutoffs, seed, data):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_support_kernel_matches_tensor_oracle(cutoffs, density, n_terms, seed):
-    # Sparse supports in shuffled order, and monomials with random targets
-    # and some zero phases: most targets leave the support.
+    # Sparse supports in shuffled order, and random sign-sector monomials:
+    # random swap bits and phases, some of them zero.  Most swapped targets
+    # leave the support.
     rng = np.random.default_rng(seed)
     domain = tuple(build_space(c) for c in cutoffs)
     dim = math.prod(space.dim for space in domain)
@@ -106,26 +103,25 @@ def test_support_kernel_matches_tensor_oracle(cutoffs, density, n_terms, seed):
     values = rng.standard_normal(index.size) + 1j * rng.standard_normal(index.size)
     state = MultiBeamState.from_support(domain, index, values / np.linalg.norm(values))
 
-    def random_monomial(space):
-        phase = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        phase[rng.random(space.dim) < 0.3] = 0.0
-        return Monomial(space, rng.integers(space.dim, size=space.dim), phase)
+    def random_monomial():
+        phase = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        phase[rng.random(3) < 0.3] = 0.0
+        return Monomial(bool(rng.integers(2)), phase)
 
     terms = [
-        (complex(*rng.standard_normal(2)), tuple(random_monomial(space) for space in domain))
+        (complex(*rng.standard_normal(2)), tuple(random_monomial() for _ in domain))
         for _ in range(n_terms)
     ]
     oracle = None
     for w, factors in terms:
-        term = w * tensor([factor.operator() for factor in factors])
+        term = w * tensor([factor.operator(space) for factor, space in zip(factors, domain)])
         oracle = term if oracle is None else oracle + term
     [value] = expectation_sums([terms], state)
     assert abs(value - expectation(oracle, state)) <= 1e-12
 
 
 def test_proportional_terms_merge():
-    space = build_space(3)
-    g = [g_monomial(i, space) for i in range(4)]
+    g = [g_monomial(i) for i in range(4)]
     merged = merge_terms([
         (1.0, (g[1] @ g[1], g[2] @ g[2])),  # g0 x g0
         (2.0, (g[0], g[0])),
@@ -136,35 +132,29 @@ def test_proportional_terms_merge():
     assert w0 == 3.0 and w1 == 1j
     assert np.array_equal(f0[0].phase, g[0].phase) and np.array_equal(f1[0].phase, g[3].phase)
     assert merge_terms([(1.0, (g[1] @ g[1],)), (-1.0, (g[0],))]) == []
+    # On the s = 0 sector a swap is the identity, so these are one term.
+    [(w, (f,))] = merge_terms([(1.0, (Monomial(True, (2, 0, 0)),)), (1.0, (diagonal_monomial(),))])
+    assert w == 3.0 and not f.swap
 
 
 def test_domain_mismatch_is_rejected():
     state = random_state((2, 3), 0)
-    same = (g_monomial(0, build_space(2)),) * 2
     with pytest.raises(DomainMismatchError):
-        expectation_sums([[(1.0, same)]], state)
-    with pytest.raises(DomainMismatchError):
-        expectation_sums([[(1.0, same[:1])]], state)
+        expectation_sums([[(1.0, (g_monomial(0),))]], state)
 
 
 def test_unnormalized_state_is_rejected():
     state = random_state((2, 2), 1)
     doubled = MultiBeamState(state.domain, 2.0 * state.amplitudes)
-    factors = (g_monomial(0, build_space(2)),) * 2
+    factors = (g_monomial(0),) * 2
     with pytest.raises(ValueError, match="not normalized"):
         expectation_sums([[(1.0, factors)]], doubled)
 
 
 def test_hermitian_sum_with_imaginary_value_is_rejected():
     state = random_state((2, 2), 2)
-    factors = (g_monomial(0, build_space(2)),) * 2
+    factors = (g_monomial(0),) * 2
     assert isinstance(expectation_sums([[(1.0, factors)]], state, hermitian=True)[0], float)
     with pytest.raises(HermitianViolationError):
         expectation_sums([[(1j, factors)]], state, hermitian=True)
 
-
-def test_adjoint_needs_distinct_targets():
-    space = build_space(2)
-    collapse = Monomial(space, np.zeros(space.dim, dtype=int), np.ones(space.dim, dtype=complex))
-    with pytest.raises(ValueError, match="not monomial"):
-        collapse.dagger()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tensor_oracle import identity_operator
 
-from bnl.fock import apply, basis_state, build_space
+from bnl.fock import apply, basis_state, build_space, occupations
 from bnl.gpauli import g_operator, stokes_operator
 from bnl.modes import (
     BALANCED,
@@ -68,7 +68,7 @@ def test_lift_is_unitary_per_block(seed):
 def test_lift_is_block_diagonal_in_total_photon_number(seed):
     space = build_space(3)
     lift = fock_lift(unitary_from_seed(seed), space).matrix.toarray()
-    n_a, n_b = space.occupations
+    n_a, n_b = occupations(np.arange(space.dim))
     total = n_a + n_b
     for r in range(space.dim):
         for c in range(space.dim):

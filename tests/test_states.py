@@ -15,6 +15,7 @@ from bnl.fock import (
     build_space,
     expectation,
     joint_index,
+    occupations,
     tensor,
 )
 from bnl.gpauli import g_operator
@@ -87,11 +88,12 @@ class TestBsv:
         space = state.domain[0]
         dim = space.dim
         diagonal_counts = {n: 0 for n in range(9)}
-        n_a, n_b = space.occupations
+        n_a, n_b = occupations(np.arange(space.dim))
+        diagonal = n_a == n_b
         for flat in np.flatnonzero(np.abs(state.amplitudes) > 0):
             k1, k2 = divmod(flat, dim)
-            if space.diagonal_mask[k1] or space.diagonal_mask[k2]:
-                assert space.diagonal_mask[k1] and space.diagonal_mask[k2]
+            if diagonal[k1] or diagonal[k2]:
+                assert diagonal[k1] and diagonal[k2]
                 diagonal_counts[n_a[k1] + n_b[k1]] += 1
         for n in range(9):
             assert diagonal_counts[n] == (1 if n % 2 == 0 else 0)
@@ -146,7 +148,7 @@ def test_prob_diagonal_matches_brute_force(cutoffs, deficit, zero_share, seed):
     if np.any(amps):
         amps *= math.sqrt(1.0 - deficit) / np.linalg.norm(amps)
     state = MultiBeamState(domain, amps, norm_deficit=deficit)
-    per_beam = [list(zip(*(n.tolist() for n in space.occupations))) for space in domain]
+    per_beam = [list(zip(*(n.tolist() for n in occupations(np.arange(s.dim))))) for s in domain]
     expected = 0.0
     for occs in itertools.product(*per_beam):
         if any(n_a == n_b for n_a, n_b in occs):
@@ -198,7 +200,7 @@ class TestBghz:
         state = bghz_state(coeffs, 6)
         space = state.domain[0]
         dim = space.dim
-        for p, m in zip(*(n.tolist() for n in space.occupations)):
+        for p, m in zip(*(n.tolist() for n in occupations(np.arange(space.dim)))):
             i_up = space.position(p, m)
             i_dn = space.position(m, p)
             up = state.amplitudes[(i_up * dim + i_up) * dim + i_up]
@@ -294,7 +296,7 @@ class TestRandomSeparable:
     def test_degree_bounds_support(self):
         state = random_beam_state(np.random.default_rng(0), 5, 2)
         space = state.domain[0]
-        n_a, n_b = space.occupations
+        n_a, n_b = occupations(np.arange(space.dim))
         for k in np.flatnonzero(np.abs(state.amplitudes) > 0):
             assert n_a[k] + n_b[k] <= 2
 
@@ -346,7 +348,7 @@ class TestGeneratorState:
         state = bghz_generator_state(0.4, 8)
         space = state.domain[0]
         dim = space.dim
-        for p, m in zip(*(n.tolist() for n in space.occupations)):
+        for p, m in zip(*(n.tolist() for n in occupations(np.arange(space.dim)))):
             i_up = space.position(p, m)
             i_dn = space.position(m, p)
             up = state.amplitudes[(i_up * dim + i_up) * dim + i_up]
@@ -362,7 +364,8 @@ class TestGeneratorState:
         for cutoff in range(13):
             space = build_space(cutoff)
             raising = np.zeros((space.dim, space.dim))
-            for col, (p, m) in enumerate(zip(*(n.tolist() for n in space.occupations))):
+            basis = zip(*(n.tolist() for n in occupations(np.arange(space.dim))))
+            for col, (p, m) in enumerate(basis):
                 if p + m < cutoff:
                     raising[space.position(p + 1, m), col] += (p + 1) ** 1.5
                     raising[space.position(p, m + 1), col] += relative_sign * (m + 1) ** 1.5
