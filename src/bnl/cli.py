@@ -18,7 +18,9 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from . import indicators, states
-from .fock import MultiBeamState, basis_state, build_space, check_stored, joint_index
+from .fock import (
+    MAX_DIM_ENV, MultiBeamState, amplitude_cap, basis_state, build_space, check_stored, joint_index,
+)
 from .gpauli import verify_algebra
 from .indicators import (
     GHZ3_WITNESS,
@@ -87,6 +89,10 @@ class SweepSpec:
             raise ValueError("gamma-min must not exceed gamma-max")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        cap = amplitude_cap()
+        if self.steps > cap:
+            # Refused before np.linspace allocates the grid.
+            raise ValueError(f"steps {self.steps} is above the {MAX_DIM_ENV} cap {cap}")
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
 
@@ -230,7 +236,7 @@ def _cmd_contextuality(args) -> int:
             ",".join(
                 [
                     _fmt(gamma),
-                    _fmt(v.details["p_diag"]),
+                    _fmt(v.p_diag),
                     _fmt(v.value),
                     _fmt(v.margin),
                     _fmt(v.interval_lo),

@@ -16,14 +16,16 @@ bound:
 Each is a sum of products of the cutoff-free monomials of ``bnl.gpauli``,
 evaluated at the state's stored kets only, whatever the cutoff.
 
-The three linear quantities share one verdict rule (``_verdict``) and one
-record (``VerdictRecord``).  The margin is positive when the bound is
-violated.  A state truncated with ``norm_deficit`` d moves it by at most
-d times the range of the quantity's operator: ±sum |w| over the declared
-product terms, each of norm at most 1, or [0, 6] for the square, whose six
-line products sum to the positive 6 g0 x g0.  The verdict reads that
-margin interval against VERDICT_ATOL, and an interval that straddles it
-is reported as inconclusive.
+All four share one verdict rule (``_verdict``) and one record
+(``VerdictRecord``); each member of the quadratic family is its own
+record.  The margin is positive when the bound is violated.  A state
+truncated with ``norm_deficit`` d moves it by at most d times a spread
+derived per quantity: ±sum |w| over the declared product terms of a
+linear quantity, each of norm at most 1; [0, 6] for the square, whose
+six line products sum to the positive 6 g0 x g0; and ±24 for a
+quadratic member (see NS_SPREAD).  The verdict reads that margin
+interval against VERDICT_ATOL, and an interval that straddles it is
+reported as inconclusive.
 """
 
 from __future__ import annotations
@@ -53,23 +55,26 @@ SHORTCUT_ATOL = 1e-10
 GRAM_PSD_ATOL = 1e-10
 GRAM_TRACE_ATOL = 1e-10
 VERDICT_ATOL = 1e-10
-# Deficit multiplier of the quadratic family: worst-case propagation of tail
-# mass through the bracketed expectations (operator norm <= 2 per bracket,
-# values <= 2, squared terms).
-NS_DEFICIT_FACTOR = 32.0
 # Range of the square's operator 6 g0 x g0, by which a unit of tail mass can
 # move its value.
 PM_SPREAD = (0.0, 6.0)
+# Spread of a quadratic family member's margin t1^2 + t2^2 - r^2.  Each pair
+# expectation moves by at most d; t1, t2 and r are each a sum of two pairs,
+# so each is bounded by 2 and moves by at most 2d, and each square moves by
+# at most |a - b| |a + b| <= 2d * 4 = 8d.  The three squares give 24d.
+NS_SPREAD = (-24.0, 24.0)
+# Verdict labels of the entanglement tests, which detect but never certify separability.
+DETECTION_LABELS = ("entangled", "not_detected")
 
 
 @dataclass(frozen=True)
 class VerdictRecord:
-    """One linear quantity against its classical bound.
+    """One quantity against its classical bound.
 
     ``margin`` is positive when the bound is violated, and
     [``interval_lo``, ``interval_hi``] is the range it admits for the
     untruncated state.  ``details`` holds fields particular to the
-    quantity; ``to_dict`` merges them in.
+    quantity; they read as attributes, and ``to_dict`` merges them in.
     """
 
     quantity: str
@@ -92,6 +97,13 @@ class VerdictRecord:
             **self.details,
         }
 
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails.  ``details`` itself is
+        # excluded, so a record without it (mid-unpickling) cannot recurse.
+        if name != "details" and name in self.details:
+            return self.details[name]
+        raise AttributeError(name)
+
 
 def _verdict(
     quantity: str,
@@ -103,7 +115,7 @@ def _verdict(
     labels: tuple[str, str] = ("violated", "not_violated"),
     **details,
 ) -> VerdictRecord:
-    """The verdict rule shared by every linear quantity.
+    """The verdict rule shared by every quantity.
 
     The margin interval is ``margin + deficit * spread``.  The first label
     applies when it lies wholly above VERDICT_ATOL, the second when it
@@ -331,7 +343,7 @@ def witness_verdict(spec: WitnessSpec, state: MultiBeamState) -> VerdictRecord:
     value = witness_expectation(spec, state)
     return _verdict(
         "witness_expectation", value, 0.0, -value, state.norm_deficit,
-        (-weight, weight), labels=("entangled", "not_detected"),
+        (-weight, weight), labels=DETECTION_LABELS,
     )
 
 
@@ -438,38 +450,12 @@ CYCLIC_PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
 @dataclass(frozen=True)
-class NsMember:
-    """One member of the nine-condition family: permuted indices per party."""
-
-    perm_party1: tuple[int, int, int]
-    perm_party2: tuple[int, int, int]
-    lhs_term1: float
-    lhs_term2: float
-    rhs: float
-    slack: float
-    violated: bool
+class NsFamilyReport:
+    members: tuple[VerdictRecord, ...]
 
     @property
-    def lhs(self) -> float:
-        return self.lhs_term1 + self.lhs_term2
-
-    def to_dict(self) -> dict:
-        return {
-            "perm_party1": list(self.perm_party1),
-            "perm_party2": list(self.perm_party2),
-            "lhs_term1": self.lhs_term1,
-            "lhs_term2": self.lhs_term2,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "violated": self.violated,
-        }
-
-
-@dataclass(frozen=True)
-class NsFamilyReport:
-    members: tuple[NsMember, ...]
-    detected: bool
+    def detected(self) -> bool:
+        return any(m.verdict == DETECTION_LABELS[0] for m in self.members)
 
     def to_dict(self) -> dict:
         return {
@@ -486,9 +472,9 @@ def ns_condition_family(state: MultiBeamState) -> NsFamilyReport:
         <g_p1 g_q1 + g_p2 g_q2>^2 + <g_p3 g_0 + g_0 g_q3>^2
             vs  <g_0 g_0 + g_p3 g_q3>^2
 
-    and is violated (entanglement detected) when the left side exceeds the
-    right beyond the truncation slack.  Detection semantics only: absence
-    of violation is not reported as separability.
+    and detects entanglement when the margin left - right stays above 0
+    across its truncation interval (see NS_SPREAD).  Detection semantics
+    only: absence of detection is not reported as separability.
     """
     if state.n_beams != 2:
         raise DomainMismatchError("the criterion family takes a two-beam state")
@@ -496,24 +482,18 @@ def ns_condition_family(state: MultiBeamState) -> NsFamilyReport:
     keys = list(itertools.product(range(4), repeat=2))
     values = expectation_sums([[(1.0, (g[i], g[j]))] for i, j in keys], state, hermitian=True)
     pairs = dict(zip(keys, values))
-    slack = VERDICT_ATOL + NS_DEFICIT_FACTOR * state.norm_deficit
     members = []
-    for perm1 in CYCLIC_PERMUTATIONS:
-        for perm2 in CYCLIC_PERMUTATIONS:
-            t1 = pairs[(perm1[0], perm2[0])] + pairs[(perm1[1], perm2[1])]
-            t2 = pairs[(perm1[2], 0)] + pairs[(0, perm2[2])]
-            rhs = (pairs[(0, 0)] + pairs[(perm1[2], perm2[2])]) ** 2
-            member = NsMember(
-                perm_party1=perm1,
-                perm_party2=perm2,
-                lhs_term1=t1 * t1,
-                lhs_term2=t2 * t2,
-                rhs=rhs,
-                slack=slack,
-                violated=(t1 * t1 + t2 * t2) - rhs > slack,
-            )
-            members.append(member)
-    return NsFamilyReport(members=tuple(members), detected=any(m.violated for m in members))
+    for perm1, perm2 in itertools.product(CYCLIC_PERMUTATIONS, repeat=2):
+        t1 = pairs[(perm1[0], perm2[0])] + pairs[(perm1[1], perm2[1])]
+        t2 = pairs[(perm1[2], 0)] + pairs[(0, perm2[2])]
+        rhs = (pairs[(0, 0)] + pairs[(perm1[2], perm2[2])]) ** 2
+        lhs = t1 * t1 + t2 * t2
+        members.append(_verdict(
+            "ns_condition", lhs, rhs, lhs - rhs, state.norm_deficit, NS_SPREAD,
+            labels=DETECTION_LABELS, perm_party1=perm1, perm_party2=perm2,
+            lhs_term1=t1 * t1, lhs_term2=t2 * t2,
+        ))
+    return NsFamilyReport(members=tuple(members))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,9 @@ def test_bsv_without_gamma_is_usage_error(capsys):
         "counterexample --cutoff 3000000",
         "entanglement witness separable --degree -1 --cutoff 2",
         "entanglement witness bghz-gen --gamma-min 0.1 --gamma-max 0.2 --steps 2 --witness singlet",
+        # A grid above the amplitude cap is refused before it is allocated.
+        "contextuality bsv --gamma-min 0 --gamma-max 1 --steps 10000000000000000000",
+        "entanglement witness bghz-gen --gamma-min 0.1 --gamma-max 0.2 --steps 10000000000000000000",
     ],
 )
 def test_domain_errors_are_one_line_usage_errors(capsys, argv):
@@ -351,6 +354,22 @@ def test_entanglement_ns_family_bsv(capsys):
     payload = json.loads(out)
     assert payload["detected"] is True
     assert len(payload["members"]) == 9
+
+
+def test_ns_family_detects_within_the_derived_spread(capsys):
+    argv = "entanglement ns-family bsv --gamma 0.55 --cutoff 3".split()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["detected"] is True
+    entangled = [m for m in payload["members"] if m["verdict"] == "entangled"]
+    perms = [(m["perm_party1"], m["perm_party2"]) for m in entangled]
+    assert perms == [([2, 3, 1], [2, 3, 1]), ([3, 1, 2], [3, 1, 2])]
+    for m in entangled:
+        # The margin 0.3815 clears 24 deficits (0.3779) but not 32.
+        deficit = (m["margin"] - m["interval"][0]) / 24
+        assert m["margin"] == pytest.approx(0.3815, abs=1e-4)
+        assert 24 * deficit < m["margin"] < 32 * deficit
 
 
 def test_entanglement_gram_phi_plus(capsys):

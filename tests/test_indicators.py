@@ -1,6 +1,6 @@
-import functools
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -75,11 +75,12 @@ def random_coefficients(seed, length):
     )
 
 
-# Linear verdicts on two-beam states, for the truncation-interval property.
+# The verdict records of each two-beam quantity, for the truncation-interval property.
 TWO_BEAM_VERDICTS = {
-    "peres_mermin_square": pm_expectation,
-    "singlet_witness": functools.partial(witness_verdict, SINGLET_WITNESS),
-    "phi_plus_witness": functools.partial(witness_verdict, PHI_PLUS_WITNESS),
+    "peres_mermin_square": lambda state: [pm_expectation(state)],
+    "singlet_witness": lambda state: [witness_verdict(SINGLET_WITNESS, state)],
+    "phi_plus_witness": lambda state: [witness_verdict(PHI_PLUS_WITNESS, state)],
+    "ns_condition": lambda state: ns_condition_family(state).members,
 }
 
 
@@ -106,10 +107,11 @@ class TestPeresMerminSquare:
     )
     @settings(max_examples=60, deadline=None)
     def test_interval_contains_the_value_at_twice_the_cutoff(self, gamma, cutoff, quantity):
-        verdict = TWO_BEAM_VERDICTS[quantity]
-        coarse = verdict(bsv_state(BsvParams(gamma, cutoff)))
-        finer = verdict(bsv_state(BsvParams(gamma, 2 * cutoff))).margin
-        assert coarse.interval_lo - 1e-13 <= finer <= coarse.interval_hi + 1e-13
+        verdicts = TWO_BEAM_VERDICTS[quantity]
+        coarse = verdicts(bsv_state(BsvParams(gamma, cutoff)))
+        finer = verdicts(bsv_state(BsvParams(gamma, 2 * cutoff)))
+        for record, fine in zip(coarse, finer, strict=True):
+            assert record.interval_lo - 1e-13 <= fine.margin <= record.interval_hi + 1e-13
 
     def test_line_cells_commute(self):
         cells = pm_cells(build_space(3))
@@ -373,6 +375,21 @@ class TestNsFamily:
     def test_embedded_singlet_is_detected(self):
         report = ns_condition_family(qubit_embed(BELL_STATES["singlet"]))
         assert report.detected
+
+    def test_member_details_read_as_attributes(self):
+        member = ns_condition_family(bsv_state(BsvParams(0.4, 20))).members[4]
+        assert member.quantity == "ns_condition"
+        assert member.perm_party1 == member.details["perm_party1"] == (2, 3, 1)
+        assert member.value == member.lhs_term1 + member.lhs_term2
+        assert not hasattr(member, "rhs")
+        # The guard on ``details`` lets a copy be rebuilt before its fields exist.
+        assert pickle.loads(pickle.dumps(member)) == member
+
+    def test_spread_is_twenty_four_deficits(self):
+        state = bsv_state(BsvParams(0.55, 3))
+        for member in ns_condition_family(state).members:
+            assert member.interval_lo == member.margin - 24 * state.norm_deficit
+            assert member.interval_hi == member.margin + 24 * state.norm_deficit
 
 
 class TestMermin:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -136,3 +137,29 @@ def test_report_serializes():
     payload = counterexample_report().to_dict()
     assert payload["g_distance_block2"] > 0.5
     assert len(payload["g_block2_real"]) == 3
+
+
+def binomial_lift(u, space):
+    """The lift by expanding (c^dag)^n (d^dag)^m binomially, ket by ket: an oracle."""
+    ca, da = u.matrix[0]
+    cb, db = u.matrix[1]
+    lift = np.zeros((space.dim, space.dim), dtype=complex)
+    for col, (n, m) in enumerate(zip(*(k.tolist() for k in occupations(np.arange(space.dim))))):
+        norm = math.sqrt(math.factorial(n) * math.factorial(m))
+        for j, k in itertools.product(range(n + 1), range(m + 1)):
+            n_a, n_b = j + k, (n - j) + (m - k)
+            lift[space.position(n_a, n_b), col] += (
+                math.comb(n, j) * ca**j * cb ** (n - j)
+                * math.comb(m, k) * da**k * db ** (m - k)
+                * math.sqrt(math.factorial(n_a) * math.factorial(n_b))
+            ) / norm
+    return lift
+
+
+@given(seed=st.integers(min_value=0, max_value=10**9), cutoff=st.integers(min_value=0, max_value=5))
+@settings(max_examples=30, deadline=None)
+def test_lift_matches_binomial_expansion(seed, cutoff):
+    space = build_space(cutoff)
+    u = unitary_from_seed(seed)
+    lift = fock_lift(u, space).matrix.toarray()
+    assert np.allclose(lift, binomial_lift(u, space), rtol=0, atol=1e-13)
