@@ -53,6 +53,6 @@ from .indicators import (
     pm_expectation,
     witness_expectation,
 )
-from .modes import ModeUnitary, conjugate, counterexample_report, fock_lift
+from .modes import ModeUnitary, conjugate, counterexample_report, fock_lift, lift_blocks
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .indicators import (
     VerdictRecord,
     WitnessSpec,
 )
-from .modes import counterexample_report
+from .modes import SELF_CHECK_ATOL, counterexample_report
 from .states import (
     BsvParams,
     CoefficientFileError,
@@ -366,6 +366,11 @@ def _cmd_bell(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     report = _checked(lambda: counterexample_report(cutoff=args.cutoff, sign_flip=args.sign_flip))
+    if max(report.stokes_distance, report.lift_unitarity_residual) > SELF_CHECK_ATOL:
+        print(f"bnl: counterexample self-check failed: stokes_distance {report.stokes_distance:.3e}, "
+              f"lift_unitarity_residual {report.lift_unitarity_residual:.3e}, tolerance {SELF_CHECK_ATOL:g}",
+              file=sys.stderr)
+        return EXIT_VERIFICATION
     payload = report.to_dict()
     payload["block"] = args.block
     payload["distance"] = (

@@ -1,11 +1,14 @@
 """Mode-basis rotations on the truncated Fock sector.
 
-A 2x2 unitary mixing the creation operators of one beam lifts to a
-unitary on the Fock sector, block diagonal in total photon number.  The
-lift is built block by block by raising: each rotated number ket is a
-rotated creation operator applied to one of the block below, so every
-block is a few array operations, not a generator exponential or a sum
-of binomial terms per ket.
+A 2x2 unitary u mixing the creation operators of one beam lifts to a
+unitary on the Fock sector that conserves total photon number, so the
+lift is computed one block T = n_a + n_b at a time.  Write u = exp(iX)
+with X Hermitian, read off a complex Schur form of u.  On the kets
+|T-k, k> the operator N_X = sum X_lk a_l^dag a_k is tridiagonal and
+Hermitian, and block T of the lift is exp(i N_X) = V exp(i Lambda) V^dag
+from one ``eigh``, unitary to rounding at every T.  An operator is
+rotated block by block as U_T^dag O_T U_T, so no sector-wide lift or
+product is formed.
 
 The point demonstrated by ``counterexample_report``: the Stokes
 operators transform covariantly under such rotations, whereas the
@@ -24,11 +27,13 @@ import numpy as np
 import scipy
 
 from .fock import (
-    BeamSpace, ComplexOperator, DomainMismatchError, build_space, check_beam,
+    BeamSpace, ComplexOperator, build_space, check_beam,
 )
 from .gpauli import g_operator, stokes_operator
 
 UNITARY_ATOL = 1e-12
+# A counterexample whose Stokes distance or lift unitarity residual exceeds this is refused.
+SELF_CHECK_ATOL = 1e-10
 
 # Balanced rotation: new modes c = (a + b)/sqrt(2), d = (a - b)/sqrt(2).
 # The alternative sign choice swaps which combination carries the minus.
@@ -63,43 +68,43 @@ class ModeUnitary:
         return ModeUnitary(self.matrix.conj().T)
 
 
-def fock_lift(u: ModeUnitary, space: BeamSpace) -> ComplexOperator:
-    """Fock-sector unitary sending |n,m> to the rotated-mode number ket.
+def lift_blocks(u: ModeUnitary, cutoff: int) -> list[np.ndarray]:
+    """Blocks T = 0..cutoff of the lift, each sending |T-k,k> to the rotated-mode ket.
 
-    Columns are the rotated kets |n,m>' = (c^dag)^n (d^dag)^m |vac> / sqrt(n! m!)
-    in the original occupation basis.  Block T holds the kets with n + m = T,
-    ordered by m as the basis is by n_b, and is raised from block T - 1:
-    |n,m>' = c^dag |n-1,m>' / sqrt(n) for n >= 1, and
-    |0,T>' = d^dag |0,T-1>' / sqrt(T).  The lift conserves total photon
-    number, so each block is exactly unitary and no truncation error enters.
+    The rotated kets are |n,m>' = (c^dag)^n (d^dag)^m |vac> / sqrt(n! m!), in
+    the original occupation basis ordered by n_b.  With u = exp(iX), the lift
+    exp(i N_X) satisfies exp(i N_X) a_k^dag exp(-i N_X) = sum_l u_lk a_l^dag
+    and fixes the vacuum, so it is exactly that map.
     """
-    # c^dag = ca a^dag + cb b^dag, d^dag = da a^dag + db b^dag.
-    (ca, da), (cb, db) = u.matrix
-
-    def raised(below: np.ndarray, x: complex, y: complex) -> np.ndarray:
-        # x a^dag + y b^dag on the columns of block T - 1: a^dag keeps n_b = k
-        # with factor sqrt(T - k), b^dag moves it to k + 1 with factor sqrt(k + 1).
-        total = len(below)
-        out = np.zeros((total + 1, below.shape[1]), dtype=complex)
-        out[:-1] = x * np.sqrt(np.arange(total, 0, -1))[:, None] * below
-        out[1:] += y * np.sqrt(np.arange(1, total + 1))[:, None] * below
-        return out
-
-    blocks = [np.ones((1, 1), dtype=complex)]
-    for total in range(1, space.cutoff + 1):
-        below = blocks[-1]
-        block = np.hstack([raised(below, ca, cb), raised(below[:, -1:], da, db)])
-        blocks.append(block / np.sqrt(np.append(np.arange(total, 0, -1), total)))
-    matrix = scipy.sparse.block_diag(blocks, format="csr")
-    return ComplexOperator((space,), matrix)
+    schur, q = scipy.linalg.schur(u.matrix, output="complex")
+    x = (q * np.angle(np.diag(schur))) @ q.conj().T
+    blocks = []
+    for total in range(cutoff + 1):
+        k = np.arange(total + 1)
+        # a^dag b sends |T-k,k> to |T-k+1,k-1> with factor sqrt(k (T-k+1)), so with
+        # x_ab = |x_ab| e^{i phi} and D = diag(e^{-i k phi}), N_X = D R D^dag with R real.
+        lam, w = scipy.linalg.eigh_tridiagonal(
+            x[0, 0].real * (total - k) + x[1, 1].real * k,
+            abs(x[0, 1]) * np.sqrt(k[1:] * (total - k[:-1])),
+        )
+        v = np.exp(-1j * np.angle(x[0, 1]) * k)[:, None] * w
+        blocks.append((v * np.exp(1j * lam)) @ v.conj().T)
+    return blocks
 
 
-def conjugate(op: ComplexOperator, u: ModeUnitary) -> ComplexOperator:
-    """Basis change U^dag op U with U the Fock lift of the mode rotation."""
-    if len(op.domain) != 1:
-        raise DomainMismatchError("mode rotations act on single-beam operators")
-    lift = fock_lift(u, op.domain[0])
-    return lift.dagger() @ op @ lift
+def fock_lift(u: ModeUnitary, space: BeamSpace) -> ComplexOperator:
+    """The lift on the whole sector, assembled from ``lift_blocks``."""
+    blocks = lift_blocks(u, space.cutoff)
+    rows, cols = np.concatenate(
+        [(np.indices(b.shape) + t * (t + 1) // 2).reshape(2, -1) for t, b in enumerate(blocks)], axis=1
+    )
+    data = np.concatenate([b.ravel() for b in blocks])
+    return ComplexOperator((space,), scipy.sparse.csr_matrix((data, (rows, cols)), (space.dim,) * 2))
+
+
+def conjugate(op: ComplexOperator, lift: list[np.ndarray]) -> list[np.ndarray]:
+    """Blocks U_T^dag O_T U_T of a single-beam operator rotated by the given lift blocks."""
+    return [w.conj().T @ op.block(total) @ w for total, w in enumerate(lift)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +118,7 @@ class CounterexampleReport:
     matches_balanced_form: bool
     g_distance_block1: float
     stokes_distance: float
+    lift_unitarity_residual: float
 
     def to_dict(self) -> dict:
         return {
@@ -120,6 +126,7 @@ class CounterexampleReport:
             "g_distance_block2": self.g_distance_block2,
             "g_distance_block1": self.g_distance_block1,
             "stokes_distance": self.stokes_distance,
+            "lift_unitarity_residual": self.lift_unitarity_residual,
             "matches_balanced_form": self.matches_balanced_form,
             "g_block2_real": self.g_block2_matrix.real.tolist(),
             "g_block2_imag": self.g_block2_matrix.imag.tolist(),
@@ -151,38 +158,31 @@ def counterexample_report(cutoff: int = 2, sign_flip: bool = False) -> Counterex
     g3 coincides with g1 only on the one-photon block; on the two-photon
     block it differs by more than 0.5 in max norm and takes the explicit
     1/sqrt(2) coupling form, up to a global sign set by the convention.
+    The report also carries the worst |U_T^dag U_T - 1| of the lift blocks.
     A space above the ``BNL_MAX_DIM`` cap is refused before anything is built.
     """
     if cutoff < 2:
         raise ValueError("the contrast needs the two-photon block, so cutoff >= 2")
     space = build_space(cutoff)
     check_beam(space)
-    u = ModeUnitary(BALANCED_FLIPPED if sign_flip else BALANCED)
-    g3_rotated = conjugate(g_operator(3, space), u)
-    g1 = g_operator(1, space)
-
-    block2 = g3_rotated.block(2)
-    g1_block2 = g1.block(2)
+    lift = lift_blocks(ModeUnitary(BALANCED_FLIPPED if sign_flip else BALANCED), cutoff)
+    # Blocks 1 and 2 of g3 and g1 are the same at every cutoff >= 2.
+    g3_rotated = conjugate(g_operator(3, build_space(2)), lift[:3])
+    g1 = g_operator(1, build_space(2))
+    block2, g1_block2 = g3_rotated[2], g1.block(2)
     expected = expected_rotated_g3_block2()
-    matches = bool(
-        min(
-            abs(block2 - expected).max(),
-            abs(block2 + expected).max(),
-        )
-        <= UNITARY_ATOL
-    )
-
-    s3_rotated = conjugate(stokes_operator(3, space), u)
+    matches = bool(min(abs(block2 - expected).max(), abs(block2 + expected).max()) <= UNITARY_ATOL)
     s1 = stokes_operator(1, space)
-
     return CounterexampleReport(
         sign_flip=sign_flip,
         g_distance_block2=float(abs(block2 - g1_block2).max()),
         g_block2_matrix=block2,
         g1_block2_matrix=g1_block2,
         matches_balanced_form=matches,
-        g_distance_block1=float(
-            abs(g3_rotated.block(1) - g1.block(1)).max()
+        g_distance_block1=float(abs(g3_rotated[1] - g1.block(1)).max()),
+        stokes_distance=max(
+            float(abs(r - s1.block(t)).max())
+            for t, r in enumerate(conjugate(stokes_operator(3, space), lift))
         ),
-        stokes_distance=(s3_rotated - s1).max_abs(),
+        lift_unitarity_residual=max(float(abs(w.conj().T @ w - np.eye(len(w))).max()) for w in lift),
     )

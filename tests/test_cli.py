@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bnl import cli, gpauli
+from bnl import cli, gpauli, modes
 
 FIXTURES = Path(__file__).parent / "fixtures" / "cli"
 
@@ -517,6 +517,40 @@ def test_counterexample_one_photon_block(capsys):
     code, out, _ = run(capsys, "counterexample", "--block", "1")
     assert code == 0
     assert json.loads(out)["distance"] < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", ["80", "139"])
+def test_counterexample_stays_covariant_at_high_cutoff(capsys, cutoff):
+    code, out, err = run(capsys, "counterexample", "--cutoff", cutoff)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["stokes_distance"] < 1e-10
+    assert payload["lift_unitarity_residual"] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "total, corrupt",
+    [
+        # Block 0 carries no Stokes weight, so only the unitarity residual sees it.
+        (0, lambda block: block * (1 + 1e-6)),
+        # Still unitary, but no longer covariant.
+        (2, lambda block: block @ np.diag([1, 1j, 1])),
+    ],
+    ids=["not-unitary", "rephased"],
+)
+def test_counterexample_with_a_corrupted_lift_block_fails_its_self_check(capsys, monkeypatch, total, corrupt):
+    lift_blocks = modes.lift_blocks
+
+    def corrupted(u, cutoff):
+        blocks = lift_blocks(u, cutoff)
+        blocks[total] = corrupt(blocks[total])
+        return blocks
+
+    monkeypatch.setattr(modes, "lift_blocks", corrupted)
+    code, out, err = run(capsys, "counterexample")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("bnl: counterexample self-check failed: stokes_distance ")
 
 
 class TestStateFiles:

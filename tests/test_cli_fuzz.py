@@ -10,10 +10,11 @@ cutoff-free monomials at the stored coordinates alone, so the commands
 that build a state draw cutoffs up to 20,000, far across the default cap
 (``bsv`` and ``bghz-gen`` reach it at cutoff 140; ``bghz-gen`` also
 refuses, before its exponential, a gain whose generator norm would make
-that slow).  ``verify-algebra`` and ``counterexample`` build per-beam
-sparse operators and stay in 0..6, because their cost grows with the
-cutoff below the cap they check (``fock_lift`` took minutes at cutoff
-150).
+that slow).  ``verify-algebra`` builds per-beam sparse operators and
+stays in 0..6, because its cost grows with the cutoff below the cap it
+checks.  ``counterexample`` draws from 0..6 and from the edge of that
+cap: cutoff 139 (9,870 beam states) must run its self-check through,
+and cutoff 140 (10,011) must be refused with exit 1.
 """
 
 import contextlib
@@ -36,6 +37,7 @@ GAINS = st.one_of(
 )
 STATE_CUTOFFS = st.integers(0, 20_000).map(str)
 SMALL_CUTOFFS = st.integers(0, 6).map(str)
+COUNTEREXAMPLE_CUTOFFS = st.one_of(SMALL_CUTOFFS, st.sampled_from(["139", "140"]))
 INPUT_FILES = st.sampled_from(
     [str(FIXTURES / name) for name in (
         "coeffs.csv", "coeffs3.csv", "singlet.csv", "ghz.csv", "diagonal.csv",
@@ -90,8 +92,8 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     positionals, flags = COMMANDS[command]
     argv = [command] + [draw(st.sampled_from(choices)) for choices in positionals]
-    small = command in ("verify-algebra", "counterexample")
-    argv += ["--cutoff", draw(SMALL_CUTOFFS if small else STATE_CUTOFFS)]
+    cutoffs = {"verify-algebra": SMALL_CUTOFFS, "counterexample": COUNTEREXAMPLE_CUTOFFS}
+    argv += ["--cutoff", draw(cutoffs.get(command, STATE_CUTOFFS))]
     for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=5)):
         value = draw(VALUES[flag])
         argv += [flag] if value is None else [flag, value]
@@ -115,6 +117,11 @@ def test_cli_never_escapes_main(out_dir, argv):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in stderr.getvalue()
+    if argv[0] == "counterexample":
+        # The self-check holds up to the cap's edge; the first cutoff past it is refused.
+        assert code != 2
+        if argv[argv.index("--cutoff") + 1] == "140":
+            assert code == 1 and "above the BNL_MAX_DIM cap" in stderr.getvalue()
     if code == 0:
         text = target.read_text() if target is not None else stdout.getvalue()
         assert text

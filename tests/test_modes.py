@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tensor_oracle import identity_operator
 
 from bnl.fock import apply, basis_state, build_space, occupations
+from bnl import modes
 from bnl.gpauli import g_operator, stokes_operator
 from bnl.modes import (
     BALANCED,
@@ -16,6 +17,7 @@ from bnl.modes import (
     counterexample_report,
     expected_rotated_g3_block2,
     fock_lift,
+    lift_blocks,
 )
 
 
@@ -59,58 +61,83 @@ def test_balanced_lift_one_photon_block():
 @given(seed=st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=25, deadline=None)
 def test_lift_is_unitary_per_block(seed):
-    space = build_space(3)
-    lift = fock_lift(unitary_from_seed(seed), space).matrix.toarray()
-    assert np.allclose(lift.conj().T @ lift, np.eye(space.dim), atol=1e-10)
+    for block in lift_blocks(unitary_from_seed(seed), 3):
+        assert np.allclose(block.conj().T @ block, np.eye(len(block)), atol=1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [80, 139])
+@pytest.mark.parametrize("sign_flip", [False, True])
+def test_lift_stays_unitary_and_stokes_covariant_at_high_cutoff(cutoff, sign_flip):
+    report = counterexample_report(cutoff=cutoff, sign_flip=sign_flip)
+    assert report.lift_unitarity_residual < 1e-12
+    assert report.stokes_distance < 1e-10
+    blocks = lift_blocks(unitary_from_seed(cutoff), cutoff)
+    assert max(abs(b.conj().T @ b - np.eye(len(b))).max() for b in blocks) < 1e-12
+
+
+@pytest.mark.parametrize("rephase", [False, True])
+def test_report_reads_the_top_lift_block(monkeypatch, rephase):
+    lift_blocks = modes.lift_blocks
+
+    def corrupted(u, cutoff):
+        blocks = lift_blocks(u, cutoff)
+        top = blocks[-1]
+        blocks[-1] = top @ np.diag(np.exp(0.1j * np.arange(len(top)))) if rephase else top * (1 + 1e-6)
+        return blocks
+
+    monkeypatch.setattr(modes, "lift_blocks", corrupted)
+    report = counterexample_report(cutoff=60)
+    if rephase:
+        assert report.lift_unitarity_residual < 1e-12 and report.stokes_distance > 0.1
+    else:
+        assert report.lift_unitarity_residual == pytest.approx(2e-6, rel=1e-3)
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=25, deadline=None)
 def test_lift_is_block_diagonal_in_total_photon_number(seed):
     space = build_space(3)
-    lift = fock_lift(unitary_from_seed(seed), space).matrix.toarray()
+    u = unitary_from_seed(seed)
+    lift = fock_lift(u, space).matrix.toarray()
     n_a, n_b = occupations(np.arange(space.dim))
     total = n_a + n_b
-    for r in range(space.dim):
-        for c in range(space.dim):
-            if total[r] != total[c]:
-                assert lift[r, c] == 0
+    assert not lift[total[:, None] != total[None, :]].any()
+    for t, block in enumerate(lift_blocks(u, space.cutoff)):
+        idx = space.block_indices(t)
+        assert np.array_equal(lift[np.ix_(idx, idx)], block)
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=20, deadline=None)
 def test_lift_is_a_homomorphism(seed):
-    space = build_space(3)
     u = unitary_from_seed(seed)
     v = unitary_from_seed(seed + 1)
-    composed = fock_lift(u @ v, space)
-    chained = fock_lift(u, space) @ fock_lift(v, space)
-    assert (composed - chained).max_abs() < 1e-10
+    blocks = zip(lift_blocks(u @ v, 6), lift_blocks(u, 6), lift_blocks(v, 6))
+    for composed, first, second in blocks:
+        assert abs(composed - first @ second).max() < 1e-12
 
 
 def test_conjugating_g0_fixes_one_photon_block():
     space = build_space(2)
-    rotated = conjugate(g_operator(0, space), ModeUnitary(BALANCED))
-    idx = space.block_indices(1)
-    block = rotated.matrix[np.ix_(idx, idx)].toarray()
-    assert np.allclose(block, np.eye(2), atol=1e-12)
+    rotated = conjugate(g_operator(0, space), lift_blocks(ModeUnitary(BALANCED), 2))
+    assert np.allclose(rotated[1], np.eye(2), atol=1e-12)
 
 
 def test_stokes_covariance_under_balanced_rotation():
     space = build_space(4)
-    rotated = conjugate(stokes_operator(3, space), ModeUnitary(BALANCED))
-    assert (rotated - stokes_operator(1, space)).max_abs() < 1e-12
+    rotated = conjugate(stokes_operator(3, space), lift_blocks(ModeUnitary(BALANCED), 4))
+    s1 = stokes_operator(1, space)
+    assert len(rotated) == 5
+    for t, block in enumerate(rotated):
+        assert abs(block - s1.block(t)).max() < 1e-12
 
 
 def test_rotated_g3_two_photon_block_structure():
     space = build_space(2)
-    rotated = conjugate(g_operator(3, space), ModeUnitary(BALANCED))
-    idx = space.block_indices(2)
-    block = rotated.matrix[np.ix_(idx, idx)].toarray()
+    block = conjugate(g_operator(3, space), lift_blocks(ModeUnitary(BALANCED), 2))[2]
     expected = expected_rotated_g3_block2()
     assert min(abs(block - expected).max(), abs(block + expected).max()) < 1e-12
-    g1_block = g_operator(1, space).matrix[np.ix_(idx, idx)].toarray()
-    assert abs(block - g1_block).max() > 0.5
+    assert abs(block - g_operator(1, space).block(2)).max() > 0.5
 
 
 def test_counterexample_report_default():
@@ -161,5 +188,7 @@ def binomial_lift(u, space):
 def test_lift_matches_binomial_expansion(seed, cutoff):
     space = build_space(cutoff)
     u = unitary_from_seed(seed)
-    lift = fock_lift(u, space).matrix.toarray()
-    assert np.allclose(lift, binomial_lift(u, space), rtol=0, atol=1e-13)
+    oracle = binomial_lift(u, space)
+    for t, block in enumerate(lift_blocks(u, cutoff)):
+        idx = space.block_indices(t)
+        assert np.allclose(block, oracle[np.ix_(idx, idx)], rtol=0, atol=1e-13)
