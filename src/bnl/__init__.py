@@ -22,7 +22,6 @@ from .gpauli import (
     GLabel,
     g_operator,
     pauli_restriction,
-    stokes_operator,
     verify_algebra,
 )
 from .states import (
@@ -53,6 +52,6 @@ from .indicators import (
     pm_expectation,
     witness_expectation,
 )
-from .modes import ModeUnitary, conjugate, counterexample_report, fock_lift, lift_blocks
+from .modes import ModeUnitary, conjugate, counterexample_report, lift_blocks
 
 __version__ = "0.1.0"

@@ -41,6 +41,7 @@ from .states import (
     open_text,
     qubit_embed,
     random_separable,
+    squared_norm_flow,
 )
 
 EXIT_OK = 0
@@ -104,9 +105,11 @@ def load_state_file(path) -> MultiBeamState:
     """Parse amplitude lines `n_a1,n_b1,n_a2,n_b2[,n_a3,n_b3],real,imag`.
 
     The state is normalized on load; a deficit above 1e-6 triggers a
-    warning on stderr.  Duplicate occupation rows and inconsistent beam
-    counts are parse errors naming the line.  Each line stores one
-    amplitude, so the line count is checked against ``BNL_MAX_DIM``.
+    warning on stderr.  Duplicate occupation rows, inconsistent beam
+    counts and non-finite amplitudes are parse errors naming the line,
+    and a squared norm outside the normal doubles is a parse error naming
+    the file.  Each line stores one amplitude, so the line count is
+    checked against ``BNL_MAX_DIM`` as the lines are read.
     """
     rows: list[tuple[tuple[tuple[int, int], ...], complex]] = []
     n_beams: int | None = None
@@ -135,6 +138,10 @@ def load_state_file(path) -> MultiBeamState:
                 value = complex(float(parts[-2]), float(parts[-1]))
             except ValueError as exc:
                 raise StateFileError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise StateFileError(
+                    f"{path}:{lineno}: amplitude '{parts[-2]},{parts[-1]}' is not finite"
+                )
             if any(n < 0 or m < 0 for n, m in occs):
                 raise StateFileError(f"{path}:{lineno}: negative occupation")
             if occs in seen:
@@ -143,15 +150,19 @@ def load_state_file(path) -> MultiBeamState:
                 )
             seen[occs] = lineno
             rows.append((occs, value))
+            check_stored(len(rows))
     if not rows:
         raise StateFileError(f"{path}: no amplitude lines found")
-    check_stored(len(rows))
     space = build_space(max(max(n + m for n, m in occs) for occs, _ in rows))
     domain = (space,) * n_beams
     values = np.array([value for _, value in rows])
-    norm = float(np.linalg.norm(values))
-    if norm == 0.0:
+    if not values.any():
         raise StateFileError(f"{path}: state has zero norm")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(values))
+    flow = squared_norm_flow(norm)
+    if flow:
+        raise StateFileError(f"{path}: the squared norm of the amplitudes {flow} a double")
     if abs(1.0 - norm * norm) > 1e-6:
         print(
             f"warning: {path}: renormalizing, |amplitudes|^2 was {norm * norm!r}",

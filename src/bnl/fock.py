@@ -274,6 +274,17 @@ class Monomial:
         matrix = scipy.sparse.csr_matrix((phase[cols], (rows, cols)), shape=shape)
         return ComplexOperator((space,), matrix, hermitian=hermitian)
 
+    def block(self, total: int) -> np.ndarray:
+        """The same map on the kets |T-k, k> of total ``total``, as a dense matrix.
+
+        Every monomial conserves total photon number, so this is its block
+        at any cutoff >= ``total``; column k is the ket |T-k, k>.
+        """
+        k = np.arange(total + 1)
+        block = np.zeros((total + 1, total + 1), dtype=complex)
+        block[total - k if self.swap else k, k] = self.phase[_sector(total - 2 * k)]
+        return block
+
     def canonical(self) -> tuple[complex, tuple[bool, bytes], "Monomial"] | None:
         """(scale, key, M): self = scale * M, M's first nonzero phase is 1 and
         its ``key`` is shared by every multiple of self; None for the zero map."""

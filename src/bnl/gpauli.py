@@ -27,10 +27,12 @@ builder, its cutoff-free sign-sector ``Monomial``, and ``g_operator`` is
 the sparse form of ``g_monomial`` on a given space.
 
 The dichotomized variants g_{i-} = g_i - (diagonal projector) assign -1
-to equal-occupation outcomes and have spectrum {-1, +1}; the standard
+to equal-occupation outcomes and have spectrum {-1, +1}.  The standard
 Stokes operators are included solely to exhibit, by contrast, that they
-fail the anticommutation relation; they are not sign-sector monomials and
-are built directly as sparse matrices.
+fail the anticommutation relation and rotate covariantly under a mode
+mixer.  They are not sign-sector monomials; ``stokes_block`` gives each
+photon-number block in closed form, which is all the mode-rotation
+contrast reads.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
-import scipy
 
-from .fock import BeamSpace, ComplexOperator, Monomial, check_beam, occupations
+from .fock import BeamSpace, ComplexOperator, Monomial, check_beam
 
 # Entrywise tolerance for the algebra identities (products of exact 0/±1/±i
 # entries, so residuals are genuinely zero in floating point).
@@ -137,29 +138,24 @@ def g_operator_compact(index: int, space: BeamSpace) -> ComplexOperator:
     return sum(terms[1:], terms[0]).with_hermitian_flag()
 
 
-def stokes_operator(index: int, space: BeamSpace) -> ComplexOperator:
-    """Standard two-mode su(2) generators S_i = (1/2) (a,b)^dag sigma_i (a,b).
+def stokes_block(index: int, total: int) -> np.ndarray:
+    """Block of the Stokes operator S_i = (1/2) (a,b)^dag sigma_i (a,b) on the kets |T-k, k>.
 
-    These conserve total photon number, so their restriction to the
-    truncated sector is exact.  Unlike g1..g3 they do not anticommute.
+    S_i conserves total photon number, so its blocks are the whole
+    operator at every cutoff.  The block is tridiagonal: a^dag b sends
+    |T-k, k> to |T-k+1, k-1> with factor sqrt(k (T-k+1)).  Unlike g1..g3
+    the S_i do not anticommute.
     """
     if index not in (0, 1, 2, 3):
         raise ValueError(f"index must be one of 0..3, got {index}")
-    cols = np.arange(space.dim)
-    n_a, n_b = occupations(cols)
-    if index in (0, 3):
-        rows, values = cols, (n_a + n_b if index == 0 else n_a - n_b) / 2.0
-    else:
-        # a^dag b / 2 sends |n,m> to |n+1,m-1>, one basis position back; the
-        # b^dag a / 2 half is its adjoint.
-        rows, values = cols - 1, np.sqrt(n_b * (n_a + 1)) / 2.0 * (1.0 if index == 1 else -1j)
-    kept = np.flatnonzero(values)
-    matrix = scipy.sparse.csr_matrix(
-        (values[kept].astype(complex), (rows[kept], kept)), shape=(space.dim, space.dim)
+    sigma = PAULI[index]
+    k = np.arange(total + 1)
+    hop = np.sqrt(k[1:] * (total - k[:-1]))
+    return (
+        np.diag((sigma[0, 0] * (total - k) + sigma[1, 1] * k) / 2)
+        + np.diag(sigma[0, 1] / 2 * hop, 1)
+        + np.diag(sigma[1, 0] / 2 * hop, -1)
     )
-    if index in (1, 2):
-        matrix = (matrix + matrix.getH()).tocsr()
-    return ComplexOperator((space,), matrix, hermitian=True)
 
 
 def pauli_restriction(space: BeamSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -170,7 +166,7 @@ def pauli_restriction(space: BeamSpace) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     if space.cutoff < 1:
         raise ValueError("the one-photon sector needs cutoff >= 1")
-    return tuple(g_operator(i, space).block(1) for i in range(4))
+    return tuple(g_monomial(i).block(1) for i in range(4))
 
 
 def block_eigenvalues(op: ComplexOperator) -> np.ndarray:

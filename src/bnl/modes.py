@@ -6,9 +6,11 @@ lift is computed one block T = n_a + n_b at a time.  Write u = exp(iX)
 with X Hermitian, read off a complex Schur form of u.  On the kets
 |T-k, k> the operator N_X = sum X_lk a_l^dag a_k is tridiagonal and
 Hermitian, and block T of the lift is exp(i N_X) = V exp(i Lambda) V^dag
-from one ``eigh``, unitary to rounding at every T.  An operator is
-rotated block by block as U_T^dag O_T U_T, so no sector-wide lift or
-product is formed.
+from one ``eigh``, unitary to rounding at every T.  A number-conserving
+operator is given by its dense photon-number blocks O_T, read in closed
+form from ``Monomial.block`` and ``stokes_block``, and is rotated block
+by block as U_T^dag O_T U_T, so no sector-wide operator, lift or product
+is formed.
 
 The point demonstrated by ``counterexample_report``: the Stokes
 operators transform covariantly under such rotations, whereas the
@@ -26,10 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .fock import (
-    BeamSpace, ComplexOperator, build_space, check_beam,
-)
-from .gpauli import g_operator, stokes_operator
+from .fock import build_space, check_beam
+from .gpauli import g_monomial, stokes_block
 
 UNITARY_ATOL = 1e-12
 # A counterexample whose Stokes distance or lift unitarity residual exceeds this is refused.
@@ -92,19 +92,13 @@ def lift_blocks(u: ModeUnitary, cutoff: int) -> list[np.ndarray]:
     return blocks
 
 
-def fock_lift(u: ModeUnitary, space: BeamSpace) -> ComplexOperator:
-    """The lift on the whole sector, assembled from ``lift_blocks``."""
-    blocks = lift_blocks(u, space.cutoff)
-    rows, cols = np.concatenate(
-        [(np.indices(b.shape) + t * (t + 1) // 2).reshape(2, -1) for t, b in enumerate(blocks)], axis=1
-    )
-    data = np.concatenate([b.ravel() for b in blocks])
-    return ComplexOperator((space,), scipy.sparse.csr_matrix((data, (rows, cols)), (space.dim,) * 2))
-
-
-def conjugate(op: ComplexOperator, lift: list[np.ndarray]) -> list[np.ndarray]:
-    """Blocks U_T^dag O_T U_T of a single-beam operator rotated by the given lift blocks."""
-    return [w.conj().T @ op.block(total) @ w for total, w in enumerate(lift)]
+def conjugate(blocks: list[np.ndarray], lift: list[np.ndarray]) -> list[np.ndarray]:
+    """Blocks U_T^dag O_T U_T of a number-conserving operator, given its blocks O_T and the lift's U_T."""
+    if len(blocks) != len(lift) or any(o.shape != w.shape for o, w in zip(blocks, lift)):
+        raise ValueError(
+            f"operator blocks {[o.shape for o in blocks]} do not match lift blocks {[w.shape for w in lift]}"
+        )
+    return [w.conj().T @ o @ w for o, w in zip(blocks, lift)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,26 +157,21 @@ def counterexample_report(cutoff: int = 2, sign_flip: bool = False) -> Counterex
     """
     if cutoff < 2:
         raise ValueError("the contrast needs the two-photon block, so cutoff >= 2")
-    space = build_space(cutoff)
-    check_beam(space)
+    check_beam(build_space(cutoff))
     lift = lift_blocks(ModeUnitary(BALANCED_FLIPPED if sign_flip else BALANCED), cutoff)
     # Blocks 1 and 2 of g3 and g1 are the same at every cutoff >= 2.
-    g3_rotated = conjugate(g_operator(3, build_space(2)), lift[:3])
-    g1 = g_operator(1, build_space(2))
-    block2, g1_block2 = g3_rotated[2], g1.block(2)
+    g3_rotated = conjugate([g_monomial(3).block(t) for t in range(3)], lift[:3])
+    block2, g1_block2 = g3_rotated[2], g_monomial(1).block(2)
     expected = expected_rotated_g3_block2()
     matches = bool(min(abs(block2 - expected).max(), abs(block2 + expected).max()) <= UNITARY_ATOL)
-    s1 = stokes_operator(1, space)
+    s3_rotated = conjugate([stokes_block(3, t) for t in range(cutoff + 1)], lift)
     return CounterexampleReport(
         sign_flip=sign_flip,
         g_distance_block2=float(abs(block2 - g1_block2).max()),
         g_block2_matrix=block2,
         g1_block2_matrix=g1_block2,
         matches_balanced_form=matches,
-        g_distance_block1=float(abs(g3_rotated[1] - g1.block(1)).max()),
-        stokes_distance=max(
-            float(abs(r - s1.block(t)).max())
-            for t, r in enumerate(conjugate(stokes_operator(3, space), lift))
-        ),
+        g_distance_block1=float(abs(g3_rotated[1] - g_monomial(1).block(1)).max()),
+        stokes_distance=max(float(abs(r - stokes_block(1, t)).max()) for t, r in enumerate(s3_rotated)),
         lift_unitarity_residual=max(float(abs(w.conj().T @ w - np.eye(len(w))).max()) for w in lift),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -135,6 +136,13 @@ def prob_diagonal_bounds(state: MultiBeamState) -> tuple[float, float]:
     return value, min(1.0, value + state.norm_deficit)
 
 
+def squared_norm_flow(norm: float) -> str | None:
+    """How norm**2 leaves the normal doubles, "overflows" or "underflows", or None if it does not."""
+    if sys.float_info.min <= norm * norm < math.inf:
+        return None
+    return "underflows" if norm < 1 else "overflows"
+
+
 def bghz_state(coeffs: BghzCoefficients, cutoff: int) -> MultiBeamState:
     """Three-beam state assembled from triple-emission coefficients.
 
@@ -145,6 +153,7 @@ def bghz_state(coeffs: BghzCoefficients, cutoff: int) -> MultiBeamState:
     structural identities probed downstream hold for any normalized state
     of this shape, independent of the coefficient values.  It stores one
     amplitude per representable (p, m) term, at most (cutoff+1)(cutoff+2)/2.
+    Weights whose squared norm leaves the normal doubles are refused.
     """
     space = build_space(cutoff)
     dim = space.dim
@@ -157,13 +166,20 @@ def bghz_state(coeffs: BghzCoefficients, cutoff: int) -> MultiBeamState:
         for m in orders[:count]:
             i = space.position(p, m)
             index.append((i * dim + i) * dim + i)
-            values.append(
-                coeffs.entries[p] * coeffs.entries[m]
-                * (math.factorial(p) * math.factorial(m)) ** 1.5
-            )
-    norm = np.linalg.norm(values)
-    if norm == 0.0:
+            try:
+                weight = (math.factorial(p) * math.factorial(m)) ** 1.5
+            except OverflowError:  # past the largest double; the norm check refuses it
+                weight = math.inf
+            values.append(coeffs.entries[p] * coeffs.entries[m] * weight)
+    if not values:
         raise ValueError("no coefficient term is representable at this cutoff")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(values)
+    flow = squared_norm_flow(norm)
+    if flow:
+        raise ValueError(
+            f"the squared norm of the weights C_p C_m (p! m!)^(3/2) at cutoff {cutoff} {flow} a double"
+        )
     return MultiBeamState.from_support((space,) * 3, index, np.divide(values, norm))
 
 
@@ -295,6 +311,10 @@ def load_bghz_coefficients(path) -> BghzCoefficients:
                 imag = float(parts[2])
             except ValueError as exc:
                 raise CoefficientFileError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(real) and math.isfinite(imag)):
+                raise CoefficientFileError(
+                    f"{path}:{lineno}: coefficient '{parts[1]},{parts[2]}' is not finite"
+                )
             if m != expected:
                 raise CoefficientFileError(
                     f"{path}:{lineno}: order {m} out of sequence, expected {expected}"
@@ -303,4 +323,7 @@ def load_bghz_coefficients(path) -> BghzCoefficients:
             expected += 1
     if not entries:
         raise CoefficientFileError(f"{path}: no coefficient lines found")
-    return BghzCoefficients(tuple(entries))
+    try:
+        return BghzCoefficients(tuple(entries))
+    except ValueError as exc:  # all coefficients zero; each line is already finite
+        raise CoefficientFileError(f"{path}: {exc}") from exc

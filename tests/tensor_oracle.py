@@ -3,13 +3,15 @@
 ``bnl`` evaluates every indicator with ``expectation_sums`` on per-beam
 monomials.  The helpers here build the same observables as explicit sparse
 operators on the joint space with ``tensor()``, so tests can compare the
-two evaluation paths.
+two evaluation paths.  ``stokes_operator`` builds the Stokes operators
+from the occupations of each basis ket, the oracle for the closed-form
+blocks of ``gpauli.stokes_block``.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from bnl.fock import BeamSpace, ComplexOperator, tensor
+from bnl.fock import BeamSpace, ComplexOperator, occupations, tensor
 from bnl.gpauli import g_operator
 from bnl.indicators import PM_CELL_LABELS, PM_LINES
 
@@ -60,3 +62,22 @@ def pm_operator(space: BeamSpace) -> ComplexOperator:
         term = products[name] if sign > 0 else -products[name]
         total = term if total is None else total + term
     return total.with_hermitian_flag()
+
+
+def stokes_operator(index: int, space: BeamSpace) -> ComplexOperator:
+    """S_i = (1/2) (a,b)^dag sigma_i (a,b) on one beam, built ket by ket from the occupations."""
+    cols = np.arange(space.dim)
+    n_a, n_b = occupations(cols)
+    if index in (0, 3):
+        rows, values = cols, (n_a + n_b if index == 0 else n_a - n_b) / 2.0
+    else:
+        # a^dag b / 2 sends |n,m> to |n+1,m-1>, one basis position back; the
+        # b^dag a / 2 half is its adjoint.
+        rows, values = cols - 1, np.sqrt(n_b * (n_a + 1)) / 2.0 * (1.0 if index == 1 else -1j)
+    kept = np.flatnonzero(values)
+    matrix = sp.csr_matrix(
+        (values[kept].astype(complex), (rows[kept], kept)), shape=(space.dim, space.dim)
+    )
+    if index in (1, 2):
+        matrix = (matrix + matrix.getH()).tocsr()
+    return ComplexOperator((space,), matrix, hermitian=True)

@@ -185,12 +185,14 @@ def test_squeezed_vacuum_at_cutoff_120_stays_small(capsys):
 
 
 def test_verdicts_never_load_scipy_sparse():
-    # Only verify-algebra, counterexample and bghz-gen build sparse matrices;
-    # loading scipy.sparse adds ~20 MiB to the resident set of any command.
+    # Only verify-algebra and bghz-gen build sparse matrices; counterexample
+    # reads closed-form photon-number blocks.  Loading scipy.sparse adds
+    # ~20 MiB to the resident set of any command.
     script = (
         "import sys\nfrom bnl import cli\n"
         "for argv in ('contextuality bsv --gamma 0.9', 'entanglement gram separable',\n"
-        "             'entanglement ns-family bsv --gamma 0.5', 'bell qubit --ghz'):\n"
+        "             'entanglement ns-family bsv --gamma 0.5', 'bell qubit --ghz',\n"
+        "             'counterexample --cutoff 40'):\n"
         "    assert cli.main(argv.split()) == 0\n"
         "print('scipy.sparse' in sys.modules)\n"
     )
@@ -590,6 +592,35 @@ class TestStateFiles:
         code, out, _ = run(capsys, "bell", "state", "--state", str(path))
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(4.0, abs=1e-10)
+
+    @pytest.mark.parametrize("value", ["nan,0.0", "0.5,inf", "-inf,0.0"])
+    def test_non_finite_amplitude_names_line(self, capsys, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1,0,0,1,0.7,0.0\n0,1,1,0,{value}\n")
+        for command in ("contextuality state", "entanglement witness state", "entanglement gram state"):
+            code, out, err = run(capsys, *command.split(), "--state", str(path))
+            assert (code, out) == (3, "")
+            assert err == f"bnl: parse error: {path}:2: amplitude '{value}' is not finite\n"
+
+    # 1e-160 squares to a subnormal double, where the norm has lost its precision.
+    @pytest.mark.parametrize(
+        "amplitude, flow", [("1e200", "overflows"), ("1e-200", "underflows"), ("1e-160", "underflows")]
+    )
+    def test_squared_norm_outside_the_doubles_is_one_line(self, capsys, tmp_path, amplitude, flow):
+        path = tmp_path / "scaled.csv"
+        path.write_text(f"1,0,0,1,{amplitude},0.0\n0,1,1,0,-{amplitude},0.0\n")
+        code, out, err = run(capsys, "contextuality", "state", "--state", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"bnl: parse error: {path}: the squared norm of the amplitudes {flow} a double\n"
+
+    def test_cap_is_checked_as_lines_are_read(self, capsys, monkeypatch, tmp_path):
+        # The third line is malformed, but the cap refuses the second before it is read.
+        path = tmp_path / "long.csv"
+        path.write_text("1,0,0,1,0.6,0.0\n0,1,1,0,0.8,0.0\n1,0,0,oops,0.7,0.0\n")
+        monkeypatch.setenv("BNL_MAX_DIM", "1")
+        code, out, err = run(capsys, "contextuality", "state", "--state", str(path))
+        assert (code, out) == (1, "")
+        assert err == "bnl: error: state needs 2 stored amplitudes, above the BNL_MAX_DIM cap 1\n"
 
     def test_beam_count_must_match_command(self, capsys, tmp_path):
         path = tmp_path / "two.csv"

@@ -14,7 +14,9 @@ that slow).  ``verify-algebra`` builds per-beam sparse operators and
 stays in 0..6, because its cost grows with the cutoff below the cap it
 checks.  ``counterexample`` draws from 0..6 and from the edge of that
 cap: cutoff 139 (9,870 beam states) must run its self-check through,
-and cutoff 140 (10,011) must be refused with exit 1.
+and cutoff 140 (10,011) must be refused with exit 1.  The input files
+include amplitudes and coefficients that are not finite or whose squared
+norm leaves the doubles, which must end in one ``bnl`` line.
 """
 
 import contextlib
@@ -23,7 +25,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli_fixtures import parse_output
 
@@ -42,6 +44,8 @@ INPUT_FILES = st.sampled_from(
     [str(FIXTURES / name) for name in (
         "coeffs.csv", "coeffs3.csv", "singlet.csv", "ghz.csv", "diagonal.csv",
         "bad-coeffs.csv", "bad-state.csv", "missing.csv",
+        "nan-state.csv", "inf-state.csv", "huge-state.csv", "tiny-state.csv",
+        "nan-coeffs.csv", "zero-coeffs.csv", "huge-coeffs.csv", "long-coeffs.csv",
     )] + [str(FIXTURES)]
 )
 FLAG = st.none()  # flags that take no value
@@ -105,8 +109,29 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz-out")
 
 
+# Runs that these input files once let through as a NaN row, NaN JSON or a traceback.
+BAD_INPUT_RUNS = [
+    "contextuality state --state {fixtures}/nan-state.csv",
+    "entanglement witness state --state {fixtures}/nan-state.csv",
+    "entanglement gram state --state {fixtures}/inf-state.csv",
+    "contextuality state --state {fixtures}/huge-state.csv",
+    "entanglement witness bghz --coeffs {fixtures}/nan-coeffs.csv",
+    "bell bghz --coeffs {fixtures}/zero-coeffs.csv",
+    "bell bghz --coeffs {fixtures}/long-coeffs.csv --cutoff 180",
+    "entanglement witness bghz --coeffs {fixtures}/huge-coeffs.csv",
+]
+
+
+def with_bad_input_runs(test):
+    """Add each of BAD_INPUT_RUNS to the fuzz as an explicit example."""
+    for run in BAD_INPUT_RUNS:
+        test = example(argv=run.format(fixtures=FIXTURES).split())(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
 @given(argv=argvs())
+@with_bad_input_runs
 def test_cli_never_escapes_main(out_dir, argv):
     argv = [token.format(out=out_dir) for token in argv]
     target = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from tensor_oracle import stokes_operator
 
 from bnl import gpauli
-from bnl.fock import ComplexOperator, apply, basis_state, build_space, expectation, occupations
+from bnl.fock import ComplexOperator, apply, basis_state, build_space, expectation
 from bnl.gpauli import (
     ALGEBRA_ATOL,
     SPECTRUM_ATOL,
@@ -17,7 +18,7 @@ from bnl.gpauli import (
     pr_monomial,
     spectrum_deviation,
     sr_monomial,
-    stokes_operator,
+    stokes_block,
     verify_algebra,
 )
 
@@ -217,35 +218,63 @@ def test_glabel_selects_minus_variant():
 
 
 def test_stokes_s3_is_half_number_difference():
-    space = build_space(3)
-    s3 = stokes_operator(3, space)
-    for n_a, n_b in zip(*(n.tolist() for n in occupations(np.arange(space.dim)))):
-        value = expectation(s3, basis_state(space, [(n_a, n_b)]))
-        assert value == pytest.approx((n_a - n_b) / 2, abs=1e-14)
+    for total in range(4):
+        k = np.arange(total + 1)
+        # Column k is the ket |T-k, k>, so the diagonal reads (n_a - n_b) / 2.
+        assert np.array_equal(stokes_block(3, total), np.diag((total - 2 * k) / 2))
 
 
 def test_stokes_s1_ladder_arithmetic():
-    space = build_space(2)
-    out = apply(stokes_operator(1, space), basis_state(space, [(1, 0)]))
-    assert np.allclose(out.amplitudes, 0.5 * basis_state(space, [(0, 1)]).amplitudes)
+    # S1 sends |1,0> (column 0 of the one-photon block) to |0,1> / 2.
+    assert np.allclose(stokes_block(1, 1) @ [1, 0], [0, 0.5])
 
 
 def test_stokes_fail_anticommutation():
-    space = build_space(2)
-    s1 = 2.0 * stokes_operator(1, space)
-    s3 = 2.0 * stokes_operator(3, space)
-    anti = s1 @ s3 + s3 @ s1
-    applied = apply(anti, basis_state(space, [(2, 0)]))
-    assert np.abs(applied.amplitudes).max() > 0
-    assert anti.max_abs() > 0.5
+    anti = []
+    for total in range(3):
+        s1, s3 = 2.0 * stokes_block(1, total), 2.0 * stokes_block(3, total)
+        anti.append(s1 @ s3 + s3 @ s1)
+    # Applied to |2,0>, column 0 of the two-photon block.
+    assert np.abs(anti[2][:, 0]).max() > 0
+    assert max(abs(block).max() for block in anti) > 0.5
 
 
 def test_stokes_spectrum_unbounded_with_cutoff():
     # spectrum of S3 grows with the sector, unlike the swap/sign observables
-    space = build_space(6)
-    eigenvalues = block_eigenvalues(stokes_operator(3, space))
+    eigenvalues = np.concatenate([np.linalg.eigvalsh(stokes_block(3, t)) for t in range(7)])
     assert eigenvalues.max() == pytest.approx(3.0)
-    assert spectrum_deviation(g_operator(3, space)) < 1e-14
+    assert spectrum_deviation(g_operator(3, build_space(6))) < 1e-14
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
+def test_stokes_blocks_match_occupation_oracle(index):
+    for cutoff in range(31):
+        oracle = stokes_operator(index, build_space(cutoff))
+        for total in range(cutoff + 1):
+            assert np.array_equal(stokes_block(index, total), oracle.block(total))
+
+
+def test_stokes_block_rejects_unknown_index():
+    with pytest.raises(ValueError):
+        stokes_block(4, 1)
+
+
+def _monomials():
+    singles = [gpauli.g_monomial(i) for i in range(4)]
+    singles += [gpauli.g_monomial(GLabel(i, True)) for i in (1, 2, 3)]
+    singles += [sr_monomial(), pr_monomial(), diagonal_monomial()]
+    singles += [m.dagger() for m in singles]
+    return singles + [m @ n for m in singles for n in singles]
+
+
+def test_monomial_blocks_match_sparse_operator():
+    monomials = _monomials()
+    for cutoff in range(9):
+        space = build_space(cutoff)
+        for m in monomials:
+            op = m.operator(space)
+            for total in range(cutoff + 1):
+                assert np.array_equal(m.block(total), op.block(total))
 
 
 def test_pauli_restriction_is_exact():

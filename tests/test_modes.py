@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tensor_oracle import identity_operator
 
-from bnl.fock import apply, basis_state, build_space, occupations
+from bnl.fock import build_space, occupations
 from bnl import modes
-from bnl.gpauli import g_operator, stokes_operator
+from bnl.gpauli import g_monomial, stokes_block
 from bnl.modes import (
     BALANCED,
     ModeUnitary,
     conjugate,
     counterexample_report,
     expected_rotated_g3_block2,
-    fock_lift,
     lift_blocks,
 )
 
@@ -36,24 +34,23 @@ def test_mode_unitary_validation():
     ModeUnitary(np.eye(2))
 
 
+def g_blocks(index, cutoff):
+    return [g_monomial(index).block(t) for t in range(cutoff + 1)]
+
+
 def test_identity_lift_is_identity():
-    space = build_space(3)
-    lift = fock_lift(ModeUnitary(np.eye(2)), space)
-    assert (lift - identity_operator(space)).max_abs() < 1e-14
+    for block in lift_blocks(ModeUnitary(np.eye(2)), 3):
+        assert abs(block - np.eye(len(block))).max() < 1e-14
 
 
 def test_lift_preserves_vacuum():
-    space = build_space(2)
-    lift = fock_lift(ModeUnitary(BALANCED), space)
-    out = apply(lift, basis_state(space, [(0, 0)]))
-    assert out.amplitudes[0] == pytest.approx(1.0, abs=1e-14)
+    vacuum_block = lift_blocks(ModeUnitary(BALANCED), 2)[0]
+    assert vacuum_block.shape == (1, 1)
+    assert vacuum_block[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_balanced_lift_one_photon_block():
-    space = build_space(2)
-    lift = fock_lift(ModeUnitary(BALANCED), space)
-    idx = [space.position(1, 0), space.position(0, 1)]
-    block = lift.matrix[np.ix_(idx, idx)].toarray()
+    block = lift_blocks(ModeUnitary(BALANCED), 2)[1]
     want = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     assert np.allclose(block, want, atol=1e-14)
 
@@ -96,15 +93,14 @@ def test_report_reads_the_top_lift_block(monkeypatch, rephase):
 @given(seed=st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=25, deadline=None)
 def test_lift_is_block_diagonal_in_total_photon_number(seed):
+    # The lift conserves total photon number, so its blocks hold all of it.
     space = build_space(3)
     u = unitary_from_seed(seed)
-    lift = fock_lift(u, space).matrix.toarray()
+    lift = binomial_lift(u, space)
     n_a, n_b = occupations(np.arange(space.dim))
     total = n_a + n_b
     assert not lift[total[:, None] != total[None, :]].any()
-    for t, block in enumerate(lift_blocks(u, space.cutoff)):
-        idx = space.block_indices(t)
-        assert np.array_equal(lift[np.ix_(idx, idx)], block)
+    assert [b.shape for b in lift_blocks(u, space.cutoff)] == [(t + 1, t + 1) for t in range(4)]
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9))
@@ -118,26 +114,36 @@ def test_lift_is_a_homomorphism(seed):
 
 
 def test_conjugating_g0_fixes_one_photon_block():
-    space = build_space(2)
-    rotated = conjugate(g_operator(0, space), lift_blocks(ModeUnitary(BALANCED), 2))
+    rotated = conjugate(g_blocks(0, 2), lift_blocks(ModeUnitary(BALANCED), 2))
     assert np.allclose(rotated[1], np.eye(2), atol=1e-12)
 
 
 def test_stokes_covariance_under_balanced_rotation():
-    space = build_space(4)
-    rotated = conjugate(stokes_operator(3, space), lift_blocks(ModeUnitary(BALANCED), 4))
-    s1 = stokes_operator(1, space)
+    s3 = [stokes_block(3, t) for t in range(5)]
+    rotated = conjugate(s3, lift_blocks(ModeUnitary(BALANCED), 4))
     assert len(rotated) == 5
     for t, block in enumerate(rotated):
-        assert abs(block - s1.block(t)).max() < 1e-12
+        assert abs(block - stokes_block(1, t)).max() < 1e-12
 
 
 def test_rotated_g3_two_photon_block_structure():
-    space = build_space(2)
-    block = conjugate(g_operator(3, space), lift_blocks(ModeUnitary(BALANCED), 2))[2]
+    block = conjugate(g_blocks(3, 2), lift_blocks(ModeUnitary(BALANCED), 2))[2]
     expected = expected_rotated_g3_block2()
     assert min(abs(block - expected).max(), abs(block + expected).max()) < 1e-12
-    assert abs(block - g_operator(1, space).block(2)).max() > 0.5
+    assert abs(block - g_monomial(1).block(2)).max() > 0.5
+
+
+@pytest.mark.parametrize(
+    "blocks, cutoff",
+    [
+        (g_blocks(3, 2), 3),  # fewer operator blocks than lift blocks
+        (g_blocks(3, 3), 2),  # more operator blocks than lift blocks
+        (g_blocks(3, 3)[1:], 2),  # as many blocks, of the wrong sizes
+    ],
+)
+def test_conjugate_refuses_mismatched_blocks(blocks, cutoff):
+    with pytest.raises(ValueError, match="do not match lift blocks"):
+        conjugate(blocks, lift_blocks(ModeUnitary(BALANCED), cutoff))
 
 
 def test_counterexample_report_default():

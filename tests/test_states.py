@@ -220,6 +220,21 @@ class TestBghz:
         with pytest.raises(ValueError, match="representable"):
             bghz_state(coeffs, 1)
 
+    @pytest.mark.parametrize(
+        "entries, cutoff, flow",
+        [
+            # (100! 80!)^(3/2) is past the largest double.
+            ((1.0,) * 101, 180, "overflows"),
+            ((1e200, 1.0), 2, "overflows"),
+            ((1e100,), 0, "overflows"),
+            ((1e-100,), 0, "underflows"),
+            ((1e-80,), 0, "underflows"),  # 1e-320 is subnormal
+        ],
+    )
+    def test_refuses_a_squared_norm_outside_the_doubles(self, entries, cutoff, flow):
+        with pytest.raises(ValueError, match=f"squared norm of the weights .* {flow} a double"):
+            bghz_state(BghzCoefficients(entries), cutoff)
+
 
 class TestPsiNm:
     def test_explicit_form(self):
@@ -428,4 +443,17 @@ class TestCoefficientFile:
         path = tmp_path / "coeffs.csv"
         path.write_text("\n")
         with pytest.raises(CoefficientFileError, match="no coefficient"):
+            load_bghz_coefficients(path)
+
+    @pytest.mark.parametrize("value", ["nan,0.0", "0.5,inf", "-inf,-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "coeffs.csv"
+        path.write_text(f"0,1.0,0.0\n1,{value}\n")
+        with pytest.raises(CoefficientFileError, match=rf":2: coefficient '{value}' is not finite"):
+            load_bghz_coefficients(path)
+
+    def test_all_zero_file_names_the_file(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("0,0.0,0.0\n1,-0.0,0.0\n")
+        with pytest.raises(CoefficientFileError, match=r"coeffs\.csv: all coefficients are zero"):
             load_bghz_coefficients(path)
