@@ -224,14 +224,6 @@ class ComplexOperator:
         """Re-tag as Hermitian (re-verified at construction)."""
         return ComplexOperator(self.domain, self.matrix, hermitian=True)
 
-    def block(self, total: int) -> np.ndarray:
-        """Dense submatrix on the fixed total-photon block (single-beam only)."""
-        if len(self.domain) != 1:
-            raise DomainMismatchError("block extraction is defined for single-beam operators")
-        block = self.domain[0].block_indices(total)
-        rows = slice(block.start, block.stop)
-        return self.matrix[rows, rows].toarray()
-
 
 # Phases are indexed by s = sign(n_a - n_b) in the order 0, +1, -1, that of the
 # basis states |0,0>, |1,0>, |0,1>.  _MIRROR maps each index to that of -s.

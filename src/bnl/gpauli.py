@@ -23,8 +23,9 @@ commutation, anticommutation and spectrum suite.
 
 Each observable, sr and pr included, either keeps a ket or swaps its two
 occupations, with a phase set by sign(Na - Nb) alone.  So each has one
-builder, its cutoff-free sign-sector ``Monomial``, and ``g_operator`` is
-the sparse form of ``g_monomial`` on a given space.
+builder, its cutoff-free sign-sector ``Monomial``: verify_algebra reads
+its dense photon-number blocks, and ``g_operator`` is its sparse form on
+a given space.
 
 The dichotomized variants g_{i-} = g_i - (diagonal projector) assign -1
 to equal-occupation outcomes and have spectrum {-1, +1}.  The standard
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -123,19 +123,14 @@ PAULI = (
 )
 
 
-def g_operator_compact(index: int, space: BeamSpace) -> ComplexOperator:
-    """Alternative construction of g_index as (sr, pr)^dag sigma_index (sr, pr)."""
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"index must be one of 0..3, got {index}")
-    v = (sr_monomial().operator(space), pr_monomial().operator(space))
-    sigma = PAULI[index]
-    terms = [
-        complex(sigma[k, l]) * (v[k].dagger() @ v[l])
-        for k in range(2)
-        for l in range(2)
-        if sigma[k, l] != 0
-    ]
-    return sum(terms[1:], terms[0]).with_hermitian_flag()
+def _compact_forms(sr: np.ndarray, pr: np.ndarray) -> list[np.ndarray]:
+    """Every g_i as (sr, pr)^dag sigma_i (sr, pr), from dense blocks of sr and pr.
+
+    ``PAULI`` is read at call time.
+    """
+    v = (sr, pr)
+    products = {kl: v[kl[0]].conj().T @ v[kl[1]] for kl in itertools.product(range(2), repeat=2)}
+    return [sum(sigma[kl] * products[kl] for kl in products) for sigma in PAULI]
 
 
 def stokes_block(index: int, total: int) -> np.ndarray:
@@ -169,28 +164,6 @@ def pauli_restriction(space: BeamSpace) -> tuple[np.ndarray, np.ndarray, np.ndar
     return tuple(g_monomial(i).block(1) for i in range(4))
 
 
-def block_eigenvalues(op: ComplexOperator) -> np.ndarray:
-    """Eigenvalues of a Hermitian single-beam operator, solved per photon-number block.
-
-    The g and Stokes operators conserve total photon number, so a dense
-    eigensolve of each small block is exact and scales to large cutoffs.
-    """
-    values: list[np.ndarray] = []
-    for total in range(op.domain[0].cutoff + 1):
-        block = op.block(total)
-        if abs(block - block.conj().T).max() > HERMITIAN_BLOCK_ATOL:
-            raise ValueError("block eigensolve expects a Hermitian operator")
-        values.append(np.linalg.eigvalsh(block))
-    return np.sort(np.concatenate(values))
-
-
-def spectrum_deviation(op: ComplexOperator, targets: Iterable[float] = (-1.0, 0.0, 1.0)) -> float:
-    """Largest distance of any eigenvalue of a one-beam operator from the target spectrum."""
-    eigenvalues = block_eigenvalues(op)
-    targets = np.asarray(tuple(targets))
-    return float(np.abs(eigenvalues[:, None] - targets[None, :]).min(axis=1).max())
-
-
 @dataclass(frozen=True)
 class AlgebraReport:
     """Residuals of the operator-algebra suite on one truncated space."""
@@ -221,6 +194,25 @@ class AlgebraReport:
         return {**asdict(self), "passed": self.passed}
 
 
+def _orbit_matrix(monomial: Monomial, cutoff: int) -> np.ndarray:
+    """Blocks 0 and, from cutoff 1, 1 of ``monomial`` as one matrix on |0,0>, |1,0>, |0,1>."""
+    matrix = np.zeros((3, 3), dtype=complex)
+    matrix[:1, :1], matrix[1:, 1:] = monomial.block(0), monomial.block(1)
+    return matrix if cutoff else matrix[:1, :1]
+
+
+def _max_abs(matrix: np.ndarray) -> float:
+    return float(abs(matrix).max())
+
+
+def _spectrum_deviation(block: np.ndarray) -> float:
+    """Largest distance of an eigenvalue of a Hermitian block from {-1, 0, +1}."""
+    if _max_abs(block - block.conj().T) > HERMITIAN_BLOCK_ATOL:
+        raise ValueError("block eigensolve expects a Hermitian operator")
+    eigenvalues = np.linalg.eigvalsh(block)
+    return float(np.abs(eigenvalues[:, None] - np.array([-1.0, 0.0, 1.0])).min(axis=1).max())
+
+
 def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraReport:
     """Check the full operator algebra on one space and report residuals.
 
@@ -233,14 +225,24 @@ def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraRep
       * direct vs quadratic-form construction of every g_i
     plus the eigenvalue check: every g_i spectrum inside {-1, 0, +1}.
 
-    Failures are reported in the residual table, never raised.  A space
-    above the ``BNL_MAX_DIM`` cap is refused before any operator is built.
+    The identities are evaluated on |0,0> and, from cutoff 1, the orbit
+    {|1,0>, |0,1>}.  Each g_i, sr and pr is a sign-sector monomial, and so
+    are their products: it acts on every orbit {|n,m>, |m,n>} (n > m) by
+    its 2x2 matrix on {|1,0>, |0,1>} and on every |n,n> by its scalar on
+    |0,0>.  Every other block is a direct sum of copies of these two, so
+    each entrywise max over the space equals the max over them, exactly.
+    The spectrum is solved on every photon-number block T = 0..cutoff,
+    which costs about sum_T T^3, so a space above the ``BNL_MAX_DIM`` cap
+    is still refused.  Failures are reported in the residual table, never
+    raised.
     """
     if construction not in ("direct", "compact"):
         raise ValueError(f"unknown construction {construction!r}")
     check_beam(space)
-    direct = [g_operator(i, space) for i in range(4)]
-    compact = [g_operator_compact(i, space) for i in range(4)]
+    monomials = [g_monomial(i) for i in range(4)]
+    sr, pr = sr_monomial(), pr_monomial()
+    direct = [_orbit_matrix(m, space.cutoff) for m in monomials]
+    compact = _compact_forms(_orbit_matrix(sr, space.cutoff), _orbit_matrix(pr, space.cutoff))
     g = direct if construction == "direct" else compact
     prod = {(i, j): g[i] @ g[j] for i, j in itertools.product(range(4), repeat=2)}
 
@@ -256,24 +258,27 @@ def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraRep
         else:
             anti = anti - 2.0 * g[0]
             product = prod[i, j] - g[0]
-        details[f"commutator_{i}{j}"] = comm.max_abs()
-        details[f"anticommutator_{i}{j}"] = anti.max_abs()
-        details[f"product_{i}{j}"] = product.max_abs()
+        details[f"commutator_{i}{j}"] = _max_abs(comm)
+        details[f"anticommutator_{i}{j}"] = _max_abs(anti)
+        details[f"product_{i}{j}"] = _max_abs(product)
     max_comm, max_anti, max_prod = (
         max(details[f"{kind}_{i}{j}"] for i, j in pairs)
         for kind in ("commutator", "anticommutator", "product")
     )
 
     identity_residuals = {
-        "g2_equals_minus_i_g3_g1": (g[2] - (-1j) * prod[3, 1]).max_abs(),
+        "g2_equals_minus_i_g3_g1": _max_abs(g[2] - (-1j) * prod[3, 1]),
     }
     for i in range(4):
-        identity_residuals[f"g0_commutes_g{i}"] = (prod[0, i] - prod[i, 0]).max_abs()
-        identity_residuals[f"construction_cross_check_g{i}"] = (
-            direct[i] - compact[i]
-        ).max_abs()
+        identity_residuals[f"g0_commutes_g{i}"] = _max_abs(prod[0, i] - prod[i, 0])
+        identity_residuals[f"construction_cross_check_g{i}"] = _max_abs(direct[i] - compact[i])
 
-    max_dev = max(spectrum_deviation(gi) for gi in g)
+    totals = range(space.cutoff + 1)
+    if construction == "direct":
+        spectrum_blocks = ([m.block(t) for m in monomials] for t in totals)
+    else:
+        spectrum_blocks = (_compact_forms(sr.block(t), pr.block(t)) for t in totals)
+    max_dev = max(_spectrum_deviation(b) for blocks in spectrum_blocks for b in blocks)
 
     return AlgebraReport(
         cutoff=space.cutoff,

@@ -5,14 +5,36 @@ monomials.  The helpers here build the same observables as explicit sparse
 operators on the joint space with ``tensor()``, so tests can compare the
 two evaluation paths.  ``stokes_operator`` builds the Stokes operators
 from the occupations of each basis ket, the oracle for the closed-form
-blocks of ``gpauli.stokes_block``.
+blocks of ``gpauli.stokes_block``.  ``verify_algebra`` runs the algebra
+suite on the sparse operators over the whole space, both constructions
+included, the oracle for ``gpauli.verify_algebra``, which evaluates it on
+two orbit blocks.
 """
+
+import itertools
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
-from bnl.fock import BeamSpace, ComplexOperator, occupations, tensor
-from bnl.gpauli import g_operator
+from bnl.fock import (
+    BeamSpace,
+    ComplexOperator,
+    DomainMismatchError,
+    check_beam,
+    occupations,
+    tensor,
+)
+from bnl.gpauli import (
+    HERMITIAN_BLOCK_ATOL,
+    PAULI,
+    SPECTRUM_ATOL,
+    AlgebraReport,
+    _eps,
+    g_operator,
+    pr_monomial,
+    sr_monomial,
+)
 from bnl.indicators import PM_CELL_LABELS, PM_LINES
 
 
@@ -81,3 +103,116 @@ def stokes_operator(index: int, space: BeamSpace) -> ComplexOperator:
     if index in (1, 2):
         matrix = (matrix + matrix.getH()).tocsr()
     return ComplexOperator((space,), matrix, hermitian=True)
+
+
+def operator_block(op: ComplexOperator, total: int) -> np.ndarray:
+    """Dense submatrix on the fixed total-photon block (single-beam only)."""
+    if len(op.domain) != 1:
+        raise DomainMismatchError("block extraction is defined for single-beam operators")
+    indices = op.domain[0].block_indices(total)
+    rows = slice(indices.start, indices.stop)
+    return op.matrix[rows, rows].toarray()
+
+
+def g_operator_compact(index: int, space: BeamSpace) -> ComplexOperator:
+    """Alternative construction of g_index as (sr, pr)^dag sigma_index (sr, pr)."""
+    if index not in (0, 1, 2, 3):
+        raise ValueError(f"index must be one of 0..3, got {index}")
+    v = (sr_monomial().operator(space), pr_monomial().operator(space))
+    sigma = PAULI[index]
+    terms = [
+        complex(sigma[k, l]) * (v[k].dagger() @ v[l])
+        for k in range(2)
+        for l in range(2)
+        if sigma[k, l] != 0
+    ]
+    return sum(terms[1:], terms[0]).with_hermitian_flag()
+
+
+def block_eigenvalues(op: ComplexOperator) -> np.ndarray:
+    """Eigenvalues of a Hermitian single-beam operator, solved per photon-number block.
+
+    The g and Stokes operators conserve total photon number, so a dense
+    eigensolve of each small block is exact and scales to large cutoffs.
+    """
+    values: list[np.ndarray] = []
+    for total in range(op.domain[0].cutoff + 1):
+        block = operator_block(op, total)
+        if abs(block - block.conj().T).max() > HERMITIAN_BLOCK_ATOL:
+            raise ValueError("block eigensolve expects a Hermitian operator")
+        values.append(np.linalg.eigvalsh(block))
+    return np.sort(np.concatenate(values))
+
+
+def spectrum_deviation(op: ComplexOperator, targets: Iterable[float] = (-1.0, 0.0, 1.0)) -> float:
+    """Largest distance of any eigenvalue of a one-beam operator from the target spectrum."""
+    eigenvalues = block_eigenvalues(op)
+    targets = np.asarray(tuple(targets))
+    return float(np.abs(eigenvalues[:, None] - targets[None, :]).min(axis=1).max())
+
+
+def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraReport:
+    """Check the full operator algebra on one space and report residuals.
+
+    Verified identities (entrywise max norm):
+      * [g_i, g_j] = 2i eps_ijk g_k
+      * {g_i, g_j} = 2 delta_ij g0
+      * g_i g_j = delta_ij g0 + i eps_ijk g_k   (covers g_i^2 = g0)
+      * [g0, g_i] = 0
+      * g2 = -i g3 g1
+      * direct vs quadratic-form construction of every g_i
+    plus the eigenvalue check: every g_i spectrum inside {-1, 0, +1}.
+
+    Failures are reported in the residual table, never raised.  A space
+    above the ``BNL_MAX_DIM`` cap is refused before any operator is built.
+    """
+    if construction not in ("direct", "compact"):
+        raise ValueError(f"unknown construction {construction!r}")
+    check_beam(space)
+    direct = [g_operator(i, space) for i in range(4)]
+    compact = [g_operator_compact(i, space) for i in range(4)]
+    g = direct if construction == "direct" else compact
+    prod = {(i, j): g[i] @ g[j] for i, j in itertools.product(range(4), repeat=2)}
+
+    pairs = list(itertools.product((1, 2, 3), repeat=2))
+    details: dict[str, float] = {}
+    for i, j in pairs:
+        k, sign = _eps(i, j)
+        comm = prod[i, j] - prod[j, i]
+        anti = prod[i, j] + prod[j, i]
+        if k:
+            comm = comm - (2j * sign) * g[k]
+            product = prod[i, j] - (1j * sign) * g[k]
+        else:
+            anti = anti - 2.0 * g[0]
+            product = prod[i, j] - g[0]
+        details[f"commutator_{i}{j}"] = comm.max_abs()
+        details[f"anticommutator_{i}{j}"] = anti.max_abs()
+        details[f"product_{i}{j}"] = product.max_abs()
+    max_comm, max_anti, max_prod = (
+        max(details[f"{kind}_{i}{j}"] for i, j in pairs)
+        for kind in ("commutator", "anticommutator", "product")
+    )
+
+    identity_residuals = {
+        "g2_equals_minus_i_g3_g1": (g[2] - (-1j) * prod[3, 1]).max_abs(),
+    }
+    for i in range(4):
+        identity_residuals[f"g0_commutes_g{i}"] = (prod[0, i] - prod[i, 0]).max_abs()
+        identity_residuals[f"construction_cross_check_g{i}"] = (
+            direct[i] - compact[i]
+        ).max_abs()
+
+    max_dev = max(spectrum_deviation(gi) for gi in g)
+
+    return AlgebraReport(
+        cutoff=space.cutoff,
+        construction=construction,
+        max_commutator_residual=max_comm,
+        max_anticommutator_residual=max_anti,
+        max_product_residual=max_prod,
+        spectrum_ok=max_dev <= SPECTRUM_ATOL,
+        max_spectrum_deviation=max_dev,
+        identity_residuals=identity_residuals,
+        details=details,
+    )

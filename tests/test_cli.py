@@ -120,7 +120,8 @@ def test_stored_amplitude_cap(capsys, monkeypatch, argv, count):
 
 @pytest.mark.parametrize("command", ["verify-algebra", "counterexample"])
 def test_beam_dimension_cap(capsys, monkeypatch, command):
-    # Both commands build sparse operators over one beam's 10 basis states at cutoff 3.
+    # Both commands solve dense photon-number blocks over one beam's 10 basis states at
+    # cutoff 3; the cap keeps their sum_T T^3 eigensolve cost bounded.
     monkeypatch.setenv("BNL_MAX_DIM", "10")
     assert run(capsys, command, "--cutoff", "3")[0] == 0
     monkeypatch.setenv("BNL_MAX_DIM", "9")
@@ -185,20 +186,23 @@ def test_squeezed_vacuum_at_cutoff_120_stays_small(capsys):
 
 
 def test_verdicts_never_load_scipy_sparse():
-    # Only verify-algebra and bghz-gen build sparse matrices; counterexample
-    # reads closed-form photon-number blocks.  Loading scipy.sparse adds
-    # ~20 MiB to the resident set of any command.
+    # Only bghz-gen builds a sparse matrix; counterexample and verify-algebra
+    # read closed-form photon-number blocks.  Loading scipy.sparse adds
+    # ~20 MiB to the resident set of any command.  scipy itself is loaded on
+    # import, and the benchmark reads its version from sys.modules.
     script = (
         "import sys\nfrom bnl import cli\n"
+        "print('scipy' in sys.modules)\n"
         "for argv in ('contextuality bsv --gamma 0.9', 'entanglement gram separable',\n"
         "             'entanglement ns-family bsv --gamma 0.5', 'bell qubit --ghz',\n"
-        "             'counterexample --cutoff 40'):\n"
+        "             'counterexample --cutoff 40', 'verify-algebra --cutoff 20'):\n"
         "    assert cli.main(argv.split()) == 0\n"
         "print('scipy.sparse' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("True", "False")
 
 
 @pytest.mark.parametrize(

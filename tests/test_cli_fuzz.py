@@ -10,13 +10,14 @@ cutoff-free monomials at the stored coordinates alone, so the commands
 that build a state draw cutoffs up to 20,000, far across the default cap
 (``bsv`` and ``bghz-gen`` reach it at cutoff 140; ``bghz-gen`` also
 refuses, before its exponential, a gain whose generator norm would make
-that slow).  ``verify-algebra`` builds per-beam sparse operators and
-stays in 0..6, because its cost grows with the cutoff below the cap it
-checks.  ``counterexample`` draws from 0..6 and from the edge of that
-cap: cutoff 139 (9,870 beam states) must run its self-check through,
-and cutoff 140 (10,011) must be refused with exit 1.  The input files
-include amplitudes and coefficients that are not finite or whose squared
-norm leaves the doubles, which must end in one ``bnl`` line.
+that slow).  ``verify-algebra`` and ``counterexample`` solve every
+photon-number block of one beam, whose cost grows with the cutoff below
+the cap they check, so they draw from 0..40 and from the edge of that
+cap: at cutoff 139 (9,870 beam states) the algebra suite must pass and
+the counterexample's self-check hold, and cutoff 140 (10,011) must be
+refused with exit 1.  The input files include amplitudes and
+coefficients that are not finite or whose squared norm leaves the
+doubles, which must end in one ``bnl`` line.
 """
 
 import contextlib
@@ -38,8 +39,7 @@ GAINS = st.one_of(
     st.floats(-1.5, 1.5).map(repr),
 )
 STATE_CUTOFFS = st.integers(0, 20_000).map(str)
-SMALL_CUTOFFS = st.integers(0, 6).map(str)
-COUNTEREXAMPLE_CUTOFFS = st.one_of(SMALL_CUTOFFS, st.sampled_from(["139", "140"]))
+BLOCK_CUTOFFS = st.one_of(st.integers(0, 40).map(str), st.sampled_from(["139", "140"]))
 INPUT_FILES = st.sampled_from(
     [str(FIXTURES / name) for name in (
         "coeffs.csv", "coeffs3.csv", "singlet.csv", "ghz.csv", "diagonal.csv",
@@ -96,8 +96,8 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     positionals, flags = COMMANDS[command]
     argv = [command] + [draw(st.sampled_from(choices)) for choices in positionals]
-    cutoffs = {"verify-algebra": SMALL_CUTOFFS, "counterexample": COUNTEREXAMPLE_CUTOFFS}
-    argv += ["--cutoff", draw(cutoffs.get(command, STATE_CUTOFFS))]
+    block_command = command in ("verify-algebra", "counterexample")
+    argv += ["--cutoff", draw(BLOCK_CUTOFFS if block_command else STATE_CUTOFFS)]
     for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=5)):
         value = draw(VALUES[flag])
         argv += [flag] if value is None else [flag, value]
@@ -142,8 +142,9 @@ def test_cli_never_escapes_main(out_dir, argv):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in stderr.getvalue()
-    if argv[0] == "counterexample":
-        # The self-check holds up to the cap's edge; the first cutoff past it is refused.
+    if argv[0] in ("verify-algebra", "counterexample"):
+        # The suite passes and the self-check holds up to the cap's edge; the
+        # first cutoff past it is refused.
         assert code != 2
         if argv[argv.index("--cutoff") + 1] == "140":
             assert code == 1 and "above the BNL_MAX_DIM cap" in stderr.getvalue()

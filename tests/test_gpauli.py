@@ -2,21 +2,25 @@ import math
 
 import numpy as np
 import pytest
-from tensor_oracle import stokes_operator
+import tensor_oracle
+from tensor_oracle import (
+    block_eigenvalues,
+    g_operator_compact,
+    operator_block,
+    spectrum_deviation,
+    stokes_operator,
+)
 
 from bnl import gpauli
-from bnl.fock import ComplexOperator, apply, basis_state, build_space, expectation
+from bnl.fock import Monomial, apply, basis_state, build_space, expectation
 from bnl.gpauli import (
     ALGEBRA_ATOL,
     SPECTRUM_ATOL,
     GLabel,
-    block_eigenvalues,
     diagonal_monomial,
     g_operator,
-    g_operator_compact,
     pauli_restriction,
     pr_monomial,
-    spectrum_deviation,
     sr_monomial,
     stokes_block,
     verify_algebra,
@@ -113,20 +117,19 @@ def test_reports_agree_between_constructions():
 @pytest.mark.parametrize("index", [0, 3])
 def test_verify_algebra_detects_corrupted_direct_construction(monkeypatch, index, construction):
     space = build_space(2)
-    original = gpauli.g_operator
+    original = gpauli.g_monomial
 
-    def corrupted(label, space):
-        op = original(label, space)
+    def corrupted(label):
+        monomial = original(label)
         if label != index:
-            return op
-        # A diagonal g_i with the sign of its |2,0> column flipped stays
+            return monomial
+        # A diagonal g_i with the sign of its s = +1 sector flipped stays
         # Hermitian with spectrum {-1, 0, +1}, so only the identities expose it.
-        matrix = op.matrix.tolil()
-        k = space.position(2, 0)
-        matrix[k, k] *= -1
-        return ComplexOperator((space,), matrix.tocsr(), hermitian=True)
+        phase = monomial.phase.copy()
+        phase[1] *= -1
+        return Monomial(monomial.swap, phase)
 
-    monkeypatch.setattr(gpauli, "g_operator", corrupted)
+    monkeypatch.setattr(gpauli, "g_monomial", corrupted)
     report = verify_algebra(space, construction=construction)
     assert not report.passed
     assert report.spectrum_ok
@@ -142,6 +145,40 @@ def test_verify_algebra_detects_corrupted_direct_construction(monkeypatch, index
     else:
         assert max(report.details.values()) == 0.0
         assert report.identity_residuals["g0_commutes_g1"] == 0.0
+
+
+@pytest.mark.parametrize("construction", ["direct", "compact"])
+def test_verify_algebra_detects_corrupted_half_swap(monkeypatch, construction):
+    # sr acting on the s = -1 sector instead of s = +1 makes sr^dag sr = pr,
+    # so the compact g0 reads 2 pr and g1..g3 vanish.
+    monkeypatch.setattr(gpauli, "sr_monomial", lambda: Monomial(True, (0, 0, 1)))
+    report = verify_algebra(build_space(2), construction=construction)
+    assert not report.passed
+    cross_checks = [report.identity_residuals[f"construction_cross_check_g{i}"] for i in range(4)]
+    assert cross_checks == [1.0] * 4
+    assert report.spectrum_ok == (construction == "direct")
+    if construction == "compact":
+        assert report.max_product_residual > ALGEBRA_ATOL
+    else:
+        assert max(report.details.values()) == 0.0
+
+
+def test_verify_algebra_refuses_a_non_hermitian_observable(monkeypatch):
+    # g1 with its s = -1 phase negated sends |0,1> to -|1,0> but |1,0> to |0,1>.
+    original = gpauli.g_monomial
+    monkeypatch.setattr(
+        gpauli, "g_monomial", lambda label: Monomial(True, (0, 1, -1)) if label == 1 else original(label)
+    )
+    with pytest.raises(ValueError, match="Hermitian"):
+        verify_algebra(build_space(2))
+
+
+@pytest.mark.parametrize("construction", ["direct", "compact"])
+def test_verify_algebra_matches_sparse_oracle(construction):
+    for cutoff in [*range(14), 20, 32, 139]:
+        space = build_space(cutoff)
+        want = tensor_oracle.verify_algebra(space, construction).to_dict()
+        assert verify_algebra(space, construction).to_dict() == want
 
 
 @pytest.mark.parametrize("n,m", [(1, 0), (2, 0), (3, 1), (2, 1)])
@@ -251,7 +288,7 @@ def test_stokes_blocks_match_occupation_oracle(index):
     for cutoff in range(31):
         oracle = stokes_operator(index, build_space(cutoff))
         for total in range(cutoff + 1):
-            assert np.array_equal(stokes_block(index, total), oracle.block(total))
+            assert np.array_equal(stokes_block(index, total), operator_block(oracle, total))
 
 
 def test_stokes_block_rejects_unknown_index():
@@ -274,7 +311,7 @@ def test_monomial_blocks_match_sparse_operator():
         for m in monomials:
             op = m.operator(space)
             for total in range(cutoff + 1):
-                assert np.array_equal(m.block(total), op.block(total))
+                assert np.array_equal(m.block(total), operator_block(op, total))
 
 
 def test_pauli_restriction_is_exact():
