@@ -10,7 +10,6 @@ from .fock import (
     BeamSpace,
     ComplexOperator,
     MultiBeamState,
-    apply,
     basis_state,
     build_space,
     expectation,
@@ -19,7 +18,6 @@ from .fock import (
 )
 from .gpauli import (
     AlgebraReport,
-    GLabel,
     g_operator,
     pauli_restriction,
     verify_algebra,

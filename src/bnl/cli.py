@@ -106,10 +106,11 @@ def load_state_file(path) -> MultiBeamState:
 
     The state is normalized on load; a deficit above 1e-6 triggers a
     warning on stderr.  Duplicate occupation rows, inconsistent beam
-    counts and non-finite amplitudes are parse errors naming the line,
-    and a squared norm outside the normal doubles is a parse error naming
-    the file.  Each line stores one amplitude, so the line count is
-    checked against ``BNL_MAX_DIM`` as the lines are read.
+    counts and non-finite amplitudes are parse errors naming the line;
+    a squared norm outside the normal doubles, or a joint space whose
+    positions exceed int64, is a parse error naming the file.  Each line
+    stores one amplitude, so the line count is checked against
+    ``BNL_MAX_DIM`` as the lines are read.
     """
     rows: list[tuple[tuple[tuple[int, int], ...], complex]] = []
     n_beams: int | None = None
@@ -169,7 +170,10 @@ def load_state_file(path) -> MultiBeamState:
             file=sys.stderr,
         )
     index = [joint_index(domain, occs) for occs, _ in rows]
-    return MultiBeamState.from_support(domain, index, values / norm)
+    try:
+        return MultiBeamState.from_support(domain, index, values / norm)
+    except ValueError as exc:  # a joint space past int64 positions
+        raise StateFileError(f"{path}: {exc}") from exc
 
 
 def _fmt(value) -> str:

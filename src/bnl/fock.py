@@ -17,9 +17,12 @@ sorted flat positions of its nonzero amplitudes and their values, with
 each beam's occupations there.  ``expectation_sums`` evaluates weighted
 sums of tensor products of monomials on that support, so neither an
 operator nor a vector on the joint space, nor an array over a beam's
-basis, is formed.  General operators are stored as sparse complex
-matrices.  All containers are immutable after construction, so evaluation
-is safe to run concurrently over independent states and operators.
+basis, is formed.  The sparse ``ComplexOperator`` is kept only as the
+independent construction the acceptance suite compares that kernel
+against: ``Monomial.operator`` and ``tensor`` build it, ``expectation``
+evaluates it on a state's dense amplitudes, and it has no algebra of its
+own.  All containers are immutable after construction, so evaluation is
+safe to run concurrently over independent states and operators.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ MAX_JOINT_DIM = np.iinfo(np.int64).max
 
 
 class DomainMismatchError(ValueError):
-    """Raised when operator and state (or two operators) live on different spaces."""
+    """Raised when an operator or a product term and a state live on different spaces."""
 
 
 class HermitianViolationError(ValueError):
@@ -161,8 +164,10 @@ def check_beam(space: BeamSpace) -> None:
 class ComplexOperator:
     """Sparse complex linear map on one or more tensored beam spaces.
 
-    A set ``hermitian`` flag is verified entrywise at construction, so a
-    Hermitian-flagged operator is guaranteed to satisfy
+    The reference form of an observable, built by ``Monomial.operator`` and
+    ``tensor`` and read by ``expectation``; arithmetic on it is done on
+    ``matrix``.  A set ``hermitian`` flag is verified entrywise at
+    construction, so a Hermitian-flagged operator is guaranteed to satisfy
     matrix[r, c] == conj(matrix[c, r]) to within 1e-14.
     """
 
@@ -177,7 +182,7 @@ class ComplexOperator:
                 f"matrix shape {self.matrix.shape} does not match domain dimension {dim}"
             )
         if self.hermitian:
-            residual = _sparse_max_abs(self.matrix - self.matrix.getH())
+            residual = float(abs(self.matrix - self.matrix.getH()).max())
             if residual > HERMITIAN_ATOL:
                 raise HermitianViolationError(
                     f"operator flagged Hermitian but max |A - A^dag| = {residual:.3e}"
@@ -186,43 +191,6 @@ class ComplexOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def dagger(self) -> "ComplexOperator":
-        return ComplexOperator(self.domain, self.matrix.getH().tocsr(), self.hermitian)
-
-    def max_abs(self) -> float:
-        """Largest entry magnitude (max norm)."""
-        return _sparse_max_abs(self.matrix)
-
-    def _check_same_domain(self, other: "ComplexOperator") -> None:
-        if self.domain != other.domain:
-            raise DomainMismatchError(
-                f"operator domains differ: {_cutoffs(self.domain)} vs {_cutoffs(other.domain)}"
-            )
-
-    def __matmul__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_same_domain(other)
-        return ComplexOperator(self.domain, (self.matrix @ other.matrix).tocsr())
-
-    def __add__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_same_domain(other)
-        return ComplexOperator(self.domain, (self.matrix + other.matrix).tocsr())
-
-    def __sub__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_same_domain(other)
-        return ComplexOperator(self.domain, (self.matrix - other.matrix).tocsr())
-
-    def __mul__(self, scalar: complex) -> "ComplexOperator":
-        return ComplexOperator(self.domain, (self.matrix * scalar).tocsr())
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ComplexOperator":
-        return self * (-1.0)
-
-    def with_hermitian_flag(self) -> "ComplexOperator":
-        """Re-tag as Hermitian (re-verified at construction)."""
-        return ComplexOperator(self.domain, self.matrix, hermitian=True)
 
 
 # Phases are indexed by s = sign(n_a - n_b) in the order 0, +1, -1, that of the
@@ -317,10 +285,6 @@ def _cutoffs(domain: Sequence[BeamSpace]) -> tuple[int, ...]:
     return tuple(space.cutoff for space in domain)
 
 
-def _sparse_max_abs(matrix: scipy.sparse.spmatrix) -> float:
-    return float(abs(matrix).max()) if matrix.nnz else 0.0
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class MultiBeamState:
     """Complex amplitudes over the tensored occupation basis of n beams, kept on their support.
@@ -353,11 +317,12 @@ class MultiBeamState:
                 f"domain dimension {dim}"
             )
         index = np.flatnonzero(amplitudes)
-        self._store(domain, index, amplitudes[index], norm_deficit)
+        self._store(domain, dim, index, amplitudes[index], norm_deficit)
 
     @classmethod
     def from_support(cls, domain, index, values, norm_deficit: float = 0.0) -> "MultiBeamState":
         """Amplitudes ``values`` at the distinct flat positions ``index`` (any order), else zero."""
+        dim = _domain_dim(domain)  # refuses a space past int64 positions before converting
         index = np.asarray(index, dtype=np.int64)
         values = np.asarray(values, dtype=complex)
         if index.ndim != 1 or index.shape != values.shape:
@@ -370,12 +335,13 @@ class MultiBeamState:
             if np.any(index[1:] == index[:-1]):
                 raise ValueError("a support position repeats")
         state = cls.__new__(cls)
-        state._store(domain, index, values, norm_deficit)
+        state._store(domain, dim, index, values, norm_deficit)
         return state
 
-    def _store(self, domain, index: np.ndarray, values: np.ndarray, norm_deficit: float) -> None:
+    def _store(
+        self, domain, dim: int, index: np.ndarray, values: np.ndarray, norm_deficit: float
+    ) -> None:
         domain = tuple(domain)
-        dim = _domain_dim(domain)
         if index.size and not 0 <= index[0] <= index[-1] < dim:
             raise ValueError(f"support position outside the cutoffs-{_cutoffs(domain)} space")
         if norm_deficit < -1e-12:
@@ -437,16 +403,6 @@ def tensor(ops: Sequence[ComplexOperator]) -> ComplexOperator:
     for op in ops[1:]:
         matrix = scipy.sparse.kron(matrix, op.matrix, format="csr")
     return ComplexOperator(domain, matrix.tocsr(), hermitian=all(op.hermitian for op in ops))
-
-
-def apply(op: ComplexOperator, state: MultiBeamState) -> MultiBeamState:
-    """Exact sparse matrix-vector product; the result is not renormalized."""
-    _check_op_state(op.domain, state)
-    return MultiBeamState(
-        domain=state.domain,
-        amplitudes=op.matrix @ state.amplitudes,
-        norm_deficit=0.0,
-    )
 
 
 def expectation(op: ComplexOperator, state: MultiBeamState) -> complex | float:

@@ -23,17 +23,19 @@ commutation, anticommutation and spectrum suite.
 
 Each observable, sr and pr included, either keeps a ket or swaps its two
 occupations, with a phase set by sign(Na - Nb) alone.  So each has one
-builder, its cutoff-free sign-sector ``Monomial``: verify_algebra reads
-its dense photon-number blocks, and ``g_operator`` is its sparse form on
-a given space.
+builder, its cutoff-free sign-sector ``Monomial``: the verdicts evaluate
+it at a state's stored kets and verify_algebra reads its dense
+photon-number blocks.  ``g_operator`` is its sparse form on a given
+space, kept only as the construction the acceptance suite compares
+against.
 
-The dichotomized variants g_{i-} = g_i - (diagonal projector) assign -1
-to equal-occupation outcomes and have spectrum {-1, +1}.  The standard
-Stokes operators are included solely to exhibit, by contrast, that they
-fail the anticommutation relation and rotate covariantly under a mode
-mixer.  They are not sign-sector monomials; ``stokes_block`` gives each
-photon-number block in closed form, which is all the mode-rotation
-contrast reads.
+The dichotomized variants g_{i-} = g_i - (diagonal projector), selected by
+``dichotomized=True``, assign -1 to equal-occupation outcomes and have
+spectrum {-1, +1}.  The standard Stokes operators are included solely to
+exhibit, by contrast, that they fail the anticommutation relation and
+rotate covariantly under a mode mixer.  They are not sign-sector
+monomials; ``stokes_block`` gives each photon-number block in closed
+form, which is all the mode-rotation contrast reads.
 """
 
 from __future__ import annotations
@@ -61,20 +63,6 @@ def _eps(i: int, j: int) -> tuple[int, int]:
     return 6 - i - j, 1 if (j - i) % 3 == 1 else -1
 
 
-@dataclass(frozen=True)
-class GLabel:
-    """Selector for one observable of the set: index 0..3, optionally dichotomized."""
-
-    index: int
-    minus_variant: bool = False
-
-    def __post_init__(self) -> None:
-        if self.index not in (0, 1, 2, 3):
-            raise ValueError(f"index must be one of 0..3, got {self.index}")
-        if self.minus_variant and self.index == 0:
-            raise ValueError("g0 has no dichotomized variant")
-
-
 def diagonal_monomial() -> Monomial:
     """sum_n |n,n><n,n|: the s = 0 sector."""
     return Monomial(False, (1, 0, 0))
@@ -88,12 +76,14 @@ _G_SECTORS = {
 }
 
 
-def g_monomial(label: GLabel | int) -> Monomial:
-    """Observable g_index (or its dichotomized variant) on one beam, as a monomial."""
-    if isinstance(label, int):
-        label = GLabel(label)
-    swap, phase = _G_SECTORS[label.index]
-    if label.minus_variant:
+def g_monomial(index: int, dichotomized: bool = False) -> Monomial:
+    """Observable g_index, or with ``dichotomized`` g_{index-}, on one beam, as a monomial."""
+    if index not in (0, 1, 2, 3):
+        raise ValueError(f"index must be one of 0..3, got {index}")
+    if dichotomized and index == 0:
+        raise ValueError("g0 has no dichotomized variant")
+    swap, phase = _G_SECTORS[index]
+    if dichotomized:
         # g_i annihilates the diagonal states, the support of the projector,
         # so g_i - projector stays monomial.
         phase = np.subtract(phase, diagonal_monomial().phase)
@@ -110,9 +100,9 @@ def pr_monomial() -> Monomial:
     return Monomial(False, (0, 0, 1))
 
 
-def g_operator(label: GLabel | int, space: BeamSpace) -> ComplexOperator:
-    """Observable g_index (or its dichotomized variant) on one beam, as a sparse operator."""
-    return g_monomial(label).operator(space, hermitian=True)
+def g_operator(index: int, space: BeamSpace, dichotomized: bool = False) -> ComplexOperator:
+    """``g_monomial(index, dichotomized)`` as a sparse operator on ``space``, the reference form."""
+    return g_monomial(index, dichotomized).operator(space, hermitian=True)
 
 
 PAULI = (

@@ -45,7 +45,7 @@ from .fock import (
     expectation_sums,
     merge_terms,
 )
-from .gpauli import GLabel, g_monomial, pr_monomial, sr_monomial
+from .gpauli import g_monomial, pr_monomial, sr_monomial
 from .states import BsvParams, bsv_state, prob_diagonal
 
 PM_BOUND = 4.0
@@ -534,7 +534,7 @@ def mermin_bell_value(state: MultiBeamState, dichotomized: bool = True) -> Verdi
     """
     if state.n_beams != 3:
         raise DomainMismatchError("the Mermin expression takes a three-beam state")
-    b = {i: g_monomial(GLabel(i, dichotomized)) for i in (1, 2)}
+    b = {i: g_monomial(i, dichotomized) for i in (1, 2)}
     terms = [
         (sign, tuple(b[i] for i in idx))
         for idx, sign in (((1, 1, 1), 1.0), ((1, 2, 2), -1.0), ((2, 1, 2), -1.0), ((2, 2, 1), -1.0))

@@ -275,13 +275,16 @@ def bghz_generator_state(
         ),
         shape=(dim, dim),
     )
-    generator = gamma * (raising - raising.T)
-    norm = float(abs(generator).sum(axis=0).max())
+    antisymmetric = raising - raising.T
+    # |gamma| times the 1-norm of R - R^T, so a gain that would overflow the
+    # generator's entries is refused before they are formed.
+    norm = abs(gamma) * float(abs(antisymmetric).sum(axis=0).max())
     if norm > GENERATOR_NORM_CAP:
         raise ValueError(
             f"gain {gamma} at cutoff {cutoff} gives a generator of 1-norm {norm:.6g}, "
             f"above the {GENERATOR_NORM_CAP:g} the sparse exponential takes"
         )
+    generator = gamma * antisymmetric
     vacuum = np.zeros(dim)
     vacuum[space.position(0, 0)] = 1.0
     reduced = scipy.sparse.linalg.expm_multiply(generator, vacuum)

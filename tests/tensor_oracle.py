@@ -3,12 +3,14 @@
 ``bnl`` evaluates every indicator with ``expectation_sums`` on per-beam
 monomials.  The helpers here build the same observables as explicit sparse
 operators on the joint space with ``tensor()``, so tests can compare the
-two evaluation paths.  ``stokes_operator`` builds the Stokes operators
-from the occupations of each basis ket, the oracle for the closed-form
-blocks of ``gpauli.stokes_block``.  ``verify_algebra`` runs the algebra
-suite on the sparse operators over the whole space, both constructions
-included, the oracle for ``gpauli.verify_algebra``, which evaluates it on
-two orbit blocks.
+two evaluation paths.  ``ComplexOperator`` has no algebra of its own, so
+products and sums are taken on the scipy matrices and wrapped again only
+to reach ``tensor`` or ``expectation``.  ``stokes_operator`` builds the
+Stokes operators from the occupations of each basis ket, the oracle for
+the closed-form blocks of ``gpauli.stokes_block``.  ``verify_algebra``
+runs the algebra suite on the sparse operators over the whole space, both
+constructions included, the oracle for ``gpauli.verify_algebra``, which
+evaluates it on two orbit blocks.
 """
 
 import itertools
@@ -55,11 +57,11 @@ def zero_operator(domain) -> ComplexOperator:
 
 def map_witness(spec, space: BeamSpace) -> ComplexOperator:
     """Boson image of the witness: sum_s w_s  g_{s_1} x ... x g_{s_n}."""
-    total = None
-    for key, weight in sorted(spec.coefficients.items()):
-        term = float(weight) * tensor([g_operator(s, space) for s in key])
-        total = term if total is None else total + term
-    return total.with_hermitian_flag()
+    total = sum(
+        float(weight) * tensor([g_operator(s, space) for s in key]).matrix
+        for key, weight in sorted(spec.coefficients.items())
+    )
+    return ComplexOperator((space,) * spec.n_parties, total.tocsr(), hermitian=True)
 
 
 def pm_cells(space: BeamSpace) -> dict:
@@ -69,8 +71,8 @@ def pm_cells(space: BeamSpace) -> dict:
 
 
 def pm_line_products(space: BeamSpace) -> dict:
-    """Each context's product of its three cells, keyed by line name."""
-    cells = pm_cells(space)
+    """Each context's product of its three cells as a sparse matrix, keyed by line name."""
+    cells = {key: cell.matrix for key, cell in pm_cells(space).items()}
     return {
         name: cells[line[0]] @ cells[line[1]] @ cells[line[2]] for name, line, _ in PM_LINES
     }
@@ -79,11 +81,8 @@ def pm_line_products(space: BeamSpace) -> dict:
 def pm_operator(space: BeamSpace) -> ComplexOperator:
     """The square expression: signed sum of the six line products."""
     products = pm_line_products(space)
-    total = None
-    for name, _, sign in PM_LINES:
-        term = products[name] if sign > 0 else -products[name]
-        total = term if total is None else total + term
-    return total.with_hermitian_flag()
+    total = sum(sign * products[name] for name, _, sign in PM_LINES)
+    return ComplexOperator((space, space), total.tocsr(), hermitian=True)
 
 
 def stokes_operator(index: int, space: BeamSpace) -> ComplexOperator:
@@ -118,15 +117,15 @@ def g_operator_compact(index: int, space: BeamSpace) -> ComplexOperator:
     """Alternative construction of g_index as (sr, pr)^dag sigma_index (sr, pr)."""
     if index not in (0, 1, 2, 3):
         raise ValueError(f"index must be one of 0..3, got {index}")
-    v = (sr_monomial().operator(space), pr_monomial().operator(space))
+    v = (sr_monomial().operator(space).matrix, pr_monomial().operator(space).matrix)
     sigma = PAULI[index]
-    terms = [
-        complex(sigma[k, l]) * (v[k].dagger() @ v[l])
+    matrix = sum(
+        complex(sigma[k, l]) * (v[k].conj().T @ v[l])
         for k in range(2)
         for l in range(2)
         if sigma[k, l] != 0
-    ]
-    return sum(terms[1:], terms[0]).with_hermitian_flag()
+    )
+    return ComplexOperator((space,), matrix.tocsr(), hermitian=True)
 
 
 def block_eigenvalues(op: ComplexOperator) -> np.ndarray:
@@ -171,7 +170,8 @@ def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraRep
     check_beam(space)
     direct = [g_operator(i, space) for i in range(4)]
     compact = [g_operator_compact(i, space) for i in range(4)]
-    g = direct if construction == "direct" else compact
+    chosen = direct if construction == "direct" else compact
+    g = [op.matrix for op in chosen]
     prod = {(i, j): g[i] @ g[j] for i, j in itertools.product(range(4), repeat=2)}
 
     pairs = list(itertools.product((1, 2, 3), repeat=2))
@@ -186,24 +186,24 @@ def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraRep
         else:
             anti = anti - 2.0 * g[0]
             product = prod[i, j] - g[0]
-        details[f"commutator_{i}{j}"] = comm.max_abs()
-        details[f"anticommutator_{i}{j}"] = anti.max_abs()
-        details[f"product_{i}{j}"] = product.max_abs()
+        details[f"commutator_{i}{j}"] = float(abs(comm).max())
+        details[f"anticommutator_{i}{j}"] = float(abs(anti).max())
+        details[f"product_{i}{j}"] = float(abs(product).max())
     max_comm, max_anti, max_prod = (
         max(details[f"{kind}_{i}{j}"] for i, j in pairs)
         for kind in ("commutator", "anticommutator", "product")
     )
 
     identity_residuals = {
-        "g2_equals_minus_i_g3_g1": (g[2] - (-1j) * prod[3, 1]).max_abs(),
+        "g2_equals_minus_i_g3_g1": float(abs(g[2] - (-1j) * prod[3, 1]).max()),
     }
     for i in range(4):
-        identity_residuals[f"g0_commutes_g{i}"] = (prod[0, i] - prod[i, 0]).max_abs()
-        identity_residuals[f"construction_cross_check_g{i}"] = (
-            direct[i] - compact[i]
-        ).max_abs()
+        identity_residuals[f"g0_commutes_g{i}"] = float(abs(prod[0, i] - prod[i, 0]).max())
+        identity_residuals[f"construction_cross_check_g{i}"] = float(
+            abs(direct[i].matrix - compact[i].matrix).max()
+        )
 
-    max_dev = max(spectrum_deviation(gi) for gi in g)
+    max_dev = max(spectrum_deviation(op) for op in chosen)
 
     return AlgebraReport(
         cutoff=space.cutoff,

@@ -9,11 +9,14 @@ against ``BNL_MAX_DIM`` before allocating, and the verdicts evaluate
 cutoff-free monomials at the stored coordinates alone, so the commands
 that build a state draw cutoffs up to 20,000, far across the default cap
 (``bsv`` and ``bghz-gen`` reach it at cutoff 140; ``bghz-gen`` also
-refuses, before its exponential, a gain whose generator norm would make
-that slow).  ``verify-algebra`` and ``counterexample`` solve every
-photon-number block of one beam, whose cost grows with the cutoff below
-the cap they check, so they draw from 0..40 and from the edge of that
-cap: at cutoff 139 (9,870 beam states) the algebra suite must pass and
+refuses, before it forms its generator, a gain whose generator norm would
+make the exponential slow or overflow, such as 1e308).  They also draw
+cutoff 100,000,000, whose three-beam joint space has more positions than
+int64 holds, as has the three-beam state file at cutoff 70,000; both
+must be refused with one ``bnl`` line, not an overflow traceback.
+``verify-algebra`` and ``counterexample`` solve every photon-number block
+of one beam, whose cost grows with the cutoff below the cap they check,
+so they draw from 0..40 and from the edge of that cap: at cutoff 139 (9,870 beam states) the algebra suite must pass and
 the counterexample's self-check hold, and cutoff 140 (10,011) must be
 refused with exit 1.  The input files include amplitudes and
 coefficients that are not finite or whose squared norm leaves the
@@ -35,17 +38,18 @@ from bnl import cli
 FIXTURES = Path(__file__).parent / "fixtures" / "cli"
 
 GAINS = st.one_of(
-    st.sampled_from(["nan", "inf", "-inf", "-0.5", "0", "1e3"]),
+    st.sampled_from(["nan", "inf", "-inf", "-0.5", "0", "1e3", "1e308"]),
     st.floats(-1.5, 1.5).map(repr),
 )
-STATE_CUTOFFS = st.integers(0, 20_000).map(str)
+STATE_CUTOFFS = st.one_of(st.integers(0, 20_000).map(str), st.just("100000000"))
 BLOCK_CUTOFFS = st.one_of(st.integers(0, 40).map(str), st.sampled_from(["139", "140"]))
 INPUT_FILES = st.sampled_from(
     [str(FIXTURES / name) for name in (
         "coeffs.csv", "coeffs3.csv", "singlet.csv", "ghz.csv", "diagonal.csv",
         "bad-coeffs.csv", "bad-state.csv", "missing.csv",
         "nan-state.csv", "inf-state.csv", "huge-state.csv", "tiny-state.csv",
-        "nan-coeffs.csv", "zero-coeffs.csv", "huge-coeffs.csv", "long-coeffs.csv",
+        "int64-state.csv", "nan-coeffs.csv", "zero-coeffs.csv", "huge-coeffs.csv",
+        "long-coeffs.csv",
     )] + [str(FIXTURES)]
 )
 FLAG = st.none()  # flags that take no value
@@ -109,7 +113,7 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz-out")
 
 
-# Runs that these input files once let through as a NaN row, NaN JSON or a traceback.
+# Runs that once let a NaN row, NaN JSON, a traceback or a warning through.
 BAD_INPUT_RUNS = [
     "contextuality state --state {fixtures}/nan-state.csv",
     "entanglement witness state --state {fixtures}/nan-state.csv",
@@ -119,6 +123,9 @@ BAD_INPUT_RUNS = [
     "bell bghz --coeffs {fixtures}/zero-coeffs.csv",
     "bell bghz --coeffs {fixtures}/long-coeffs.csv --cutoff 180",
     "entanglement witness bghz --coeffs {fixtures}/huge-coeffs.csv",
+    "bell bghz --coeffs {fixtures}/coeffs.csv --cutoff 100000000",
+    "bell state --state {fixtures}/int64-state.csv",
+    "entanglement witness bghz-gen --gamma 1e308 --cutoff 4",
 ]
 
 

@@ -12,12 +12,12 @@ from tensor_oracle import (
 )
 
 from bnl import gpauli
-from bnl.fock import Monomial, apply, basis_state, build_space, expectation
+from bnl.fock import Monomial, basis_state, build_space, expectation
 from bnl.gpauli import (
     ALGEBRA_ATOL,
     SPECTRUM_ATOL,
-    GLabel,
     diagonal_monomial,
+    g_monomial,
     g_operator,
     pauli_restriction,
     pr_monomial,
@@ -44,47 +44,37 @@ def test_g3_sign_structure():
     space = build_space(4)
     assert expectation(g_operator(3, space), basis_state(space, [(3, 1)])) == 1.0
     assert expectation(g_operator(3, space), basis_state(space, [(1, 3)])) == -1.0
-    out = apply(g_operator(3, space), basis_state(space, [(2, 2)]))
-    assert np.all(out.amplitudes == 0)
+    out = g_operator(3, space).matrix @ basis_state(space, [(2, 2)]).amplitudes
+    assert np.all(out == 0)
 
 
 def test_g2_action_and_identity():
     space = build_space(3)
-    g1, g2, g3 = (g_operator(i, space) for i in (1, 2, 3))
-    out = apply(g2, basis_state(space, [(1, 0)]))
+    g1, g2, g3 = (g_operator(i, space).matrix for i in (1, 2, 3))
+    out = g2 @ basis_state(space, [(1, 0)]).amplitudes
     expected = 1j * basis_state(space, [(0, 1)]).amplitudes
-    assert np.array_equal(out.amplitudes, expected)
-    assert (g2 - (-1j) * (g3 @ g1)).max_abs() == 0.0
+    assert np.array_equal(out, expected)
+    assert abs(g2 - (-1j) * (g3 @ g1)).max() == 0.0
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 4])
 @pytest.mark.parametrize("index", [0, 1, 2, 3])
 def test_compact_construction_matches_direct(cutoff, index):
     space = build_space(cutoff)
-    residual = (g_operator(index, space) - g_operator_compact(index, space)).max_abs()
+    residual = abs(g_operator(index, space).matrix - g_operator_compact(index, space).matrix).max()
     assert residual < 1e-14
 
 
 def test_sr_pr_building_blocks():
     space = build_space(2)
-    sr = sr_monomial().operator(space)
-    pr = pr_monomial().operator(space, hermitian=True)
+    sr = sr_monomial().operator(space).matrix
+    pr = pr_monomial().operator(space, hermitian=True).matrix
+    b_heavy, a_heavy = (basis_state(space, [occ]).amplitudes for occ in [(0, 2), (2, 0)])
     # sr maps |2,0> -> |0,2> and kills |0,2>; pr projects onto mode-b-heavy kets
-    assert np.allclose(
-        apply(sr, basis_state(space, [(2, 0)])).amplitudes,
-        basis_state(space, [(0, 2)]).amplitudes,
-    )
-    assert np.all(apply(sr, basis_state(space, [(0, 2)])).amplitudes == 0)
-    assert np.array_equal(
-        apply(pr, basis_state(space, [(0, 2)])).amplitudes,
-        basis_state(space, [(0, 2)]).amplitudes,
-    )
-    assert np.all(apply(pr, basis_state(space, [(2, 0)])).amplitudes == 0)
-    assert np.all(apply(pr, basis_state(space, [(2, 0)])).amplitudes == 0)
-    assert np.allclose(
-        apply(pr, basis_state(space, [(0, 2)])).amplitudes,
-        basis_state(space, [(0, 2)]).amplitudes,
-    )
+    assert np.allclose(sr @ a_heavy, b_heavy)
+    assert np.all(sr @ b_heavy == 0)
+    assert np.array_equal(pr @ b_heavy, b_heavy)
+    assert np.all(pr @ a_heavy == 0)
 
 
 @pytest.mark.parametrize("cutoff", [2, 4, 6])
@@ -205,53 +195,60 @@ def test_equal_occupations_are_null_vectors():
     for op_index in range(4):
         op = g_operator(op_index, space)
         for n in (0, 1, 2):
-            out = apply(op, basis_state(space, [(n, n)]))
-            assert np.all(out.amplitudes == 0)
+            out = op.matrix @ basis_state(space, [(n, n)]).amplitudes
+            assert np.all(out == 0)
 
 
 def test_g_minus_action():
     space = build_space(4)
-    gm3 = g_operator(GLabel(3, True), space)
-    out = apply(gm3, basis_state(space, [(2, 2)]))
-    assert np.array_equal(out.amplitudes, -basis_state(space, [(2, 2)]).amplitudes)
-    out = apply(gm3, basis_state(space, [(2, 1)]))
-    assert np.array_equal(out.amplitudes, basis_state(space, [(2, 1)]).amplitudes)
+    gm3 = g_operator(3, space, dichotomized=True).matrix
+    out = gm3 @ basis_state(space, [(2, 2)]).amplitudes
+    assert np.array_equal(out, -basis_state(space, [(2, 2)]).amplitudes)
+    out = gm3 @ basis_state(space, [(2, 1)]).amplitudes
+    assert np.array_equal(out, basis_state(space, [(2, 1)]).amplitudes)
 
 
 def test_g_minus_spectrum_is_dichotomic():
     space = build_space(3)
     assert space.dim == 10
     for index in (1, 2, 3):
-        op = g_operator(GLabel(index, True), space)
+        op = g_operator(index, space, dichotomized=True)
         eigenvalues = np.linalg.eigvalsh(op.matrix.toarray())
         assert np.allclose(np.abs(eigenvalues), 1.0, atol=1e-12)
         eigenvalues_blocked = block_eigenvalues(op)
         assert np.allclose(np.sort(eigenvalues), eigenvalues_blocked, atol=1e-12)
     for cutoff in range(9):
         for index in (1, 2, 3):
-            op = g_operator(GLabel(index, True), build_space(cutoff))
+            op = g_operator(index, build_space(cutoff), dichotomized=True)
             assert spectrum_deviation(op, targets=(-1.0, 1.0)) <= SPECTRUM_ATOL
 
 
 @pytest.mark.parametrize("index", [1, 2, 3])
 def test_g_minus_squares_to_identity(index):
     space = build_space(4)
-    op = g_operator(GLabel(index, True), space)
-    eye = diagonal_monomial().operator(space) + g_operator(0, space)
-    assert (op @ op - eye).max_abs() < 1e-12
+    op = g_operator(index, space, dichotomized=True).matrix
+    eye = diagonal_monomial().operator(space).matrix + g_operator(0, space).matrix
+    assert abs(op @ op - eye).max() < 1e-12
 
 
 def test_g_minus_rejects_index_zero():
-    with pytest.raises(ValueError):
-        GLabel(0, minus_variant=True)
-    assert GLabel(2, minus_variant=True).index == 2
+    with pytest.raises(ValueError, match="g0 has no dichotomized variant"):
+        g_monomial(0, dichotomized=True)
+    assert np.array_equal(g_monomial(2, dichotomized=True).phase, [-1, 1j, -1j])
 
 
-def test_glabel_selects_minus_variant():
+@pytest.mark.parametrize("index", [-1, 4])
+def test_g_monomial_rejects_unknown_index(index):
+    for dichotomized in (False, True):
+        with pytest.raises(ValueError, match=f"index must be one of 0..3, got {index}"):
+            g_monomial(index, dichotomized)
+
+
+def test_dichotomized_selects_minus_variant():
     space = build_space(2)
-    via_label = g_operator(GLabel(3, minus_variant=True), space)
-    projector = diagonal_monomial().operator(space)
-    assert (via_label - (g_operator(3, space) - projector)).max_abs() == 0.0
+    via_flag = g_operator(3, space, dichotomized=True).matrix
+    projector = diagonal_monomial().operator(space).matrix
+    assert abs(via_flag - (g_operator(3, space).matrix - projector)).max() == 0.0
 
 
 def test_stokes_s3_is_half_number_difference():
@@ -298,7 +295,7 @@ def test_stokes_block_rejects_unknown_index():
 
 def _monomials():
     singles = [gpauli.g_monomial(i) for i in range(4)]
-    singles += [gpauli.g_monomial(GLabel(i, True)) for i in (1, 2, 3)]
+    singles += [gpauli.g_monomial(i, dichotomized=True) for i in (1, 2, 3)]
     singles += [sr_monomial(), pr_monomial(), diagonal_monomial()]
     singles += [m.dagger() for m in singles]
     return singles + [m @ n for m in singles for n in singles]

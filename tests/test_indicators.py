@@ -117,8 +117,9 @@ class TestPeresMerminSquare:
         cells = pm_cells(build_space(3))
         for _, line, _ in PM_LINES:
             for a, b in itertools.combinations(line, 2):
-                comm = cells[a] @ cells[b] - cells[b] @ cells[a]
-                assert comm.max_abs() < 1e-12
+                a_matrix, b_matrix = cells[a].matrix, cells[b].matrix
+                comm = a_matrix @ b_matrix - b_matrix @ a_matrix
+                assert abs(comm).max() < 1e-12
 
     def test_commutation_guard_rejects_a_mislabelled_cell(self, monkeypatch):
         labels = dict(PM_CELL_LABELS)
@@ -136,11 +137,11 @@ class TestPeresMerminSquare:
     def test_five_plus_lines_one_minus_line(self):
         space = build_space(3)
         products = pm_line_products(space)
-        joint_projector = tensor([g_operator(0, space)] * 2)
+        joint_projector = tensor([g_operator(0, space)] * 2).matrix
         for name, _, sign in PM_LINES:
             product = products[name]
             target = sign * joint_projector
-            assert (product - target).max_abs() < 1e-12
+            assert abs(product - target).max() < 1e-12
         signs = [sign for _, _, sign in PM_LINES]
         assert sorted(signs) == [-1, 1, 1, 1, 1, 1]
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnl.fock import (
+    ComplexOperator,
     DomainMismatchError,
     HermitianViolationError,
     Monomial,
@@ -24,12 +25,12 @@ from bnl.fock import (
     merge_terms,
     tensor,
 )
-from bnl.gpauli import GLabel, diagonal_monomial, g_monomial, pr_monomial, sr_monomial
+from bnl.gpauli import diagonal_monomial, g_monomial, pr_monomial, sr_monomial
 
 # name -> monomial; the oracle takes each one's sparse form on a space.
 FACTORS = {
     **{f"g{i}": g_monomial(i) for i in range(4)},
-    **{f"g{i}-": g_monomial(GLabel(i, True)) for i in (1, 2, 3)},
+    **{f"g{i}-": g_monomial(i, dichotomized=True) for i in (1, 2, 3)},
     "sr": sr_monomial(),
     "pr": pr_monomial(),
     "diagonal": diagonal_monomial(),
@@ -46,13 +47,16 @@ def random_state(cutoffs, seed):
 
 def chain(space, links, monomial):
     """Product of the named factors (optionally adjoint), left to right, as a
-    monomial or, multiplied as sparse operators on ``space``, as the oracle."""
+    monomial or, multiplied as sparse matrices on ``space``, as the oracle."""
     result = None
     for name, adjoint in links:
-        factor = FACTORS[name] if monomial else FACTORS[name].operator(space)
-        factor = factor.dagger() if adjoint else factor
+        if monomial:
+            factor = FACTORS[name].dagger() if adjoint else FACTORS[name]
+        else:
+            matrix = FACTORS[name].operator(space).matrix
+            factor = matrix.conj().T if adjoint else matrix
         result = factor if result is None else result @ factor
-    return result
+    return result if monomial else ComplexOperator((space,), result.tocsr())
 
 
 links = st.lists(st.tuples(st.sampled_from(sorted(FACTORS)), st.booleans()), min_size=1, max_size=3)
@@ -75,12 +79,12 @@ def test_kernel_matches_tensor_oracle(cutoffs, seed, data):
         (w, tuple(chain(space, per_beam, True) for space, per_beam in zip(state.domain, beams)))
         for w, beams in spec
     ]
-    oracle = None
-    for w, beams in spec:
-        term = w * tensor([chain(space, per_beam, False) for space, per_beam in zip(state.domain, beams)])
-        oracle = term if oracle is None else oracle + term
+    oracle = sum(
+        w * tensor([chain(space, per_beam, False) for space, per_beam in zip(state.domain, beams)]).matrix
+        for w, beams in spec
+    )
     [value] = expectation_sums([terms], state)
-    assert abs(value - expectation(oracle, state)) <= 1e-12
+    assert abs(value - expectation(ComplexOperator(state.domain, oracle), state)) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -112,12 +116,12 @@ def test_support_kernel_matches_tensor_oracle(cutoffs, density, n_terms, seed):
         (complex(*rng.standard_normal(2)), tuple(random_monomial() for _ in domain))
         for _ in range(n_terms)
     ]
-    oracle = None
-    for w, factors in terms:
-        term = w * tensor([factor.operator(space) for factor, space in zip(factors, domain)])
-        oracle = term if oracle is None else oracle + term
+    oracle = sum(
+        w * tensor([factor.operator(space) for factor, space in zip(factors, domain)]).matrix
+        for w, factors in terms
+    )
     [value] = expectation_sums([terms], state)
-    assert abs(value - expectation(oracle, state)) <= 1e-12
+    assert abs(value - expectation(ComplexOperator(domain, oracle), state)) <= 1e-12
 
 
 def test_proportional_terms_merge():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bnl.fock import (
     MultiBeamState,
-    apply,
     basis_state,
     build_space,
     expectation,
@@ -249,8 +248,8 @@ class TestPsiNm:
         state = psi_nm_state(2, 1)
         space = state.domain[0]
         op = tensor([g_operator(1, space)] * 3)
-        out = apply(op, state)
-        assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-14)
+        out = op.matrix @ state.amplitudes
+        assert np.allclose(out, state.amplitudes, atol=1e-14)
         assert expectation(op, state) == pytest.approx(1.0, abs=1e-13)
 
     def test_double_sign_mechanism(self):
@@ -398,6 +397,11 @@ class TestGeneratorState:
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="gives a generator of 1-norm 5001, above the 5000"):
             bghz_generator_state(-(GENERATOR_NORM_CAP + 1) / 2, 1)
+        # A gain whose generator entries overflow is refused by the cap alone,
+        # with no overflow RuntimeWarning (an error under this suite).
+        for gamma in (1e308, -1e308):
+            with pytest.raises(ValueError, match="gives a generator of 1-norm inf, above the 5000"):
+                bghz_generator_state(gamma, 4)
 
     def test_dimension_cap_from_environment(self, monkeypatch):
         # Cutoff 8 has reduced dimension 45.
