@@ -88,6 +88,9 @@ class SweepSpec:
             raise ValueError("gamma-min and gamma-max must be finite")
         if self.gamma_min > self.gamma_max:
             raise ValueError("gamma-min must not exceed gamma-max")
+        if not math.isfinite(self.gamma_max - self.gamma_min):
+            # np.linspace would warn on the overflowing span and grid NaN gains.
+            raise ValueError("gamma-max - gamma-min overflows a double")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         cap = amplitude_cap()
@@ -349,6 +352,8 @@ def _cmd_entanglement(args) -> int:
             )
         return EXIT_OK
 
+    if args.format == "csv":
+        raise _UsageError("--csv applies only to the bghz-gen witness sweep")
     state, meta = _source_state(args)
 
     if args.subcommand == "witness":

@@ -21,8 +21,10 @@ basis, is formed.  The sparse ``ComplexOperator`` is kept only as the
 independent construction the acceptance suite compares that kernel
 against: ``Monomial.operator`` and ``tensor`` build it, ``expectation``
 evaluates it on a state's dense amplitudes, and it has no algebra of its
-own.  All containers are immutable after construction, so evaluation is
-safe to run concurrently over independent states and operators.
+own.  ``expi_tridiagonal`` exponentiates the tridiagonal Hermitian
+generators of the mode rotations and of the triple-emission ladder.  All
+containers are immutable after construction, so evaluation is safe to run
+concurrently over independent states and operators.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 # scipy loads its submodules on first use, so a command that builds no sparse
-# matrix, as no verdict does, never loads scipy.sparse (~20 MiB resident).
+# matrix, as no command does, never loads scipy.sparse (~20 MiB resident).
 import scipy
 
 # Entrywise tolerance for verifying a declared Hermitian flag.
@@ -158,6 +160,19 @@ def check_beam(space: BeamSpace) -> None:
             f"cutoff {space.cutoff} gives a beam dimension of {space.dim}, "
             f"above the {MAX_DIM_ENV} cap {cap}"
         )
+
+
+def expi_tridiagonal(diagonal, magnitudes, coupling: complex) -> np.ndarray:
+    """exp(iH), H Hermitian tridiagonal: real ``diagonal``, H[k, k+1] = coupling * magnitudes[k].
+
+    With coupling = |c| e^{i phi}, H = D R D^dag for D = diag(e^{-i k phi}) and the real
+    symmetric R with off-diagonal |c| magnitudes, so exp(iH) = V exp(i Lambda) V^dag with
+    V = D W from one ``eigh_tridiagonal`` of R, unitary to rounding however large Lambda is.
+    """
+    k = np.arange(len(diagonal))
+    lam, w = scipy.linalg.eigh_tridiagonal(diagonal, abs(coupling) * magnitudes)
+    v = np.exp(-1j * np.angle(coupling) * k)[:, None] * w
+    return (v * np.exp(1j * lam)) @ v.conj().T
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,12 +5,12 @@ unitary on the Fock sector that conserves total photon number, so the
 lift is computed one block T = n_a + n_b at a time.  Write u = exp(iX)
 with X Hermitian, read off a complex Schur form of u.  On the kets
 |T-k, k> the operator N_X = sum X_lk a_l^dag a_k is tridiagonal and
-Hermitian, and block T of the lift is exp(i N_X) = V exp(i Lambda) V^dag
-from one ``eigh``, unitary to rounding at every T.  A number-conserving
-operator is given by its dense photon-number blocks O_T, read in closed
-form from ``Monomial.block`` and ``stokes_block``, and is rotated block
-by block as U_T^dag O_T U_T, so no sector-wide operator, lift or product
-is formed.
+Hermitian, and block T of the lift is exp(i N_X) from one tridiagonal
+eigendecomposition (``fock.expi_tridiagonal``), unitary to rounding at
+every T.  A number-conserving operator is given by its dense
+photon-number blocks O_T, read in closed form from ``Monomial.block`` and
+``stokes_block``, and is rotated block by block as U_T^dag O_T U_T, so no
+sector-wide operator, lift or product is formed.
 
 The point demonstrated by ``counterexample_report``: the Stokes
 operators transform covariantly under such rotations, whereas the
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .fock import build_space, check_beam
+from .fock import build_space, check_beam, expi_tridiagonal
 from .gpauli import g_monomial, stokes_block
 
 UNITARY_ATOL = 1e-12
@@ -81,14 +81,9 @@ def lift_blocks(u: ModeUnitary, cutoff: int) -> list[np.ndarray]:
     blocks = []
     for total in range(cutoff + 1):
         k = np.arange(total + 1)
-        # a^dag b sends |T-k,k> to |T-k+1,k-1> with factor sqrt(k (T-k+1)), so with
-        # x_ab = |x_ab| e^{i phi} and D = diag(e^{-i k phi}), N_X = D R D^dag with R real.
-        lam, w = scipy.linalg.eigh_tridiagonal(
-            x[0, 0].real * (total - k) + x[1, 1].real * k,
-            abs(x[0, 1]) * np.sqrt(k[1:] * (total - k[:-1])),
-        )
-        v = np.exp(-1j * np.angle(x[0, 1]) * k)[:, None] * w
-        blocks.append((v * np.exp(1j * lam)) @ v.conj().T)
+        # a^dag b sends |T-k,k> to |T-k+1,k-1> with factor sqrt(k (T-k+1)).
+        diagonal = x[0, 0].real * (total - k) + x[1, 1].real * k
+        blocks.append(expi_tridiagonal(diagonal, np.sqrt(k[1:] * (total - k[:-1])), x[0, 1]))
     return blocks
 
 

@@ -5,7 +5,9 @@ Truncation policy: states with analytically infinite support (the two-beam
 squeezed vacuum) carry an explicit ``norm_deficit`` equal to the analytic
 tail mass beyond the cutoff, instead of being renormalized.  Downstream
 verdicts widen their tolerance by that deficit, which keeps truncation
-error accounting honest.
+error accounting honest.  The triple-emission generator state has no
+untruncated limit to measure a deficit against, so it carries none and
+its output is labelled non-authoritative.
 """
 
 from __future__ import annotations
@@ -17,22 +19,18 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-import scipy
 
 from .fock import (
     MultiBeamState,
     build_space,
     check_stored,
+    expi_tridiagonal,
     joint_index,
     occupations,
     product_state,
 )
 
 QUBIT_NORM_ATOL = 1e-10
-# Largest 1-norm of the scaled reduced generator that bghz_generator_state
-# exponentiates: the sparse exponential takes a number of products
-# proportional to it, about 0.1-0.3 ms per unit (up to ~1.5 s at this cap).
-GENERATOR_NORM_CAP = 5000.0
 
 
 class CoefficientFileError(ValueError):
@@ -239,59 +237,43 @@ def random_separable(seed: int, n_beams: int, cutoff: int, degree: int) -> Multi
     return product_state(beams)
 
 
-def bghz_generator_state(
-    gamma: float,
-    cutoff: int,
-    relative_sign: float = 1.0,
-) -> MultiBeamState:
-    """Non-authoritative stand-in: exp(gamma (T_a + s T_b - h.c.)) |vacuum>.
+def bghz_generator_state(gamma: float, cutoff: int) -> MultiBeamState:
+    """Non-authoritative stand-in: exp(gamma (T_a + T_b - h.c.)) |vacuum>.
 
     T_a and T_b raise all three a modes (resp. b modes) together, so the
-    propagator never leaves the span of |p,m; p,m; p,m> kets.  The
-    exponential is applied to the vacuum on that reduced subspace, with a
-    sparse generator, and equals the full-space truncated exponential
-    restricted to it.  The result depends on where the sector is cut, so
-    it is truncation-sensitive; use it for qualitative curves only.
-    ``relative_sign`` sets the sign s of the b-triple term.  The reduced
-    dimension, which is also the number of stored amplitudes, is capped by
-    the ``BNL_MAX_DIM`` environment variable, and the generator's 1-norm,
-    which sets the cost of the exponential, by GENERATOR_NORM_CAP.
+    propagator never leaves the span of |p,m; p,m; p,m> kets.  They act on
+    disjoint modes and commute, so that ket's amplitude is v_p v_m, with
+    v = exp(gamma (R - R^T)) e_0 on one ladder, R[p+1, p] = (p+1)^1.5.  The
+    ladder exponential is exp(iH) for the tridiagonal H = -i gamma (R - R^T),
+    from one eigendecomposition.  Each ladder is cut at n = cutoff // 2
+    triples, so every ket lies in the cutoff space: an odd cutoff gives the
+    state of the even cutoff below it, and cutoffs 0 and 1 give the vacuum
+    at every gain.  The triple-emission exponential has no convergent
+    untruncated limit, so the result depends on n; use it for qualitative
+    curves only.  The (n+1)^2 stored amplitudes are capped by the
+    ``BNL_MAX_DIM`` environment variable.  Every eigenvalue of H is at most
+    2 |gamma| n^1.5 in modulus (Gershgorin), so a gain for which that bound
+    overflows a double is refused before any entry is formed.
     """
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    if relative_sign not in (1.0, -1.0):
-        raise ValueError("relative_sign must be +1 or -1")
     space = build_space(cutoff)
-    dim = space.dim
-    check_stored(dim)
-    col = np.arange(space.block_indices(cutoff).start)  # every ket below the top block
-    p, m = occupations(col)
-    # |p+1, m> opens the next block at position m, and |p, m+1> sits one past it.
-    row = (p + m + 1) * (p + m + 2) // 2 + m
-    raising = scipy.sparse.csr_matrix(
-        (
-            np.concatenate([(p + 1) ** 1.5, relative_sign * (m + 1) ** 1.5]),
-            (np.concatenate([row, row + 1]), np.concatenate([col, col])),
-        ),
-        shape=(dim, dim),
-    )
-    antisymmetric = raising - raising.T
-    # |gamma| times the 1-norm of R - R^T, so a gain that would overflow the
-    # generator's entries is refused before they are formed.
-    norm = abs(gamma) * float(abs(antisymmetric).sum(axis=0).max())
-    if norm > GENERATOR_NORM_CAP:
+    n = cutoff // 2
+    check_stored((n + 1) ** 2)
+    if not math.isfinite(abs(float(gamma)) * (2 * n**1.5)):
         raise ValueError(
-            f"gain {gamma} at cutoff {cutoff} gives a generator of 1-norm {norm:.6g}, "
-            f"above the {GENERATOR_NORM_CAP:g} the sparse exponential takes"
+            f"gain {gamma} at cutoff {cutoff} is refused: the ladder eigenvalue bound "
+            f"2 |gamma| n^1.5 with n = {n} overflows a double"
         )
-    generator = gamma * antisymmetric
-    vacuum = np.zeros(dim)
-    vacuum[space.position(0, 0)] = 1.0
-    reduced = scipy.sparse.linalg.expm_multiply(generator, vacuum)
-    reduced = reduced / np.linalg.norm(reduced)
-    # Reduced entry i sits on |p,m; p,m; p,m> with i the position of |p,m>.
-    i = np.arange(dim)
-    return MultiBeamState.from_support((space,) * 3, (i * dim + i) * dim + i, reduced)
+    p = np.arange(n + 1)
+    ladder = expi_tridiagonal(np.zeros(n + 1), p[1:] ** 1.5, 1j * gamma)[:, 0]
+    # |p,m> sits at T(T+1)/2 + m with T = p + m.
+    total = p[:, None] + p
+    i = (total * (total + 1) // 2 + p).ravel()
+    dim = space.dim
+    return MultiBeamState.from_support(
+        (space,) * 3, (i * dim + i) * dim + i, np.outer(ladder, ladder).ravel()
+    )
 
 
 def load_bghz_coefficients(path) -> BghzCoefficients:

@@ -51,8 +51,11 @@ def test_bsv_without_gamma_is_usage_error(capsys):
         "entanglement witness separable --degree 9 --cutoff 2",
         "bell bghz-gen --gamma nan --cutoff 3",
         "entanglement witness bghz-gen --gamma nan --cutoff 3",
-        "bell bghz-gen --gamma 1e3 --cutoff 8",
+        "bell bghz-gen --gamma 1e308 --cutoff 8",
         "entanglement witness bghz-gen --gamma-min 0 --gamma-max inf --steps 2 --cutoff 3",
+        # Finite ends whose span overflows, refused before np.linspace warns.
+        "entanglement witness bghz-gen --gamma-min=-1e308 --gamma-max=1e308 --steps 3 --cutoff 4",
+        "contextuality bsv --gamma-min=-1e308 --gamma-max=1e308 --steps 3 --cutoff 4",
         "verify-algebra --cutoff -1",
         "counterexample --cutoff 1",
         "verify-algebra --cutoff 3000000",
@@ -104,6 +107,8 @@ def traced_peak(capsys, *argv) -> tuple[int, int]:
         ("bell bghz --coeffs {fixtures}/coeffs3.csv --cutoff 3", 8),
         # One amplitude per line.
         ("contextuality state --state {fixtures}/singlet.csv", 2),
+        # Two ladders of 9 // 2 = 4 triples: 5^2.
+        ("bell bghz-gen --gamma 0.3 --cutoff 9", 25),
     ],
 )
 def test_stored_amplitude_cap(capsys, monkeypatch, argv, count):
@@ -137,7 +142,7 @@ def test_beam_dimension_cap(capsys, monkeypatch, command):
         "contextuality bsv --gamma 0.5 --cutoff 2000",
         # 496 amplitudes per beam, 496^3 for three beams.
         "entanglement witness separable --witness ghz3 --degree 30 --cutoff 40",
-        # A 2,003,001-dim reduced generator.
+        # Two ladders of 1,000 triples: 1,002,001 amplitudes.
         "bell bghz-gen --gamma 0.3 --cutoff 2000",
     ],
 )
@@ -170,7 +175,8 @@ def test_separable_state_at_high_cutoff_stores_only_its_support(capsys, tmp_path
 
 
 def test_generator_state_at_cutoff_60_stays_small(capsys):
-    # A dense exponential of the 1,891-dim reduced generator peaked at 273 MiB.
+    # Two ladders of 30 triples store 961 amplitudes.  A dense exponential of the
+    # 1,891-dim generator on the cutoff-60 triangle once peaked at 273 MiB.
     code, peak = traced_peak(capsys, "bell", "bghz-gen", "--gamma", "0.3", "--cutoff", "60")
     assert code == 0
     assert peak < 5 * 2**20
@@ -186,16 +192,19 @@ def test_squeezed_vacuum_at_cutoff_120_stays_small(capsys):
 
 
 def test_verdicts_never_load_scipy_sparse():
-    # Only bghz-gen builds a sparse matrix; counterexample and verify-algebra
-    # read closed-form photon-number blocks.  Loading scipy.sparse adds
-    # ~20 MiB to the resident set of any command.  scipy itself is loaded on
-    # import, and the benchmark reads its version from sys.modules.
+    # No command builds a sparse matrix: counterexample and verify-algebra
+    # read closed-form photon-number blocks, and bghz-gen exponentiates two
+    # tridiagonal ladders.  Loading scipy.sparse adds ~20 MiB to the resident
+    # set of any command.  scipy itself is loaded on import, and the
+    # benchmark reads its version from sys.modules.
     script = (
         "import sys\nfrom bnl import cli\n"
         "print('scipy' in sys.modules)\n"
         "for argv in ('contextuality bsv --gamma 0.9', 'entanglement gram separable',\n"
         "             'entanglement ns-family bsv --gamma 0.5', 'bell qubit --ghz',\n"
-        "             'counterexample --cutoff 40', 'verify-algebra --cutoff 20'):\n"
+        "             'counterexample --cutoff 40', 'verify-algebra --cutoff 20',\n"
+        "             'bell bghz-gen --gamma 0.3',\n"
+        "             'entanglement witness bghz-gen --gamma-min 0.05 --gamma-max 0.45 --steps 9'):\n"
         "    assert cli.main(argv.split()) == 0\n"
         "print('scipy.sparse' in sys.modules)\n"
     )

@@ -8,9 +8,12 @@ States store only their support, each source checks its amplitude count
 against ``BNL_MAX_DIM`` before allocating, and the verdicts evaluate
 cutoff-free monomials at the stored coordinates alone, so the commands
 that build a state draw cutoffs up to 20,000, far across the default cap
-(``bsv`` and ``bghz-gen`` reach it at cutoff 140; ``bghz-gen`` also
-refuses, before it forms its generator, a gain whose generator norm would
-make the exponential slow or overflow, such as 1e308).  They also draw
+(``bsv`` reaches it at cutoff 140, and ``bghz-gen``, whose two ladders
+hold cutoff // 2 triples each, at cutoff 200; ``bghz-gen`` also refuses,
+before it forms a ladder, a gain whose bound on the ladder eigenvalues
+overflows a double, such as 1e308).  The gain flags are passed as
+``--gamma=VALUE``, so that argparse does not read a negative value in
+scientific notation, such as -1e308, as a flag.  They also draw
 cutoff 100,000,000, whose three-beam joint space has more positions than
 int64 holds, as has the three-beam state file at cutoff 70,000; both
 must be refused with one ``bnl`` line, not an overflow traceback.
@@ -38,7 +41,7 @@ from bnl import cli
 FIXTURES = Path(__file__).parent / "fixtures" / "cli"
 
 GAINS = st.one_of(
-    st.sampled_from(["nan", "inf", "-inf", "-0.5", "0", "1e3", "1e308"]),
+    st.sampled_from(["nan", "inf", "-inf", "-0.5", "0", "1e3", "-1e3", "1e308", "-1e308"]),
     st.floats(-1.5, 1.5).map(repr),
 )
 STATE_CUTOFFS = st.one_of(st.integers(0, 20_000).map(str), st.just("100000000"))
@@ -104,7 +107,12 @@ def argvs(draw):
     argv += ["--cutoff", draw(BLOCK_CUTOFFS if block_command else STATE_CUTOFFS)]
     for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=5)):
         value = draw(VALUES[flag])
-        argv += [flag] if value is None else [flag, value]
+        if value is None:
+            argv.append(flag)
+        elif VALUES[flag] is GAINS:
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
     return argv
 
 
@@ -126,6 +134,7 @@ BAD_INPUT_RUNS = [
     "bell bghz --coeffs {fixtures}/coeffs.csv --cutoff 100000000",
     "bell state --state {fixtures}/int64-state.csv",
     "entanglement witness bghz-gen --gamma 1e308 --cutoff 4",
+    "entanglement witness bghz-gen --gamma-min=-1e308 --gamma-max=1e308 --steps 3 --cutoff 4",
 ]
 
 

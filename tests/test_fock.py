@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tensor_oracle import identity_operator, zero_operator
@@ -16,6 +17,7 @@ from bnl.fock import (
     basis_state,
     build_space,
     expectation,
+    expi_tridiagonal,
     joint_index,
     occupations,
     product_state,
@@ -262,3 +264,15 @@ def test_joint_space_beyond_int64_positions_is_refused():
     # 4,504,501 kets per beam; three beams have more than 2^63 joint positions.
     with pytest.raises(ValueError, match="int64"):
         basis_state((build_space(3000),) * 3, [(0, 0)] * 3)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 12])
+def test_expi_tridiagonal_matches_dense_exponential(size):
+    rng = np.random.default_rng(size)
+    diagonal = rng.standard_normal(size)
+    magnitudes = rng.uniform(0.0, 2.0, size - 1)
+    for coupling in (0.0, 0.7, -1.3, 0.4j, 0.6 - 0.8j):
+        h = np.diag(diagonal).astype(complex)
+        h += np.diag(coupling * magnitudes, 1) + np.diag(np.conj(coupling) * magnitudes, -1)
+        want = scipy.linalg.expm(1j * h)
+        assert np.abs(expi_tridiagonal(diagonal, magnitudes, coupling) - want).max() < 1e-13

@@ -1,11 +1,12 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bnl.fock import (
@@ -20,7 +21,6 @@ from bnl.fock import (
 from bnl.gpauli import g_operator
 from bnl.states import (
     BELL_STATES,
-    GENERATOR_NORM_CAP,
     GHZ3,
     BghzCoefficients,
     BsvParams,
@@ -343,6 +343,9 @@ class TestRandomSeparable:
         assert joint_value == pytest.approx(split, abs=1e-12)
 
 
+LOG10_TOP_GAIN = math.log10(1.7e308)
+
+
 class TestGeneratorState:
     def test_zero_gain_is_vacuum(self):
         state = bghz_generator_state(0.0, 4)
@@ -369,45 +372,66 @@ class TestGeneratorState:
             dn = state.amplitudes[(i_dn * dim + i_dn) * dim + i_dn]
             assert up == pytest.approx(dn, abs=1e-10)
 
-    def test_relative_sign_variant_is_normalized(self):
-        state = bghz_generator_state(0.4, 6, relative_sign=-1.0)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("relative_sign", [1.0, -1.0])
-    def test_matches_dense_exponential_of_the_reduced_generator(self, relative_sign):
+    def test_matches_dense_exponential_of_the_reduced_generator(self):
         for cutoff in range(13):
+            # The two-ladder generator on the square of n = cutoff // 2 triples per ladder.
+            n = cutoff // 2
+            square = list(itertools.product(range(n + 1), repeat=2))
+            where = {pm: k for k, pm in enumerate(square)}
+            raising = np.zeros((len(square), len(square)))
+            for col, (p, m) in enumerate(square):
+                if p < n:
+                    raising[where[p + 1, m], col] += (p + 1) ** 1.5
+                if m < n:
+                    raising[where[p, m + 1], col] += (m + 1) ** 1.5
             space = build_space(cutoff)
-            raising = np.zeros((space.dim, space.dim))
-            basis = zip(*(n.tolist() for n in occupations(np.arange(space.dim))))
-            for col, (p, m) in enumerate(basis):
-                if p + m < cutoff:
-                    raising[space.position(p + 1, m), col] += (p + 1) ** 1.5
-                    raising[space.position(p, m + 1), col] += relative_sign * (m + 1) ** 1.5
+            i = np.array([space.position(p, m) for p, m in square])
+            kets = (i * space.dim + i) * space.dim + i
             for gamma in (0.0, 0.05, 0.3, -0.45, 1.0):
-                want = scipy.linalg.expm(gamma * (raising - raising.T))[:, space.position(0, 0)]
-                state = bghz_generator_state(gamma, cutoff, relative_sign)
-                i = np.arange(space.dim)
-                assert np.array_equal(state.index, (i * space.dim + i) * space.dim + i)
-                assert np.abs(state.values - want / np.linalg.norm(want)).max() < 1e-13
+                want = scipy.linalg.expm(gamma * (raising - raising.T))[:, where[0, 0]]
+                state = bghz_generator_state(gamma, cutoff)
+                assert np.array_equal(state.index, np.sort(kets))
+                assert np.abs(state.lookup(kets) - want).max() < 1e-13
 
-    def test_generator_norm_cap(self):
-        # At cutoff 1 the reduced generator's 1-norm is 2|gamma|: the vacuum
-        # column holds gamma and s * gamma.
-        state = bghz_generator_state(GENERATOR_NORM_CAP / 2, 1)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError, match="gives a generator of 1-norm 5001, above the 5000"):
-            bghz_generator_state(-(GENERATOR_NORM_CAP + 1) / 2, 1)
-        # A gain whose generator entries overflow is refused by the cap alone,
-        # with no overflow RuntimeWarning (an error under this suite).
-        for gamma in (1e308, -1e308):
-            with pytest.raises(ValueError, match="gives a generator of 1-norm inf, above the 5000"):
-                bghz_generator_state(gamma, 4)
+    def test_overflowing_gain_is_refused(self):
+        # At cutoff 8 each ladder holds n = 4 triples, and 2 |gamma| 4^1.5 = 16 |gamma|
+        # bounds the generator's eigenvalues.  A check on the largest entry alone,
+        # 8 |gamma|, passes 2e307, whose eigenvalues then overflow.
+        assert bghz_generator_state(1e307, 8).norm() == pytest.approx(1.0, abs=1e-12)
+        for gamma in (2e307, -2e307, 1e308, -1e308):
+            with pytest.raises(
+                ValueError, match=r"ladder eigenvalue bound 2 \|gamma\| n\^1.5 with n = 4 overflows"
+            ):
+                bghz_generator_state(gamma, 8)
+        # Cutoffs 0 and 1 hold no triple, so every finite gain gives the vacuum.
+        for cutoff in (0, 1):
+            assert bghz_generator_state(-1.7e308, cutoff).values.tolist() == [1]
+
+    # Half the draws fall in the top four decades, where the eigenvalues of a
+    # ladder of up to 99 triples can overflow although its entries do not.
+    @settings(deadline=None)
+    @given(
+        exponent=st.one_of(st.floats(-12, LOG10_TOP_GAIN), st.floats(LOG10_TOP_GAIN - 4, LOG10_TOP_GAIN)),
+        sign=st.sampled_from([1.0, -1.0]),
+        cutoff=st.integers(0, 199),
+    )
+    @example(exponent=LOG10_TOP_GAIN, sign=-1.0, cutoff=199)
+    @example(exponent=math.log10(1.5e305), sign=1.0, cutoff=199)
+    def test_any_gain_gives_a_normalized_state_or_a_refusal(self, exponent, sign, cutoff):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                state = bghz_generator_state(sign * 10.0**exponent, cutoff)
+            except ValueError as exc:
+                assert "overflows a double" in str(exc)
+                return
+        assert abs(state.norm() - 1.0) < 1e-12
 
     def test_dimension_cap_from_environment(self, monkeypatch):
-        # Cutoff 8 has reduced dimension 45.
+        # Cutoff 8 has 4 triples per ladder, so 5^2 = 25 amplitudes.
         cases = [
-            ("5", "state needs 45 stored amplitudes, above the BNL_MAX_DIM cap 5"),
-            ("10", "state needs 45 stored amplitudes, above the BNL_MAX_DIM cap 10"),
+            ("5", "state needs 25 stored amplitudes, above the BNL_MAX_DIM cap 5"),
+            ("10", "state needs 25 stored amplitudes, above the BNL_MAX_DIM cap 10"),
             ("abc", "BNL_MAX_DIM must be an integer, got 'abc'"),
             ("1e4", "BNL_MAX_DIM must be an integer, got '1e4'"),
             ("", "BNL_MAX_DIM must be an integer, got ''"),
