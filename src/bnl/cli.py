@@ -4,6 +4,8 @@ Commands emit CSV for sweep curves and JSON for structured verdicts; no
 plotting happens in-process.  Output is byte-stable for fixed flags, seed
 and BLAS thread count.  Exit codes: 0 success, 1 usage error or unwritable
 --out, 2 verification failure, 3 parse error or unreadable input file.
+This module parses no file: ``bnl.states`` reads both input formats, and
+its ``InputFileError`` is the one error reported as a parse error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import indicators, states
 from .fock import (
-    MAX_DIM_ENV, MultiBeamState, amplitude_cap, basis_state, build_space, check_stored, joint_index,
+    MAX_DIM_ENV, MultiBeamState, amplitude_cap, basis_state, build_space,
 )
 from .gpauli import verify_algebra
 from .indicators import (
@@ -33,15 +35,15 @@ from .indicators import (
 from .modes import SELF_CHECK_ATOL, counterexample_report
 from .states import (
     BsvParams,
-    CoefficientFileError,
+    InputFileError,
     bghz_generator_state,
     bghz_state,
     bsv_state,
     load_bghz_coefficients,
+    load_state_file,
     open_text,
     qubit_embed,
     random_separable,
-    squared_norm_flow,
 )
 
 EXIT_OK = 0
@@ -63,10 +65,6 @@ WITNESSES: dict[str, WitnessSpec] = {
 }
 
 
-class StateFileError(ValueError):
-    """Malformed amplitude file; the message names the offending line."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1 on usage errors
         self.print_usage(sys.stderr)
@@ -81,7 +79,6 @@ class SweepSpec:
     gamma_min: float
     gamma_max: float
     steps: int
-    cutoff: int
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma_min) and math.isfinite(self.gamma_max)):
@@ -97,86 +94,9 @@ class SweepSpec:
         if self.steps > cap:
             # Refused before np.linspace allocates the grid.
             raise ValueError(f"steps {self.steps} is above the {MAX_DIM_ENV} cap {cap}")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
 
     def grid(self) -> list[float]:
         return [float(g) for g in np.linspace(self.gamma_min, self.gamma_max, self.steps)]
-
-
-def load_state_file(path) -> MultiBeamState:
-    """Parse amplitude lines `n_a1,n_b1,n_a2,n_b2[,n_a3,n_b3],real,imag`.
-
-    The state is normalized on load; a deficit above 1e-6 triggers a
-    warning on stderr.  Duplicate occupation rows, inconsistent beam
-    counts and non-finite amplitudes are parse errors naming the line;
-    a squared norm outside the normal doubles, or a joint space whose
-    positions exceed int64, is a parse error naming the file.  Each line
-    stores one amplitude, so the line count is checked against
-    ``BNL_MAX_DIM`` as the lines are read.
-    """
-    rows: list[tuple[tuple[tuple[int, int], ...], complex]] = []
-    n_beams: int | None = None
-    seen: dict[tuple, int] = {}
-    with open_text(path, "r", StateFileError) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) not in (6, 8):
-                raise StateFileError(
-                    f"{path}:{lineno}: expected 6 or 8 comma-separated fields, got {len(parts)}"
-                )
-            beams = (len(parts) - 2) // 2
-            if n_beams is None:
-                n_beams = beams
-            elif beams != n_beams:
-                raise StateFileError(
-                    f"{path}:{lineno}: {beams}-beam row in a {n_beams}-beam file"
-                )
-            try:
-                occs = tuple(
-                    (int(parts[2 * b]), int(parts[2 * b + 1])) for b in range(beams)
-                )
-                value = complex(float(parts[-2]), float(parts[-1]))
-            except ValueError as exc:
-                raise StateFileError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise StateFileError(
-                    f"{path}:{lineno}: amplitude '{parts[-2]},{parts[-1]}' is not finite"
-                )
-            if any(n < 0 or m < 0 for n, m in occs):
-                raise StateFileError(f"{path}:{lineno}: negative occupation")
-            if occs in seen:
-                raise StateFileError(
-                    f"{path}:{lineno}: duplicate occupation (first seen on line {seen[occs]})"
-                )
-            seen[occs] = lineno
-            rows.append((occs, value))
-            check_stored(len(rows))
-    if not rows:
-        raise StateFileError(f"{path}: no amplitude lines found")
-    space = build_space(max(max(n + m for n, m in occs) for occs, _ in rows))
-    domain = (space,) * n_beams
-    values = np.array([value for _, value in rows])
-    if not values.any():
-        raise StateFileError(f"{path}: state has zero norm")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(values))
-    flow = squared_norm_flow(norm)
-    if flow:
-        raise StateFileError(f"{path}: the squared norm of the amplitudes {flow} a double")
-    if abs(1.0 - norm * norm) > 1e-6:
-        print(
-            f"warning: {path}: renormalizing, |amplitudes|^2 was {norm * norm!r}",
-            file=sys.stderr,
-        )
-    index = [joint_index(domain, occs) for occs, _ in rows]
-    try:
-        return MultiBeamState.from_support(domain, index, values / norm)
-    except ValueError as exc:  # a joint space past int64 positions
-        raise StateFileError(f"{path}: {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -219,7 +139,7 @@ def _checked(build: Callable[[], T]) -> T:
     """
     try:
         return build()
-    except (CoefficientFileError, StateFileError):
+    except InputFileError:
         raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -229,7 +149,7 @@ def _gain_grid(args, missing: str) -> Iterator[tuple[MultiBeamState, dict]]:
     """The ``_source_state`` of each point of the --gamma-min/--gamma-max grid."""
     if args.gamma_min is None or args.gamma_max is None:
         raise _UsageError(missing)
-    sweep = _checked(lambda: SweepSpec(args.gamma_min, args.gamma_max, args.steps, _cutoff(args)))
+    sweep = _checked(lambda: SweepSpec(args.gamma_min, args.gamma_max, args.steps))
     for gamma in sweep.grid():
         yield _source_state(argparse.Namespace(**{**vars(args), "gamma": gamma}))
 
@@ -492,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"bnl: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CoefficientFileError, StateFileError) as exc:
+    except InputFileError as exc:
         print(f"bnl: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DegenerateCertificateError as exc:

@@ -121,6 +121,7 @@ def _verdict(
     applies when it lies wholly above VERDICT_ATOL, the second when it
     lies wholly at or below it; otherwise the verdict is inconclusive.
     """
+    margin += 0.0  # a -0.0 margin becomes 0.0, so no verdict prints a signed zero
     lo, hi = (margin + deficit * s for s in spread)
     if lo > VERDICT_ATOL:
         verdict = labels[0]

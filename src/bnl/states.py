@@ -8,6 +8,12 @@ verdicts widen their tolerance by that deficit, which keeps truncation
 error accounting honest.  The triple-emission generator state has no
 untruncated limit to measure a deficit against, so it carries none and
 its output is labelled non-authoritative.
+
+Input files: both formats, triple-emission coefficients and amplitude
+states, are read here, by one line reader and one parse of the trailing
+``real,imag`` pair.  Every refusal raises ``InputFileError`` naming the
+file and, where there is one, the line.  Files and ``bghz`` weights
+share one norm refusal: a squared norm outside the normal doubles.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -33,8 +39,8 @@ from .fock import (
 QUBIT_NORM_ATOL = 1e-10
 
 
-class CoefficientFileError(ValueError):
-    """Malformed coefficient file; the message names the offending line."""
+class InputFileError(ValueError):
+    """Unreadable or malformed input file; the message names the file and any offending line."""
 
 
 def open_text(path, mode: str, error: type[Exception]) -> TextIO:
@@ -134,11 +140,18 @@ def prob_diagonal_bounds(state: MultiBeamState) -> tuple[float, float]:
     return value, min(1.0, value + state.norm_deficit)
 
 
-def squared_norm_flow(norm: float) -> str | None:
-    """How norm**2 leaves the normal doubles, "overflows" or "underflows", or None if it does not."""
-    if sys.float_info.min <= norm * norm < math.inf:
-        return None
-    return "underflows" if norm < 1 else "overflows"
+def _normalized(values, what: str) -> tuple[np.ndarray, float]:
+    """``values`` scaled to unit norm, and that norm.
+
+    A squared norm outside the normal doubles is refused: "the squared
+    norm of ``what`` overflows (or underflows) a double".
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(values))
+    if not sys.float_info.min <= norm * norm < math.inf:
+        flow = "underflows" if norm < 1 else "overflows"
+        raise ValueError(f"the squared norm of {what} {flow} a double")
+    return np.divide(values, norm), norm
 
 
 def bghz_state(coeffs: BghzCoefficients, cutoff: int) -> MultiBeamState:
@@ -171,14 +184,8 @@ def bghz_state(coeffs: BghzCoefficients, cutoff: int) -> MultiBeamState:
             values.append(coeffs.entries[p] * coeffs.entries[m] * weight)
     if not values:
         raise ValueError("no coefficient term is representable at this cutoff")
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(values)
-    flow = squared_norm_flow(norm)
-    if flow:
-        raise ValueError(
-            f"the squared norm of the weights C_p C_m (p! m!)^(3/2) at cutoff {cutoff} {flow} a double"
-        )
-    return MultiBeamState.from_support((space,) * 3, index, np.divide(values, norm))
+    unit, _ = _normalized(values, f"the weights C_p C_m (p! m!)^(3/2) at cutoff {cutoff}")
+    return MultiBeamState.from_support((space,) * 3, index, unit)
 
 
 def qubit_embed(amplitudes) -> MultiBeamState:
@@ -276,39 +283,89 @@ def bghz_generator_state(gamma: float, cutoff: int) -> MultiBeamState:
     )
 
 
+def _lines(path) -> Iterator[tuple[int, list[str]]]:
+    """Each nonblank line of a UTF-8 text file: its number and its comma-separated fields."""
+    with open_text(path, "r", InputFileError) as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if line:
+                yield lineno, line.split(",")
+
+
+def _parse_row(path, lineno: int, fields: list[str], what: str) -> tuple[list[int], complex]:
+    """The leading integer fields of a line, then its trailing finite `real,imag` pair."""
+    try:
+        integers = [int(field) for field in fields[:-2]]
+        value = complex(float(fields[-2]), float(fields[-1]))
+    except ValueError as exc:
+        raise InputFileError(f"{path}:{lineno}: {exc}") from exc
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise InputFileError(f"{path}:{lineno}: {what} '{fields[-2]},{fields[-1]}' is not finite")
+    return integers, value
+
+
 def load_bghz_coefficients(path) -> BghzCoefficients:
     """Read a coefficient file: one `m,real,imag` line per order, m consecutive from 0."""
     entries: list[complex] = []
-    with open_text(path, "r", CoefficientFileError) as handle:
-        expected = 0
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise CoefficientFileError(
-                    f"{path}:{lineno}: expected 'm,real,imag', got {line!r}"
-                )
-            try:
-                m = int(parts[0])
-                real = float(parts[1])
-                imag = float(parts[2])
-            except ValueError as exc:
-                raise CoefficientFileError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(real) and math.isfinite(imag)):
-                raise CoefficientFileError(
-                    f"{path}:{lineno}: coefficient '{parts[1]},{parts[2]}' is not finite"
-                )
-            if m != expected:
-                raise CoefficientFileError(
-                    f"{path}:{lineno}: order {m} out of sequence, expected {expected}"
-                )
-            entries.append(complex(real, imag))
-            expected += 1
+    for lineno, fields in _lines(path):
+        if len(fields) != 3:
+            raise InputFileError(f"{path}:{lineno}: expected 'm,real,imag', got {','.join(fields)!r}")
+        (m,), value = _parse_row(path, lineno, fields, "coefficient")
+        if m != len(entries):
+            raise InputFileError(f"{path}:{lineno}: order {m} out of sequence, expected {len(entries)}")
+        entries.append(value)
     if not entries:
-        raise CoefficientFileError(f"{path}: no coefficient lines found")
+        raise InputFileError(f"{path}: no coefficient lines found")
     try:
         return BghzCoefficients(tuple(entries))
     except ValueError as exc:  # all coefficients zero; each line is already finite
-        raise CoefficientFileError(f"{path}: {exc}") from exc
+        raise InputFileError(f"{path}: {exc}") from exc
+
+
+def load_state_file(path) -> MultiBeamState:
+    """Parse amplitude lines `n_a1,n_b1,n_a2,n_b2[,n_a3,n_b3],real,imag`.
+
+    The state is normalized on load; a deficit above 1e-6 triggers a
+    warning on stderr.  Duplicate occupation rows, inconsistent beam
+    counts and non-finite amplitudes are parse errors naming the line;
+    a squared norm outside the normal doubles, or a joint space whose
+    positions exceed int64, is a parse error naming the file.  Each line
+    stores one amplitude, so the line count is checked against
+    ``BNL_MAX_DIM`` as the lines are read.
+    """
+    seen: dict[tuple[tuple[int, int], ...], int] = {}  # occupations -> line, in file order
+    amplitudes: list[complex] = []
+    for lineno, fields in _lines(path):
+        if len(fields) not in (6, 8):
+            raise InputFileError(
+                f"{path}:{lineno}: expected 6 or 8 comma-separated fields, got {len(fields)}"
+            )
+        beams = len(fields) // 2 - 1
+        n_beams = len(next(iter(seen))) if seen else beams
+        if beams != n_beams:
+            raise InputFileError(f"{path}:{lineno}: {beams}-beam row in a {n_beams}-beam file")
+        integers, value = _parse_row(path, lineno, fields, "amplitude")
+        if min(integers) < 0:
+            raise InputFileError(f"{path}:{lineno}: negative occupation")
+        occs = tuple(zip(integers[::2], integers[1::2]))
+        if occs in seen:
+            raise InputFileError(
+                f"{path}:{lineno}: duplicate occupation (first seen on line {seen[occs]})"
+            )
+        seen[occs] = lineno
+        amplitudes.append(value)
+        check_stored(len(amplitudes))
+    if not seen:
+        raise InputFileError(f"{path}: no amplitude lines found")
+    domain = (build_space(max(n + m for occs in seen for n, m in occs)),) * n_beams
+    values = np.array(amplitudes)
+    if not values.any():
+        raise InputFileError(f"{path}: state has zero norm")
+    try:
+        unit, norm = _normalized(values, "the amplitudes")
+        if abs(1.0 - norm * norm) > 1e-6:
+            print(f"warning: {path}: renormalizing, |amplitudes|^2 was {norm * norm!r}", file=sys.stderr)
+        index = [joint_index(domain, occs) for occs in seen]
+        return MultiBeamState.from_support(domain, index, unit)
+    except ValueError as exc:  # a squared norm outside the doubles, or positions past int64
+        raise InputFileError(f"{path}: {exc}") from exc

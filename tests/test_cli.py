@@ -56,6 +56,9 @@ def test_bsv_without_gamma_is_usage_error(capsys):
         # Finite ends whose span overflows, refused before np.linspace warns.
         "entanglement witness bghz-gen --gamma-min=-1e308 --gamma-max=1e308 --steps 3 --cutoff 4",
         "contextuality bsv --gamma-min=-1e308 --gamma-max=1e308 --steps 3 --cutoff 4",
+        # Each grid point's source checks the cutoff, as it does for a single point.
+        "contextuality bsv --gamma-min 0 --gamma-max 1 --steps 3 --cutoff -2",
+        "entanglement witness bghz-gen --gamma-min 0 --gamma-max 0.3 --steps 3 --cutoff -2",
         "verify-algebra --cutoff -1",
         "counterexample --cutoff 1",
         "verify-algebra --cutoff 3000000",
@@ -306,6 +309,36 @@ def test_contextuality_sweep_brackets_the_flip(capsys):
     flip = next(k for k in range(1, 25) if verdicts[k] == "violated")
     assert verdicts[flip - 1] == "not_violated"
     assert gammas[flip - 1] < math.acosh(3) / 2 < gammas[flip]
+
+
+def test_sweeps_accept_cutoff_zero_like_single_points(capsys):
+    code, out, err = run(capsys, *"contextuality bsv --gamma-min 0 --gamma-max 1 --steps 3 --cutoff 0".split())
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[6] for r in rows] == ["not_violated", "not_violated", "inconclusive"]
+    # The vacuum-only state reads 0 on the square; the deficit widens the interval.
+    assert float(rows[-1][3]) == -4.0 < float(rows[-1][5])
+    code, out, err = run(
+        capsys, *"entanglement witness bghz-gen --gamma-min 0 --gamma-max 0.3 --steps 3 --cutoff 0".split()
+    )
+    assert (code, err) == (0, "")
+    assert [point["witness_value"] for point in json.loads(out)["curve"]] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "entanglement witness bghz-gen --gamma 0.3 --cutoff 0",
+        "entanglement witness state --state {fixtures}/diagonal.csv",
+    ],
+)
+def test_zero_margin_prints_without_a_sign(capsys, argv):
+    # The fixture comparer reads -0.0 == 0.0, so the sign is checked on the text.
+    code, out, _ = run(capsys, *argv.format(fixtures=FIXTURES).split())
+    assert code == 0
+    assert "-0.0" not in out
+    payload = json.loads(out)
+    assert [math.copysign(1.0, x) for x in (payload["margin"], *payload["interval"])] == [1.0] * 3
 
 
 def test_contextuality_json_format(capsys):
@@ -634,6 +667,27 @@ class TestStateFiles:
         code, out, err = run(capsys, "contextuality", "state", "--state", str(path))
         assert (code, out) == (1, "")
         assert err == "bnl: error: state needs 2 stored amplitudes, above the BNL_MAX_DIM cap 1\n"
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--state", "1,0,0,1,0.7\n", ":1: expected 6 or 8 comma-separated fields, got 5"),
+            ("--state", "1,0,0,1,0.6,0.0\n1,0,0,1,0,1,0.8,0.0\n", ":2: 3-beam row in a 2-beam file"),
+            ("--state", "1,0,0,-1,0.7,0.0\n", ":1: negative occupation"),
+            ("--state", "1,0,0,1,0.6,0.0\n\n1,0,0,1,0.8,0.0\n", ":3: duplicate occupation (first seen on line 1)"),
+            ("--state", "\n  \n\n", ": no amplitude lines found"),
+            ("--state", "1,0,0,1,0.0,0.0\n0,1,1,0,-0.0,0.0\n", ": state has zero norm"),
+            ("--coeffs", "\n  \n\n", ": no coefficient lines found"),
+            ("--coeffs", "0,1.0,0.0\n1,x,0.0\n", ":2: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_file_refusal_is_one_exact_line(self, capsys, tmp_path, flag, text, message):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        source = "state" if flag == "--state" else "bghz"
+        code, out, err = run(capsys, "entanglement", "witness", source, flag, str(path))
+        assert (code, out) == (3, "")
+        assert err == f"bnl: parse error: {path}{message}\n"
 
     def test_beam_count_must_match_command(self, capsys, tmp_path):
         path = tmp_path / "two.csv"

@@ -21,9 +21,13 @@ must be refused with one ``bnl`` line, not an overflow traceback.
 of one beam, whose cost grows with the cutoff below the cap they check,
 so they draw from 0..40 and from the edge of that cap: at cutoff 139 (9,870 beam states) the algebra suite must pass and
 the counterexample's self-check hold, and cutoff 140 (10,011) must be
-refused with exit 1.  The input files include amplitudes and
-coefficients that are not finite or whose squared norm leaves the
-doubles, which must end in one ``bnl`` line.
+refused with exit 1.  The input files, drawn for both ``--state`` and
+``--coeffs``, include each refusal of the one reader in ``bnl.states``:
+a wrong field count, mixed beam counts, a negative or duplicate
+occupation, a word where a number belongs, a blank file, a zero norm,
+amplitudes and coefficients that are not finite or whose squared norm
+leaves the doubles, and a missing file or a directory.  Each must end in
+one ``bnl`` line.
 """
 
 import contextlib
@@ -52,7 +56,8 @@ INPUT_FILES = st.sampled_from(
         "bad-coeffs.csv", "bad-state.csv", "missing.csv",
         "nan-state.csv", "inf-state.csv", "huge-state.csv", "tiny-state.csv",
         "int64-state.csv", "nan-coeffs.csv", "zero-coeffs.csv", "huge-coeffs.csv",
-        "long-coeffs.csv",
+        "long-coeffs.csv", "short-state.csv", "mixed-beams-state.csv", "negative-state.csv",
+        "duplicate-state.csv", "zero-state.csv", "blank.csv", "word-coeffs.csv",
     )] + [str(FIXTURES)]
 )
 FLAG = st.none()  # flags that take no value

@@ -24,7 +24,7 @@ from bnl.states import (
     GHZ3,
     BghzCoefficients,
     BsvParams,
-    CoefficientFileError,
+    InputFileError,
     bghz_generator_state,
     bghz_state,
     bsv_state,
@@ -452,36 +452,36 @@ class TestCoefficientFile:
     def test_bad_field_count_names_line(self, tmp_path):
         path = tmp_path / "coeffs.csv"
         path.write_text("0,1.0,0.0\n1,2.0\n")
-        with pytest.raises(CoefficientFileError, match=r":2:"):
+        with pytest.raises(InputFileError, match=r":2:"):
             load_bghz_coefficients(path)
 
     def test_bad_number_names_line(self, tmp_path):
         path = tmp_path / "coeffs.csv"
         path.write_text("0,one,0.0\n")
-        with pytest.raises(CoefficientFileError, match=r":1:"):
+        with pytest.raises(InputFileError, match=r":1:"):
             load_bghz_coefficients(path)
 
     def test_non_consecutive_orders_rejected(self, tmp_path):
         path = tmp_path / "coeffs.csv"
         path.write_text("0,1.0,0.0\n2,1.0,0.0\n")
-        with pytest.raises(CoefficientFileError, match="out of sequence"):
+        with pytest.raises(InputFileError, match="out of sequence"):
             load_bghz_coefficients(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "coeffs.csv"
         path.write_text("\n")
-        with pytest.raises(CoefficientFileError, match="no coefficient"):
+        with pytest.raises(InputFileError, match="no coefficient"):
             load_bghz_coefficients(path)
 
     @pytest.mark.parametrize("value", ["nan,0.0", "0.5,inf", "-inf,-inf"])
     def test_non_finite_value_names_line(self, tmp_path, value):
         path = tmp_path / "coeffs.csv"
         path.write_text(f"0,1.0,0.0\n1,{value}\n")
-        with pytest.raises(CoefficientFileError, match=rf":2: coefficient '{value}' is not finite"):
+        with pytest.raises(InputFileError, match=rf":2: coefficient '{value}' is not finite"):
             load_bghz_coefficients(path)
 
     def test_all_zero_file_names_the_file(self, tmp_path):
         path = tmp_path / "coeffs.csv"
         path.write_text("0,0.0,0.0\n1,-0.0,0.0\n")
-        with pytest.raises(CoefficientFileError, match=r"coeffs\.csv: all coefficients are zero"):
+        with pytest.raises(InputFileError, match=r"coeffs\.csv: all coefficients are zero"):
             load_bghz_coefficients(path)
