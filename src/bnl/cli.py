@@ -145,6 +145,11 @@ def _checked(build: Callable[[], T]) -> T:
         raise _UsageError(str(exc)) from exc
 
 
+def _refuse_mixed_gains(args) -> None:
+    if args.gamma is not None and (args.gamma_min is not None or args.gamma_max is not None):
+        raise _UsageError("--gamma cannot be combined with --gamma-min or --gamma-max")
+
+
 def _gain_grid(args, missing: str) -> Iterator[tuple[MultiBeamState, dict]]:
     """The ``_source_state`` of each point of the --gamma-min/--gamma-max grid."""
     if args.gamma_min is None or args.gamma_max is None:
@@ -155,6 +160,7 @@ def _gain_grid(args, missing: str) -> Iterator[tuple[MultiBeamState, dict]]:
 
 
 def _cmd_contextuality(args) -> int:
+    _refuse_mixed_gains(args)
     if args.source == "bsv" and args.gamma is None:
         rows = _gain_grid(args, "bsv source needs --gamma or --gamma-min/--gamma-max")
     else:
@@ -246,6 +252,7 @@ def _witness(name: str, state: MultiBeamState) -> WitnessSpec:
 
 
 def _cmd_entanglement(args) -> int:
+    _refuse_mixed_gains(args)
     if args.subcommand == "witness" and args.source == "bghz-gen" and args.gamma is None:
         # Sweep mode: emit the qualitative curve from the generator path.
         grid = _gain_grid(args, "bghz-gen needs --gamma or --gamma-min/--gamma-max")

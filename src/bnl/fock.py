@@ -12,9 +12,10 @@ monomial*: it either keeps each ket |n_a, n_b> or sends it to the swapped
 |n_b, n_a>, times a phase that depends only on the sector
 s = sign(n_a - n_b).  ``Monomial`` stores such an operator as a swap bit
 and three phases, so it holds nothing that grows with the cutoff.  A state
-over the tensored basis of one or more beams stores only its support: the
-sorted flat positions of its nonzero amplitudes and their values, with
-each beam's occupations there.  ``expectation_sums`` evaluates weighted
+over the tensored basis of one or more beams stores only its support and
+is built from per-beam positions, each beam's basis position at every
+nonzero amplitude; only ``MultiBeamState`` ravels them into joint
+positions.  ``expectation_sums`` evaluates weighted
 sums of tensor products of monomials on that support, so neither an
 operator nor a vector on the joint space, nor an array over a beam's
 basis, is formed.  The sparse ``ComplexOperator`` is kept only as the
@@ -135,12 +136,15 @@ def _domain_dim(domain: Sequence[BeamSpace]) -> int:
 
 
 def amplitude_cap() -> int:
-    """The cap on stored amplitudes: ``BNL_MAX_DIM`` if set, else DEFAULT_MAX_DIM."""
+    """The cap on stored amplitudes, at least 1: ``BNL_MAX_DIM`` if set, else DEFAULT_MAX_DIM."""
     raw = os.environ.get(MAX_DIM_ENV, str(DEFAULT_MAX_DIM))
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"{MAX_DIM_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def check_stored(count: int) -> None:
@@ -304,12 +308,14 @@ def _cutoffs(domain: Sequence[BeamSpace]) -> tuple[int, ...]:
 class MultiBeamState:
     """Complex amplitudes over the tensored occupation basis of n beams, kept on their support.
 
-    ``index`` holds the sorted, distinct flat positions (first beam major)
-    of the stored amplitudes and ``values`` the amplitudes there; every
-    other amplitude is zero.  The observables conserve each beam's photon
-    number and the states studied are sparse, so the joint space is never
-    stored.  ``MultiBeamState(domain, amplitudes)`` keeps the nonzero
-    entries of a dense vector; ``from_support`` takes the support directly.
+    ``from_support`` takes each beam's basis position at every stored ket,
+    and this class alone ravels them (first beam major) into ``index``, the
+    sorted, distinct flat positions of the stored amplitudes; ``coordinates``
+    keeps each beam's positions and ``values`` the amplitudes, both in that
+    order.  Every other amplitude is zero.  The observables conserve each
+    beam's photon number and the states studied are sparse, so the joint
+    space is never stored.  ``MultiBeamState(domain, amplitudes)`` keeps the
+    nonzero entries of a dense vector.
 
     ``norm_deficit`` carries the probability mass truncated away when the
     state has analytically infinite support; generators keep
@@ -320,6 +326,7 @@ class MultiBeamState:
 
     domain: tuple[BeamSpace, ...]
     index: np.ndarray
+    coordinates: tuple[np.ndarray, ...]
     values: np.ndarray
     norm_deficit: float
 
@@ -332,37 +339,41 @@ class MultiBeamState:
                 f"domain dimension {dim}"
             )
         index = np.flatnonzero(amplitudes)
-        self._store(domain, dim, index, amplitudes[index], norm_deficit)
+        coordinates = np.unravel_index(index, tuple(space.dim for space in domain))
+        self._store(tuple(domain), index, coordinates, amplitudes[index], norm_deficit)
 
     @classmethod
-    def from_support(cls, domain, index, values, norm_deficit: float = 0.0) -> "MultiBeamState":
-        """Amplitudes ``values`` at the distinct flat positions ``index`` (any order), else zero."""
-        dim = _domain_dim(domain)  # refuses a space past int64 positions before converting
-        index = np.asarray(index, dtype=np.int64)
+    def from_support(cls, domain, positions, values, norm_deficit: float = 0.0) -> MultiBeamState:
+        """Amplitudes ``values`` at the distinct kets (any order) whose basis
+        position in beam k is ``positions[k]``, else zero."""
+        _domain_dim(domain)  # refuses a space past int64 positions before converting
+        domain = tuple(domain)
+        positions = tuple(np.asarray(p, dtype=np.int64) for p in positions)
         values = np.asarray(values, dtype=complex)
-        if index.ndim != 1 or index.shape != values.shape:
+        shapes = [p.shape for p in positions]
+        if values.ndim != 1 or shapes != [values.shape] * len(domain):
             raise ValueError(
-                f"support of shape {index.shape} and values of shape {values.shape} differ"
+                f"support of shapes {shapes} on {len(domain)} beams and values of shape {values.shape} differ"
             )
-        if np.any(index[1:] <= index[:-1]):
+        try:  # ravel_multi_index refuses a position outside its beam
+            index = np.ravel_multi_index(positions, tuple(space.dim for space in domain))
+        except ValueError:
+            raise ValueError(f"support position outside the cutoffs-{_cutoffs(domain)} space") from None
+        if (index[1:] <= index[:-1]).any():
             order = np.argsort(index)
             index, values = index[order], values[order]
-            if np.any(index[1:] == index[:-1]):
+            if (index[1:] == index[:-1]).any():
                 raise ValueError("a support position repeats")
+            positions = tuple(p[order] for p in positions)
         state = cls.__new__(cls)
-        state._store(domain, dim, index, values, norm_deficit)
+        state._store(domain, index, positions, values, norm_deficit)
         return state
 
-    def _store(
-        self, domain, dim: int, index: np.ndarray, values: np.ndarray, norm_deficit: float
-    ) -> None:
-        domain = tuple(domain)
-        if index.size and not 0 <= index[0] <= index[-1] < dim:
-            raise ValueError(f"support position outside the cutoffs-{_cutoffs(domain)} space")
+    def _store(self, domain, index, coordinates, values, norm_deficit: float) -> None:
         if norm_deficit < -1e-12:
             raise ValueError(f"norm_deficit must be non-negative, got {norm_deficit}")
-        for name, value in zip(("domain", "index", "values", "norm_deficit"),
-                               (domain, index, values, norm_deficit)):
+        for name, value in zip(("domain", "index", "coordinates", "values", "norm_deficit"),
+                               (domain, index, coordinates, values, norm_deficit)):
             object.__setattr__(self, name, value)
 
     @property
@@ -378,11 +389,6 @@ class MultiBeamState:
         return _domain_dim(self.domain)
 
     @functools.cached_property
-    def coordinates(self) -> tuple[np.ndarray, ...]:
-        """Each beam's basis position at every stored amplitude (the unravelled ``index``)."""
-        return np.unravel_index(self.index, self.shape)
-
-    @functools.cached_property
     def occupations(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Each beam's occupations (n_a, n_b) at every stored amplitude."""
         return tuple(occupations(coords) for coords in self.coordinates)
@@ -394,12 +400,13 @@ class MultiBeamState:
         dense[self.index] = self.values
         return dense
 
-    def lookup(self, positions: np.ndarray) -> np.ndarray:
-        """Amplitudes at the given flat positions, zero off the support."""
+    def lookup(self, positions) -> np.ndarray:
+        """Amplitudes at the kets with basis position ``positions[k]`` in beam k, zero off the support."""
+        flat = np.ravel_multi_index(positions, self.shape)
         if not self.index.size:
-            return np.zeros(np.shape(positions), dtype=complex)
-        at = np.minimum(np.searchsorted(self.index, positions), self.index.size - 1)
-        return np.where(self.index[at] == positions, self.values[at], 0.0)
+            return np.zeros(flat.shape, dtype=complex)
+        at = np.minimum(np.searchsorted(self.index, flat), self.index.size - 1)
+        return np.where(self.index[at] == flat, self.values[at], 0.0)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -466,8 +473,8 @@ def _product_value(state: MultiBeamState, beams: list, factors: Sequence[Monomia
     """<psi| A_1 x ... x A_n |psi> on the support.
 
     Each beam's phase is gathered by sector at the stored coordinates and
-    a swapping factor moves the coordinate by n_a - n_b; the raveled
-    targets are looked up in the support, where a miss is a zero bra
+    a swapping factor moves the coordinate by n_a - n_b; the state looks
+    the per-beam targets up in its support, where a miss is a zero bra
     amplitude.
     """
     ket = state.values
@@ -475,7 +482,7 @@ def _product_value(state: MultiBeamState, beams: list, factors: Sequence[Monomia
     for factor, (coords, shift, sector) in zip(factors, beams):
         ket = ket * factor.phase[sector]
         targets.append(coords + shift if factor.swap else coords)
-    bra = state.lookup(np.ravel_multi_index(targets, state.shape))
+    bra = state.lookup(targets)
     return complex(np.vdot(bra, ket))
 
 
@@ -515,29 +522,23 @@ def basis_state(
         raise ValueError(
             f"{len(occupations)} occupations given for {len(domain)} beams"
         )
-    return MultiBeamState.from_support(domain, [joint_index(domain, occupations)], [1.0])
-
-
-def joint_index(
-    domain: Sequence[BeamSpace], occupations: Sequence[tuple[int, int]]
-) -> int:
-    """Flat index of a product basis ket (first beam major)."""
-    flat = 0
-    for space, occ in zip(domain, occupations):
-        flat = flat * space.dim + space.position(*occ)
-    return flat
+    positions = [[space.position(*occ)] for space, occ in zip(domain, occupations)]
+    return MultiBeamState.from_support(domain, positions, [1.0])
 
 
 def product_state(states: Sequence[MultiBeamState]) -> MultiBeamState:
     """Tensor product of per-beam (or per-group) states."""
     if not states:
         raise ValueError("product_state() needs at least one factor")
-    check_stored(math.prod(state.index.size for state in states))
+    sizes = [state.index.size for state in states]
+    check_stored(math.prod(sizes))
     domain = tuple(space for state in states for space in state.domain)
     _domain_dim(domain)  # refuses a joint space whose positions overflow int64
-    index, values = states[0].index, states[0].values
+    # Row f holds the stored ket of factor f at each stored ket of the product, first factor major.
+    at = np.indices(sizes).reshape(len(states), -1)
+    positions = [coords[j] for state, j in zip(states, at) for coords in state.coordinates]
+    values = states[0].values
     for state in states[1:]:
-        index = np.add.outer(index * state.dim, state.index).ravel()
         values = np.multiply.outer(values, state.values).ravel()
     kept = math.prod(1.0 - state.norm_deficit for state in states)
-    return MultiBeamState.from_support(domain, index, values, norm_deficit=1.0 - kept)
+    return MultiBeamState.from_support(domain, positions, values, norm_deficit=1.0 - kept)

@@ -518,8 +518,7 @@ def _is_pair_symmetric_triple(state: MultiBeamState) -> bool:
         return False
     n_a, n_b = state.occupations[0]
     mirrored = i1 + n_a[kept] - n_b[kept]
-    dim = space.dim
-    gap = np.abs(state.values[kept] - state.lookup((mirrored * dim + mirrored) * dim + mirrored))
+    gap = np.abs(state.values[kept] - state.lookup((mirrored,) * 3))
     return bool(np.all(gap <= 1e-12 * scale))
 
 

@@ -31,7 +31,6 @@ from .fock import (
     build_space,
     check_stored,
     expi_tridiagonal,
-    joint_index,
     occupations,
     product_state,
 )
@@ -97,8 +96,7 @@ def bsv_state(params: BsvParams) -> MultiBeamState:
     (cutoff+1)(cutoff+2)/2 amplitudes.
     """
     space = build_space(params.cutoff)
-    dim = space.dim
-    check_stored(dim)
+    check_stored(space.dim)
     t = math.tanh(params.gamma)
     # cosh(gamma)**2 overflows above gamma ~355, where every weight underflows anyway.
     inv_cosh2 = 1.0 / math.cosh(params.gamma) ** 2 if params.gamma < 355 else 0.0
@@ -108,12 +106,12 @@ def bsv_state(params: BsvParams) -> MultiBeamState:
     x, c = t * t, params.cutoff
     # Beam 1 in |n-m, m> pairs with beam 2 in the swapped |m, n-m>, which
     # sits n_a - n_b positions further on.
-    beam1 = np.arange(dim)
+    beam1 = np.arange(space.dim)
     n_a, n_b = occupations(beam1)
     signs = np.where(n_b % 2, -1.0, 1.0)
     return MultiBeamState.from_support(
         (space, space),
-        beam1 * dim + beam1 + n_a - n_b,
+        (beam1, beam1 + n_a - n_b),
         signs * np.take(weights, n_a + n_b),
         norm_deficit=x ** (c + 1) * ((c + 2) - (c + 1) * x),
     )
@@ -167,16 +165,14 @@ def bghz_state(coeffs: BghzCoefficients, cutoff: int) -> MultiBeamState:
     Weights whose squared norm leaves the normal doubles are refused.
     """
     space = build_space(cutoff)
-    dim = space.dim
     orders = [k for k, c in enumerate(coeffs.entries) if c != 0 and k <= cutoff]
     # For each order p, the orders m with p + m <= cutoff form a prefix of ``orders``.
     partners = [bisect.bisect_right(orders, cutoff - p) for p in orders]
     check_stored(sum(partners))
-    index, values = [], []
+    kets, values = [], []
     for p, count in zip(orders, partners):
         for m in orders[:count]:
-            i = space.position(p, m)
-            index.append((i * dim + i) * dim + i)
+            kets.append(space.position(p, m))
             try:
                 weight = (math.factorial(p) * math.factorial(m)) ** 1.5
             except OverflowError:  # past the largest double; the norm check refuses it
@@ -185,7 +181,7 @@ def bghz_state(coeffs: BghzCoefficients, cutoff: int) -> MultiBeamState:
     if not values:
         raise ValueError("no coefficient term is representable at this cutoff")
     unit, _ = _normalized(values, f"the weights C_p C_m (p! m!)^(3/2) at cutoff {cutoff}")
-    return MultiBeamState.from_support((space,) * 3, index, unit)
+    return MultiBeamState.from_support((space,) * 3, (kets,) * 3, unit)
 
 
 def qubit_embed(amplitudes) -> MultiBeamState:
@@ -204,14 +200,11 @@ def qubit_embed(amplitudes) -> MultiBeamState:
     norm = np.linalg.norm(amplitudes)
     if abs(norm - 1.0) > QUBIT_NORM_ATOL:
         raise ValueError(f"qubit amplitudes have norm {norm!r}, expected 1")
-    domain = (build_space(1),) * n_parties
     flat = np.flatnonzero(amplitudes)
-    # The bits of amplitude k, first party first, pick |1,0> for 0 and |0,1> for 1.
-    index = [
-        joint_index(domain, [((1, 0), (0, 1))[int(bit)] for bit in f"{k:0{n_parties}b}"])
-        for k in flat.tolist()
-    ]
-    return MultiBeamState.from_support(domain, index, amplitudes[flat])
+    # The bits of amplitude k, first party first, pick |1,0> (position 1) for 0
+    # and |0,1> (position 2) for 1.
+    positions = [1 + (flat >> (n_parties - 1 - party)) % 2 for party in range(n_parties)]
+    return MultiBeamState.from_support((build_space(1),) * n_parties, positions, amplitudes[flat])
 
 
 BELL_STATES = {
@@ -234,7 +227,7 @@ def random_beam_state(rng: np.random.Generator, cutoff: int, degree: int) -> Mul
     # The occupations of total <= degree are the basis prefix ending at |0, degree>.
     support = space.position(0, degree) + 1
     draw = rng.standard_normal(support) + 1j * rng.standard_normal(support)
-    return MultiBeamState.from_support((space,), np.arange(support), draw / np.linalg.norm(draw))
+    return MultiBeamState.from_support((space,), [np.arange(support)], draw / np.linalg.norm(draw))
 
 
 def random_separable(seed: int, n_beams: int, cutoff: int, degree: int) -> MultiBeamState:
@@ -277,10 +270,7 @@ def bghz_generator_state(gamma: float, cutoff: int) -> MultiBeamState:
     # |p,m> sits at T(T+1)/2 + m with T = p + m.
     total = p[:, None] + p
     i = (total * (total + 1) // 2 + p).ravel()
-    dim = space.dim
-    return MultiBeamState.from_support(
-        (space,) * 3, (i * dim + i) * dim + i, np.outer(ladder, ladder).ravel()
-    )
+    return MultiBeamState.from_support((space,) * 3, (i,) * 3, np.outer(ladder, ladder).ravel())
 
 
 def _lines(path) -> Iterator[tuple[int, list[str]]]:
@@ -365,7 +355,7 @@ def load_state_file(path) -> MultiBeamState:
         unit, norm = _normalized(values, "the amplitudes")
         if abs(1.0 - norm * norm) > 1e-6:
             print(f"warning: {path}: renormalizing, |amplitudes|^2 was {norm * norm!r}", file=sys.stderr)
-        index = [joint_index(domain, occs) for occs in seen]
-        return MultiBeamState.from_support(domain, index, unit)
+        positions = [[space.position(*occs[k]) for occs in seen] for k, space in enumerate(domain)]
+        return MultiBeamState.from_support(domain, positions, unit)
     except ValueError as exc:  # a squared norm outside the doubles, or positions past int64
         raise InputFileError(f"{path}: {exc}") from exc

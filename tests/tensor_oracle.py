@@ -10,7 +10,9 @@ Stokes operators from the occupations of each basis ket, the oracle for
 the closed-form blocks of ``gpauli.stokes_block``.  ``verify_algebra``
 runs the algebra suite on the sparse operators over the whole space, both
 constructions included, the oracle for ``gpauli.verify_algebra``, which
-evaluates it on two orbit blocks.
+evaluates it on two orbit blocks.  ``flat_position`` is the test's own
+first-beam-major layout of a product ket, the oracle for how
+``MultiBeamState`` ravels per-beam positions.
 """
 
 import itertools
@@ -43,6 +45,14 @@ from bnl.indicators import PM_CELL_LABELS, PM_LINES
 def _joint(domain) -> tuple[tuple[BeamSpace, ...], int]:
     domain = (domain,) if isinstance(domain, BeamSpace) else tuple(domain)
     return domain, int(np.prod([space.dim for space in domain]))
+
+
+def flat_position(domain, occupations) -> int:
+    """Position of the product ket |occ_1; occ_2; ...> in the joint basis, first beam major."""
+    flat = 0
+    for space, occ in zip(domain, occupations):
+        flat = flat * space.dim + space.position(*occ)
+    return flat
 
 
 def identity_operator(domain) -> ComplexOperator:

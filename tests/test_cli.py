@@ -68,6 +68,9 @@ def test_bsv_without_gamma_is_usage_error(capsys):
         # A grid above the amplitude cap is refused before it is allocated.
         "contextuality bsv --gamma-min 0 --gamma-max 1 --steps 10000000000000000000",
         "entanglement witness bghz-gen --gamma-min 0.1 --gamma-max 0.2 --steps 10000000000000000000",
+        # A single gain given with sweep bounds would drop the sweep.
+        "contextuality bsv --gamma 0.5 --gamma-min 0 --gamma-max 1 --steps 3",
+        "entanglement witness bghz-gen --gamma 0.3 --gamma-min 0 --gamma-max 1",
     ],
 )
 def test_domain_errors_are_one_line_usage_errors(capsys, argv):
@@ -85,6 +88,13 @@ def test_malformed_dimension_cap_names_the_variable(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "bnl: error: BNL_MAX_DIM must be an integer, got 'abc'\n"
+
+
+def test_non_positive_dimension_cap_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("BNL_MAX_DIM", "-5")
+    code, out, err = run(capsys, "contextuality", "bsv", "--gamma", "0.3", "--cutoff", "0")
+    assert (code, out) == (1, "")
+    assert err == "bnl: error: BNL_MAX_DIM must be a positive integer, got '-5'\n"
 
 
 def traced_peak(capsys, *argv) -> tuple[int, int]:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from bnl.fock import (
     build_space,
     expectation,
     expi_tridiagonal,
-    joint_index,
     occupations,
     product_state,
     tensor,
@@ -229,11 +230,64 @@ def test_tensor_is_associative_up_to_relabeling():
     assert abs(nested_right.matrix - flat.matrix).max() == 0.0
 
 
-def test_joint_index_first_beam_major():
-    space = build_space(1)
-    domain = (space, space)
-    assert joint_index(domain, [(0, 0), (1, 0)]) == 1
-    assert joint_index(domain, [(1, 0), (0, 0)]) == space.dim
+@st.composite
+def shuffled_supports(draw):
+    """A domain of 1-3 beams at cutoffs 0-4 and distinct kets, as per-beam positions, in drawn order."""
+    domain = tuple(build_space(c) for c in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    ket = st.tuples(*(st.integers(0, space.dim - 1) for space in domain))
+    return domain, draw(st.lists(ket, min_size=1, max_size=20, unique=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(support=shuffled_supports())
+def test_support_layout_is_first_beam_major(support):
+    domain, kets = support
+    positions = [list(beam) for beam in zip(*kets)]
+    values = (1 + 2j) * np.arange(1, len(kets) + 1)
+    state = MultiBeamState.from_support(domain, positions, values)
+    # The layout computed here: the first beam's position is the most significant digit.
+    flat = [
+        sum(p * math.prod(space.dim for space in domain[k + 1:]) for k, p in enumerate(ket))
+        for ket in kets
+    ]
+    order = np.argsort(flat)
+    assert state.index.tolist() == sorted(flat)
+    assert [c.tolist() for c in state.coordinates] == [[kets[j][k] for j in order] for k in range(len(domain))]
+    assert state.values.tolist() == values[order].tolist()
+    dense = MultiBeamState(domain, state.amplitudes)
+    assert dense.index.tolist() == state.index.tolist()
+    assert [c.tolist() for c in dense.coordinates] == [c.tolist() for c in state.coordinates]
+    assert state.lookup(positions).tolist() == values.tolist()
+    off = [ket for ket in itertools.product(*(range(space.dim) for space in domain)) if ket not in kets]
+    if off:
+        assert not state.lookup([list(beam) for beam in zip(*off)]).any()
+
+    with pytest.raises(ValueError, match="a support position repeats"):
+        MultiBeamState.from_support(domain, [beam + beam[-1:] for beam in positions], np.append(values, 1))
+    cutoffs = re.escape(str(tuple(space.cutoff for space in domain)))
+    for bad in (-1, domain[-1].dim):
+        with pytest.raises(ValueError, match=f"support position outside the cutoffs-{cutoffs} space"):
+            MultiBeamState.from_support(domain, positions[:-1] + [positions[-1][:-1] + [bad]], values)
+    for short in (positions[:-1], positions + positions[:1], positions[:-1] + [positions[-1][1:]]):
+        with pytest.raises(ValueError, match="differ"):
+            MultiBeamState.from_support(domain, short, values)
+    with pytest.raises(ValueError, match="differ"):
+        MultiBeamState.from_support(domain, positions, values[1:])
+
+
+def test_product_state_matches_kron_of_dense_amplitudes():
+    rng = np.random.default_rng(7)
+    pair_domain = (build_space(1), build_space(2))
+    pair = rng.standard_normal(18) + 1j * rng.standard_normal(18)
+    pair[rng.random(18) < 0.5] = 0.0
+    single = np.array([0.6, 0, 0.8j, 0, 0, 0])
+    factors = [MultiBeamState(pair_domain, pair), MultiBeamState((build_space(2),), single)]
+    product = product_state(factors)
+    assert product.domain == pair_domain + (build_space(2),)
+    assert np.array_equal(product.amplitudes, np.kron(pair, single))
+    dense = MultiBeamState(product.domain, np.kron(pair, single))
+    assert np.array_equal(product.index, dense.index)
+    assert all(np.array_equal(a, b) for a, b in zip(product.coordinates, dense.coordinates))
 
 
 def test_product_state_combines_deficits():
@@ -246,18 +300,20 @@ def test_product_state_combines_deficits():
 
 def test_support_is_stored_sorted_and_checked():
     domain = (build_space(1),) * 2
-    state = MultiBeamState.from_support(domain, [5, 1], [2.0, 1.0j])
+    # Flat positions 5 = (1, 2) and 1 = (0, 1).
+    state = MultiBeamState.from_support(domain, [[1, 0], [2, 1]], [2.0, 1.0j])
     assert state.index.tolist() == [1, 5]
+    assert [c.tolist() for c in state.coordinates] == [[0, 1], [1, 2]]
     assert state.values.tolist() == [1.0j, 2.0]
     assert np.array_equal(state.amplitudes, [0, 1.0j, 0, 0, 0, 2.0, 0, 0, 0])
     dense = MultiBeamState(domain, state.amplitudes)
     assert dense.index.tolist() == [1, 5] and dense.values.tolist() == [1.0j, 2.0]
     with pytest.raises(ValueError, match="repeats"):
-        MultiBeamState.from_support(domain, [4, 1, 4], [1.0, 1.0, 1.0])
+        MultiBeamState.from_support(domain, [[1, 0, 1], [1, 1, 1]], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="outside"):
-        MultiBeamState.from_support(domain, [9], [1.0])
+        MultiBeamState.from_support(domain, [[3], [0]], [1.0])
     with pytest.raises(ValueError, match="differ"):
-        MultiBeamState.from_support(domain, [1, 2], [1.0])
+        MultiBeamState.from_support(domain, [[0, 0], [1, 2]], [1.0])
 
 
 def test_joint_space_beyond_int64_positions_is_refused():

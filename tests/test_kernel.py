@@ -105,7 +105,8 @@ def test_support_kernel_matches_tensor_oracle(cutoffs, density, n_terms, seed):
     if not index.size:
         index = rng.integers(dim, size=1)
     values = rng.standard_normal(index.size) + 1j * rng.standard_normal(index.size)
-    state = MultiBeamState.from_support(domain, index, values / np.linalg.norm(values))
+    positions = np.unravel_index(index, tuple(space.dim for space in domain))
+    state = MultiBeamState.from_support(domain, positions, values / np.linalg.norm(values))
 
     def random_monomial():
         phase = rng.standard_normal(3) + 1j * rng.standard_normal(3)

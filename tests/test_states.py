@@ -8,13 +8,13 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from tensor_oracle import flat_position
 
 from bnl.fock import (
     MultiBeamState,
     basis_state,
     build_space,
     expectation,
-    joint_index,
     occupations,
     tensor,
 )
@@ -46,14 +46,14 @@ SIGMA = (
 
 def psi_nm_state(n, m):
     """(|n,m;n,m;n,m> + |m,n;m,n;m,n>)/sqrt(2) for n != m, at cutoff n + m."""
-    domain = (build_space(n + m),) * 3
-    flat = [joint_index(domain, [(n, m)] * 3), joint_index(domain, [(m, n)] * 3)]
-    return MultiBeamState.from_support(domain, flat, [1 / math.sqrt(2)] * 2)
+    space = build_space(n + m)
+    kets = [space.position(n, m), space.position(m, n)]
+    return MultiBeamState.from_support((space,) * 3, (kets,) * 3, [1 / math.sqrt(2)] * 2)
 
 
 def bsv_amplitude(state, occ1, occ2):
     domain = state.domain
-    return state.amplitudes[joint_index(domain, [occ1, occ2])]
+    return state.amplitudes[flat_position(domain, [occ1, occ2])]
 
 
 class TestBsv:
@@ -151,7 +151,7 @@ def test_prob_diagonal_matches_brute_force(cutoffs, deficit, zero_share, seed):
     expected = 0.0
     for occs in itertools.product(*per_beam):
         if any(n_a == n_b for n_a, n_b in occs):
-            expected += abs(amps[joint_index(domain, occs)]) ** 2
+            expected += abs(amps[flat_position(domain, occs)]) ** 2
     assert prob_diagonal(state) == pytest.approx(expected, abs=1e-14)
 
 
@@ -176,8 +176,8 @@ class TestBghz:
     def test_equal_weight_pair_component(self):
         state = bghz_state(BghzCoefficients((1.0, 1.0)), 2)
         domain = state.domain
-        a_up = state.amplitudes[joint_index(domain, [(1, 0)] * 3)]
-        a_dn = state.amplitudes[joint_index(domain, [(0, 1)] * 3)]
+        a_up = state.amplitudes[flat_position(domain, [(1, 0)] * 3)]
+        a_dn = state.amplitudes[flat_position(domain, [(0, 1)] * 3)]
         assert a_up == a_dn
         assert a_up != 0
 
@@ -198,12 +198,9 @@ class TestBghz:
         coeffs = BghzCoefficients(tuple(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
         state = bghz_state(coeffs, 6)
         space = state.domain[0]
-        dim = space.dim
         for p, m in zip(*(n.tolist() for n in occupations(np.arange(space.dim)))):
-            i_up = space.position(p, m)
-            i_dn = space.position(m, p)
-            up = state.amplitudes[(i_up * dim + i_up) * dim + i_up]
-            dn = state.amplitudes[(i_dn * dim + i_dn) * dim + i_dn]
+            up = state.amplitudes[flat_position(state.domain, [(p, m)] * 3)]
+            dn = state.amplitudes[flat_position(state.domain, [(m, p)] * 3)]
             assert up == pytest.approx(dn, abs=1e-14)
 
     def test_rejects_degenerate_coefficients(self):
@@ -240,8 +237,8 @@ class TestPsiNm:
         state = psi_nm_state(1, 0)
         domain = state.domain
         root_half = 1 / math.sqrt(2)
-        assert state.amplitudes[joint_index(domain, [(1, 0)] * 3)] == pytest.approx(root_half)
-        assert state.amplitudes[joint_index(domain, [(0, 1)] * 3)] == pytest.approx(root_half)
+        assert state.amplitudes[flat_position(domain, [(1, 0)] * 3)] == pytest.approx(root_half)
+        assert state.amplitudes[flat_position(domain, [(0, 1)] * 3)] == pytest.approx(root_half)
         assert np.count_nonzero(state.amplitudes) == 2
 
     def test_is_plus_one_eigenvector_of_triple_swap(self):
@@ -264,8 +261,8 @@ class TestQubitEmbed:
         state = qubit_embed(BELL_STATES["singlet"])
         domain = state.domain
         root_half = 1 / math.sqrt(2)
-        assert state.amplitudes[joint_index(domain, [(1, 0), (0, 1)])] == pytest.approx(root_half)
-        assert state.amplitudes[joint_index(domain, [(0, 1), (1, 0)])] == pytest.approx(-root_half)
+        assert state.amplitudes[flat_position(domain, [(1, 0), (0, 1)])] == pytest.approx(root_half)
+        assert state.amplitudes[flat_position(domain, [(0, 1), (1, 0)])] == pytest.approx(-root_half)
 
     def test_embedded_states_avoid_diagonal_subspace(self):
         rng = np.random.default_rng(3)
@@ -364,12 +361,9 @@ class TestGeneratorState:
     def test_mode_exchange_symmetry(self):
         state = bghz_generator_state(0.4, 8)
         space = state.domain[0]
-        dim = space.dim
         for p, m in zip(*(n.tolist() for n in occupations(np.arange(space.dim)))):
-            i_up = space.position(p, m)
-            i_dn = space.position(m, p)
-            up = state.amplitudes[(i_up * dim + i_up) * dim + i_up]
-            dn = state.amplitudes[(i_dn * dim + i_dn) * dim + i_dn]
+            up = state.amplitudes[flat_position(state.domain, [(p, m)] * 3)]
+            dn = state.amplitudes[flat_position(state.domain, [(m, p)] * 3)]
             assert up == pytest.approx(dn, abs=1e-10)
 
     def test_matches_dense_exponential_of_the_reduced_generator(self):
@@ -386,12 +380,12 @@ class TestGeneratorState:
                     raising[where[p, m + 1], col] += (m + 1) ** 1.5
             space = build_space(cutoff)
             i = np.array([space.position(p, m) for p, m in square])
-            kets = (i * space.dim + i) * space.dim + i
+            kets = [flat_position((space,) * 3, [(p, m)] * 3) for p, m in square]
             for gamma in (0.0, 0.05, 0.3, -0.45, 1.0):
                 want = scipy.linalg.expm(gamma * (raising - raising.T))[:, where[0, 0]]
                 state = bghz_generator_state(gamma, cutoff)
                 assert np.array_equal(state.index, np.sort(kets))
-                assert np.abs(state.lookup(kets) - want).max() < 1e-13
+                assert np.abs(state.lookup((i,) * 3) - want).max() < 1e-13
 
     def test_overflowing_gain_is_refused(self):
         # At cutoff 8 each ladder holds n = 4 triples, and 2 |gamma| 4^1.5 = 16 |gamma|
@@ -435,6 +429,8 @@ class TestGeneratorState:
             ("abc", "BNL_MAX_DIM must be an integer, got 'abc'"),
             ("1e4", "BNL_MAX_DIM must be an integer, got '1e4'"),
             ("", "BNL_MAX_DIM must be an integer, got ''"),
+            ("0", "BNL_MAX_DIM must be a positive integer, got '0'"),
+            ("-5", "BNL_MAX_DIM must be a positive integer, got '-5'"),
         ]
         for value, message in cases:
             monkeypatch.setenv("BNL_MAX_DIM", value)
