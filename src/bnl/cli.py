@@ -4,8 +4,11 @@ Commands emit CSV for sweep curves and JSON for structured verdicts; no
 plotting happens in-process.  Output is byte-stable for fixed flags, seed
 and BLAS thread count.  Exit codes: 0 success, 1 usage error or unwritable
 --out, 2 verification failure, 3 parse error or unreadable input file.
-This module parses no file: ``bnl.states`` reads both input formats, and
-its ``InputFileError`` is the one error reported as a parse error.
+This module parses no file; ``bnl.states`` reads both input formats.
+Handlers raise, and ``main`` alone maps the exception to its exit code
+and one ``bnl:`` line on stderr: ``InputFileError`` to 3,
+``DegenerateCertificateError`` and ``HermitianViolationError`` to 2, and
+any other ``ValueError`` to 1.
 """
 
 from __future__ import annotations
@@ -14,14 +17,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator
 
 import numpy as np
 
 from . import indicators, states
 from .fock import (
-    MAX_DIM_ENV, MultiBeamState, amplitude_cap, basis_state, build_space,
+    MAX_DIM_ENV, HermitianViolationError, MultiBeamState, amplitude_cap, basis_state, build_space,
 )
 from .gpauli import verify_algebra
 from .indicators import (
@@ -51,8 +53,6 @@ EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_PARSE = 3
 
-T = TypeVar("T")
-
 CSV_HEADER = "gamma,p_diag,pm_value,margin,lo,hi,verdict"
 
 # --cutoff when not given; bghz derives it from the coefficients, other sources fix their space.
@@ -72,33 +72,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Evenly spaced gain grid for curve emission."""
-
-    gamma_min: float
-    gamma_max: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma_min) and math.isfinite(self.gamma_max)):
-            raise ValueError("gamma-min and gamma-max must be finite")
-        if self.gamma_min > self.gamma_max:
-            raise ValueError("gamma-min must not exceed gamma-max")
-        if not math.isfinite(self.gamma_max - self.gamma_min):
-            # np.linspace would warn on the overflowing span and grid NaN gains.
-            raise ValueError("gamma-max - gamma-min overflows a double")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        cap = amplitude_cap()
-        if self.steps > cap:
-            # Refused before np.linspace allocates the grid.
-            raise ValueError(f"steps {self.steps} is above the {MAX_DIM_ENV} cap {cap}")
-
-    def grid(self) -> list[float]:
-        return [float(g) for g in np.linspace(self.gamma_min, self.gamma_max, self.steps)]
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -107,7 +80,7 @@ def _fmt(value) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open_text(out, "w", _UsageError) as handle:
+        with open_text(out, "w", ValueError) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -123,39 +96,35 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _cmd_verify_algebra(args) -> int:
-    report = _checked(lambda: verify_algebra(build_space(args.cutoff), args.construction))
+    report = verify_algebra(build_space(args.cutoff), args.construction)
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _checked(build: Callable[[], T]) -> T:
-    """Run a constructor, reporting its domain ValueError as a usage error.
-
-    A file's parse error, also a ValueError, keeps its own exit code.
-    """
-    try:
-        return build()
-    except InputFileError:
-        raise
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 def _refuse_mixed_gains(args) -> None:
     if args.gamma is not None and (args.gamma_min is not None or args.gamma_max is not None):
-        raise _UsageError("--gamma cannot be combined with --gamma-min or --gamma-max")
+        raise ValueError("--gamma cannot be combined with --gamma-min or --gamma-max")
 
 
 def _gain_grid(args, missing: str) -> Iterator[tuple[MultiBeamState, dict]]:
     """The ``_source_state`` of each point of the --gamma-min/--gamma-max grid."""
-    if args.gamma_min is None or args.gamma_max is None:
-        raise _UsageError(missing)
-    sweep = _checked(lambda: SweepSpec(args.gamma_min, args.gamma_max, args.steps))
-    for gamma in sweep.grid():
+    lo, hi, steps = args.gamma_min, args.gamma_max, args.steps
+    if lo is None or hi is None:
+        raise ValueError(missing)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("gamma-min and gamma-max must be finite")
+    if lo > hi:
+        raise ValueError("gamma-min must not exceed gamma-max")
+    if not math.isfinite(hi - lo):
+        # np.linspace would warn on the overflowing span and grid NaN gains.
+        raise ValueError("gamma-max - gamma-min overflows a double")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    cap = amplitude_cap()
+    if steps > cap:
+        # Refused before np.linspace allocates the grid.
+        raise ValueError(f"steps {steps} is above the {MAX_DIM_ENV} cap {cap}")
+    for gamma in np.linspace(lo, hi, steps).tolist():
         yield _source_state(argparse.Namespace(**{**vars(args), "gamma": gamma}))
 
 
@@ -168,7 +137,7 @@ def _cmd_contextuality(args) -> int:
     records: list[tuple[float | None, VerdictRecord]] = []
     for state, meta in rows:
         if state.n_beams != 2:
-            raise _UsageError("contextuality takes a two-beam state")
+            raise ValueError("contextuality takes a two-beam state")
         records.append((meta.get("gamma"), indicators.pm_expectation(state)))
     if args.format == "json":
         payload = {"rows": [{"gamma": gamma, **v.to_dict()} for gamma, v in records]}
@@ -203,10 +172,10 @@ def _source_state(args) -> tuple[MultiBeamState, dict]:
     cutoff = _cutoff(args)
     if args.source == "bsv":
         if args.gamma is None:
-            raise _UsageError("bsv source needs --gamma")
+            raise ValueError("bsv source needs --gamma")
         meta["gamma"] = args.gamma
         meta["cutoff"] = cutoff
-        return _checked(lambda: bsv_state(BsvParams(args.gamma, cutoff))), meta
+        return bsv_state(BsvParams(args.gamma, cutoff)), meta
     if args.source == "qubit":
         if getattr(args, "ghz", False):
             meta["state"] = "ghz"
@@ -215,37 +184,37 @@ def _source_state(args) -> tuple[MultiBeamState, dict]:
         return qubit_embed(states.BELL_STATES[args.bell_state]), meta
     if args.source == "bghz":
         if args.coeffs is None:
-            raise _UsageError("bghz source needs --coeffs FILE")
+            raise ValueError("bghz source needs --coeffs FILE")
         coeffs = load_bghz_coefficients(args.coeffs)
         if cutoff is None:
             cutoff = max(2 * coeffs.max_order, 1)
         meta["coeffs"] = str(args.coeffs)
         meta["cutoff"] = cutoff
-        return _checked(lambda: bghz_state(coeffs, cutoff)), meta
+        return bghz_state(coeffs, cutoff), meta
     if args.source == "bghz-gen":
         if args.gamma is None:
-            raise _UsageError("bghz-gen source needs --gamma")
+            raise ValueError("bghz-gen source needs --gamma")
         meta["gamma"] = args.gamma
         meta["cutoff"] = cutoff
         meta["authoritative"] = False
         meta["note"] = "generator-exponential path, truncation-sensitive"
-        return _checked(lambda: bghz_generator_state(args.gamma, cutoff)), meta
+        return bghz_generator_state(args.gamma, cutoff), meta
     if args.source == "separable":
         beams = 3 if args.witness == "ghz3" else 2
         meta.update({"seed": args.seed, "degree": args.degree, "cutoff": cutoff})
-        return _checked(lambda: random_separable(args.seed, beams, cutoff, args.degree)), meta
+        return random_separable(args.seed, beams, cutoff, args.degree), meta
     if args.source == "product-state":
         return basis_state((build_space(1),) * 3, [(1, 0)] * 3), meta
     if args.state is None:
-        raise _UsageError("state source needs --state FILE")
+        raise ValueError("state source needs --state FILE")
     meta["file"] = str(args.state)
-    return _checked(lambda: load_state_file(args.state)), meta
+    return load_state_file(args.state), meta
 
 
 def _witness(name: str, state: MultiBeamState) -> WitnessSpec:
     spec = WITNESSES[name]
     if spec.n_parties != state.n_beams:
-        raise _UsageError(
+        raise ValueError(
             f"witness {name!r} has {spec.n_parties} parties, state has {state.n_beams} beams"
         )
     return spec
@@ -280,7 +249,7 @@ def _cmd_entanglement(args) -> int:
         return EXIT_OK
 
     if args.format == "csv":
-        raise _UsageError("--csv applies only to the bghz-gen witness sweep")
+        raise ValueError("--csv applies only to the bghz-gen witness sweep")
     state, meta = _source_state(args)
 
     if args.subcommand == "witness":
@@ -291,7 +260,7 @@ def _cmd_entanglement(args) -> int:
         return EXIT_OK
 
     if state.n_beams != 2:
-        raise _UsageError(f"{args.subcommand} takes a two-beam state")
+        raise ValueError(f"{args.subcommand} takes a two-beam state")
     if args.subcommand == "ns-family":
         report = indicators.ns_condition_family(state)
     else:
@@ -302,17 +271,17 @@ def _cmd_entanglement(args) -> int:
 
 def _cmd_bell(args) -> int:
     if args.source == "qubit" and not args.ghz:
-        raise _UsageError("bell qubit needs --ghz (three beams)")
+        raise ValueError("bell qubit needs --ghz (three beams)")
     state, meta = _source_state(args)
     if state.n_beams != 3:
-        raise _UsageError("bell takes a three-beam state")
+        raise ValueError("bell takes a three-beam state")
     result = indicators.mermin_bell_value(state)
     _emit_json({**meta, **result.to_dict()}, args.out)
     return EXIT_OK
 
 
 def _cmd_counterexample(args) -> int:
-    report = _checked(lambda: counterexample_report(cutoff=args.cutoff, sign_flip=args.sign_flip))
+    report = counterexample_report(cutoff=args.cutoff, sign_flip=args.sign_flip)
     if max(report.stokes_distance, report.lift_unitarity_residual) > SELF_CHECK_ATOL:
         print(f"bnl: counterexample self-check failed: stokes_distance {report.stokes_distance:.3e}, "
               f"lift_unitarity_residual {report.lift_unitarity_residual:.3e}, tolerance {SELF_CHECK_ATOL:g}",
@@ -416,15 +385,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"bnl: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InputFileError as exc:
         print(f"bnl: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except DegenerateCertificateError as exc:
+    except (DegenerateCertificateError, HermitianViolationError) as exc:
         print(f"bnl: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except ValueError as exc:
+        print(f"bnl: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

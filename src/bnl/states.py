@@ -232,6 +232,8 @@ def random_beam_state(rng: np.random.Generator, cutoff: int, degree: int) -> Mul
 
 def random_separable(seed: int, n_beams: int, cutoff: int, degree: int) -> MultiBeamState:
     """Product of independently drawn beam states; deterministic under seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     beams = [random_beam_state(rng, cutoff, degree) for _ in range(n_beams)]
     return product_state(beams)

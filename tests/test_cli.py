@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bnl import cli, gpauli, modes
+from bnl import cli, fock, gpauli, indicators, modes
+from bnl.states import GHZ3, qubit_embed
 
 FIXTURES = Path(__file__).parent / "fixtures" / "cli"
 
@@ -244,6 +246,45 @@ def test_file_errors_are_one_line_errors(capsys, tmp_path, argv, code, prefix):
     assert err.startswith(prefix)
     assert str(tmp_path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("verify-algebra --cutoff 2", 0),
+        ("contextuality bsv --gamma 0.5 --cutoff -3", 1),
+        ("entanglement gram state --state diagonal.csv", 2),
+        ("contextuality state --state bad-state.csv", 3),
+    ],
+)
+def test_module_process_exits_with_the_mapped_code(argv, code):
+    # The console script and ``python -m bnl.cli`` both end in sys.exit(main()).
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bnl.cli", *argv.split()],
+        cwd=FIXTURES, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["passed"] is True
+        assert proc.stderr == ""
+    else:
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("bnl: ")
+
+
+def test_hermitian_violation_in_a_verdict_is_a_verification_failure(capsys, monkeypatch):
+    monkeypatch.setattr(fock, "_product_value", lambda state, beams, factors: 0.5 + 1e-3j)
+    state = qubit_embed(GHZ3)
+    with pytest.raises(fock.HermitianViolationError):
+        indicators.witness_verdict(indicators.GHZ3_WITNESS, state)
+    code, out, err = run(capsys, "entanglement", "witness", "qubit", "--ghz")
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("bnl: Hermitian expectation has imaginary part ")
 
 
 def test_non_utf8_state_file_is_a_parse_error_naming_the_line(capsys, tmp_path):
