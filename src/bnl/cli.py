@@ -2,8 +2,10 @@
 
 Commands emit CSV for sweep curves and JSON for structured verdicts; no
 plotting happens in-process.  Output is byte-stable for fixed flags, seed
-and BLAS thread count.  Exit codes: 0 success, 1 usage error or unwritable
---out, 2 verification failure, 3 parse error or unreadable input file.
+and BLAS thread count.  JSON has a 2-space indent and sorted keys, and
+``json`` formats every key and scalar; emitting it leaves no cyclic
+garbage.  Exit codes: 0 success, 1 usage error or unwritable --out,
+2 verification failure, 3 parse error or unreadable input file.
 This module parses no file; ``bnl.states`` reads both input formats.
 Handlers raise, and ``main`` alone maps the exception to its exit code
 and one ``bnl:`` line on stderr: ``InputFileError`` to 3,
@@ -17,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 import numpy as np
@@ -86,8 +89,22 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` by plain recursion, without the reference
+    cycle that json's indenting encoder leaves per call.  ``json`` formats every key and scalar;
+    a non-``str`` key or a leaf it cannot format raises ``TypeError``."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        parts = [f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}" if parts else "{}"
+    if isinstance(value, (list, tuple)):
+        parts = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]" if parts else "[]"
+    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    _emit(_json(payload) + "\n", out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -8,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_cli_fixtures import CASES, run_case
 
 from bnl import cli, fock, gpauli, indicators, modes
 from bnl.states import GHZ3, qubit_embed
@@ -415,6 +419,62 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["passed"] is True
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**300), max_value=10**300),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.nan, math.inf, -math.inf]),
+    st.text(),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+@example(value={"\"quote\"": "caf\u00e9 \u2603 \U0001d11e", "control": "\x00\t\n\x1f\x7f", "": [[], {}, ()]})
+@example(value=[np.float64(-0.0), np.float64(math.nan), 2**64, -(2**63) - 1, True, False, None])
+def test_json_emitter_matches_the_stdlib_layout(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(1), {1, 2}, {"rows": [np.int64(3)]}, {1: "one"}, {"a": 1, 2: "b"}, {None: 0}],
+    ids=["int64", "set", "nested-int64", "int-key", "mixed-keys", "none-key"],
+)
+def test_json_emitter_refuses_unsupported_leaves_and_keys(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+# Only exit-0 cases: an argparse usage error leaves 6 cyclic objects from
+# argparse's help formatter, which bnl does not own.
+@pytest.mark.parametrize(
+    "case", [case for case in CASES if case["exit"] == 0], ids=lambda case: case["name"],
+)
+def test_successful_command_leaves_no_cyclic_garbage(case):
+    argv = case["argv"].split()
+    run_case(argv)  # first-call caches and lazy imports
+    gc.collect()
+    gc.disable()
+    try:
+        run_case(argv)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_entanglement_witness_bghz(capsys, tmp_path):

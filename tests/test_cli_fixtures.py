@@ -6,6 +6,9 @@ its exit code and, for the CLI's own errors, its last stderr line.
 ``out/<name>.out`` holds the expected stdout.  JSON and CSV are compared
 after parsing: keys, strings and verdicts must be identical and numbers
 must agree to 1e-12, because the last digits follow the BLAS kernel.
+JSON is also compared byte for byte with the layout that
+``json.dumps(value, indent=2, sort_keys=True)`` gives its parsed value,
+both in the committed files and in the output of each run.
 
 After a deliberate output change, or after adding a case to
 ``cases.json`` (its name and argv suffice), regenerate and review the
@@ -67,6 +70,11 @@ def parse_output(text: str):
     return rows
 
 
+def json_layout(text: str) -> str:
+    """``text`` parsed and laid out again by ``json.dumps(indent=2, sort_keys=True)``."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def assert_same(got, want, where: str = "") -> None:
     if isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), where
@@ -92,11 +100,22 @@ def assert_case(case: dict, code: int, stdout: str, error: str | None) -> None:
         assert stdout == ""
     else:
         assert_same(parse_output(stdout), parse_output(expected))
+        if expected.startswith("{"):
+            assert stdout == json_layout(stdout)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_cli_output_matches_fixture(case):
     assert_case(case, *run_case(case["argv"].split()))
+
+
+JSON_OUTPUTS = sorted(path for path in (FIXTURES / "out").glob("*.out") if path.read_text().startswith("{"))
+
+
+@pytest.mark.parametrize("path", JSON_OUTPUTS, ids=[path.stem for path in JSON_OUTPUTS])
+def test_committed_json_has_the_stdlib_layout(path):
+    text = path.read_text()
+    assert text == json_layout(text)
 
 
 def regenerate() -> None:
