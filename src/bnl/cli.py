@@ -60,6 +60,9 @@ CSV_HEADER = "gamma,p_diag,pm_value,margin,lo,hi,verdict"
 
 # --cutoff when not given; bghz derives it from the coefficients, other sources fix their space.
 DEFAULT_CUTOFFS = {"bsv": 40, "bghz-gen": 8, "separable": 4}
+# The sources that read --gamma and --cutoff; the others refuse the flag rather than ignore it.
+GAIN_SOURCES = ("bsv", "bghz-gen")
+CUTOFF_SOURCES = ("bsv", "bghz", "bghz-gen", "separable")
 
 WITNESSES: dict[str, WitnessSpec] = {
     "singlet": SINGLET_WITNESS,
@@ -185,6 +188,10 @@ def _cutoff(args) -> int | None:
 
 def _source_state(args) -> tuple[MultiBeamState, dict]:
     """The state named by ``args.source``, with the metadata echoed in JSON output."""
+    if args.gamma is not None and args.source not in GAIN_SOURCES:
+        raise ValueError(f"{args.source} source takes no --gamma")
+    if args.cutoff is not None and args.source not in CUTOFF_SOURCES:
+        raise ValueError(f"{args.source} source takes no --cutoff")
     meta: dict = {"source": args.source}
     cutoff = _cutoff(args)
     if args.source == "bsv":

@@ -34,7 +34,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 # scipy loads its submodules on first use, so a command that builds no sparse
@@ -264,40 +264,9 @@ class Monomial:
         block[total - k if self.swap else k, k] = self.phase[_sector(total - 2 * k)]
         return block
 
-    def canonical(self) -> tuple[complex, tuple[bool, bytes], "Monomial"] | None:
-        """(scale, key, M): self = scale * M, M's first nonzero phase is 1 and
-        its ``key`` is shared by every multiple of self; None for the zero map."""
-        nonzero = np.flatnonzero(self.phase)
-        if nonzero.size == 0:
-            return None
-        scale = complex(self.phase[nonzero[0]])
-        # Adding 0.0 turns the signed zeros of the division into +0.0.
-        phase = self.phase / scale + 0.0
-        # On the s = 0 sector the swap is the identity.
-        swap = self.swap and bool(phase[1] or phase[2])
-        return scale, (swap, phase.tobytes()), Monomial(swap, phase)
-
 
 # One term of a sum of product observables: weight and one factor per beam.
 Term = tuple[complex, Sequence[Monomial]]
-
-
-def merge_terms(terms: Iterable[Term]) -> list[tuple[complex, tuple[Monomial, ...]]]:
-    """Add up the terms whose factors agree beam by beam up to a scalar.
-
-    Factors become their canonical forms, the scales moving into the
-    weight; terms that vanish are dropped.
-    """
-    merged: dict[tuple, list] = {}
-    for weight, factors in terms:
-        forms = [factor.canonical() for factor in factors]
-        if None in forms:
-            continue
-        entry = merged.setdefault(
-            tuple(key for _, key, _ in forms), [0.0, tuple(m for _, _, m in forms)]
-        )
-        entry[0] += weight * math.prod(scale for scale, _, _ in forms)
-    return [(weight, factors) for weight, factors in merged.values() if weight != 0]
 
 
 def _cutoffs(domain: Sequence[BeamSpace]) -> tuple[int, ...]:
@@ -447,11 +416,10 @@ def expectation_sums(
 
     A product term sends each stored ket position to one bra position and
     a phase, so it is evaluated on the support alone (see _product_value);
-    no operator or vector on the joint space is formed.  Terms are evaluated
-    as given; a caller whose terms collapse merges them first (see
-    merge_terms).  The checks are those of ``expectation``: one factor per
-    beam, a normalized state and, for sums declared Hermitian, an imaginary
-    part below 1e-12, the real part being returned as a float.
+    no operator or vector on the joint space is formed.  The checks are
+    those of ``expectation``: one factor per beam, a normalized state and,
+    for sums declared Hermitian, an imaginary part below 1e-12, the real
+    part being returned as a float.
     """
     if any(len(factors) != state.n_beams for terms in sums for _, factors in terms):
         raise DomainMismatchError(f"a term's factor count differs from the {state.n_beams} beams")

@@ -184,8 +184,16 @@ class AlgebraReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def _orbit_matrix(monomial: Monomial, cutoff: int) -> np.ndarray:
-    """Blocks 0 and, from cutoff 1, 1 of ``monomial`` as one matrix on |0,0>, |1,0>, |0,1>."""
+def orbit_matrix(monomial: Monomial, cutoff: int) -> np.ndarray:
+    """Blocks 0 and, from cutoff 1, 1 of ``monomial`` as one matrix on |0,0>, |1,0>, |0,1>.
+
+    A monomial, and so a product of monomials, acts on every orbit
+    {|n,m>, |m,n>} (n > m) as on {|1,0>, |0,1>} and on every |n,n> as on
+    |0,0>.  Every photon-number block is a direct sum of copies of these
+    two, so an entrywise identity or max over products, sums or Kronecker
+    products of these matrices holds for the operators on every space,
+    exactly.
+    """
     matrix = np.zeros((3, 3), dtype=complex)
     matrix[:1, :1], matrix[1:, 1:] = monomial.block(0), monomial.block(1)
     return matrix if cutoff else matrix[:1, :1]
@@ -215,24 +223,19 @@ def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraRep
       * direct vs quadratic-form construction of every g_i
     plus the eigenvalue check: every g_i spectrum inside {-1, 0, +1}.
 
-    The identities are evaluated on |0,0> and, from cutoff 1, the orbit
-    {|1,0>, |0,1>}.  Each g_i, sr and pr is a sign-sector monomial, and so
-    are their products: it acts on every orbit {|n,m>, |m,n>} (n > m) by
-    its 2x2 matrix on {|1,0>, |0,1>} and on every |n,n> by its scalar on
-    |0,0>.  Every other block is a direct sum of copies of these two, so
-    each entrywise max over the space equals the max over them, exactly.
-    The spectrum is solved on every photon-number block T = 0..cutoff,
-    which costs about sum_T T^3, so a space above the ``BNL_MAX_DIM`` cap
-    is still refused.  Failures are reported in the residual table, never
-    raised.
+    The identities are evaluated on the ``orbit_matrix`` of each g_i, sr
+    and pr, so each entrywise max over the space is exact.  The spectrum
+    is solved on every photon-number block T = 0..cutoff, which costs
+    about sum_T T^3, so a space above the ``BNL_MAX_DIM`` cap is still
+    refused.  Failures are reported in the residual table, never raised.
     """
     if construction not in ("direct", "compact"):
         raise ValueError(f"unknown construction {construction!r}")
     check_beam(space)
     monomials = [g_monomial(i) for i in range(4)]
     sr, pr = sr_monomial(), pr_monomial()
-    direct = [_orbit_matrix(m, space.cutoff) for m in monomials]
-    compact = _compact_forms(_orbit_matrix(sr, space.cutoff), _orbit_matrix(pr, space.cutoff))
+    direct = [orbit_matrix(m, space.cutoff) for m in monomials]
+    compact = _compact_forms(orbit_matrix(sr, space.cutoff), orbit_matrix(pr, space.cutoff))
     g = direct if construction == "direct" else compact
     prod = {(i, j): g[i] @ g[j] for i, j in itertools.product(range(4), repeat=2)}
 

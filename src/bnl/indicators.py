@@ -4,7 +4,9 @@ Four quantities are evaluated, each against an explicitly stated classical
 bound:
 
 * a Peres-Mermin-square expression for two beams, whose noncontextual
-  bound 4 is established by brute-force enumeration, not assumed;
+  bound 4 is established by brute-force enumeration, not assumed; its
+  line identities and the commutation of each context's cells are
+  checked, exactly, on 9x9 products of the cells' orbit matrices;
 * linear entanglement witnesses obtained by substituting the bosonic
   observables for qubit Paulis in a real coefficient tensor, nonnegative on
   every separable state;
@@ -38,14 +40,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import (
-    DomainMismatchError,
-    MultiBeamState,
-    Term,
-    expectation_sums,
-    merge_terms,
-)
-from .gpauli import g_monomial, pr_monomial, sr_monomial
+from .fock import DomainMismatchError, MultiBeamState, Term, expectation_sums
+from .gpauli import g_monomial, orbit_matrix, pr_monomial, sr_monomial
 from .states import BsvParams, bsv_state, prob_diagonal
 
 PM_BOUND = 4.0
@@ -159,30 +155,19 @@ PM_LINES: tuple[tuple[str, tuple[tuple[int, int], ...], int], ...] = (
 
 @functools.lru_cache(maxsize=None)
 def _pm_terms(cells: tuple, lines: tuple) -> tuple[Term, ...]:
-    """The six signed line products as per-beam monomials, merged.
+    """The signed sum of the six line products, as its one term w g0 x g0.
 
-    A transcription guard runs first: the three cells of every context
-    must commute.  The g_i are cutoff-free, so the guard holds on every
-    space, and terms and guard are built once per distinct cell table.
+    A transcription guard runs on the cells' 9x9 orbit matrices, the
+    Kronecker products of their factors' ``orbit_matrix``: the three cells
+    of every context must commute, and each line product must be a
+    multiple of g0 x g0, whose signed scalars sum to w.  Those matrices
+    represent the cells on every space, so guard and term are exact at
+    every cutoff, and both are built once per distinct cell table.
     """
-    labels = dict(cells)
-    g = [g_monomial(i) for i in range(4)]
-    # Every per-beam product of two cells' factors, built once.
-    prod = {(i, j): g[i] @ g[j] for i in range(4) for j in range(4)}
-
-    def commutator_bound(a: tuple[int, int], b: tuple[int, int]) -> float:
-        # Bounds the largest entry of [A, B] by merging AB - BA as a two-term
-        # sum: zero when the per-beam factors commute or anticommute in pairs.
-        pairs = list(zip(labels[a], labels[b]))
-        ab = tuple(prod[x, y] for x, y in pairs)
-        ba = tuple(prod[y, x] for x, y in pairs)
-        return sum(
-            abs(weight) * math.prod(float(np.abs(f.phase).max()) for f in factors)
-            for weight, factors in merge_terms([(1.0, ab), (-1.0, ba)])
-        )
-
+    g = [orbit_matrix(g_monomial(i), 1) for i in range(4)]
+    cell = {key: np.kron(g[p], g[q]) for key, (p, q) in cells}
     worst = max(
-        commutator_bound(a, b)
+        float(np.abs(cell[a] @ cell[b] - cell[b] @ cell[a]).max())
         for _, line, _ in lines
         for a, b in itertools.combinations(line, 2)
     )
@@ -190,17 +175,28 @@ def _pm_terms(cells: tuple, lines: tuple) -> tuple[Term, ...]:
         raise AssertionError(
             f"cells within a context fail to commute (residual {worst:.3e})"
         )
-    return tuple(merge_terms(
-        (float(sign), tuple(g[x] @ g[y] @ g[z] for x, y, z in zip(*(labels[c] for c in line))))
-        for _, line, sign in lines
-    ))
+    g00 = np.kron(g[0], g[0])
+    weight = 0.0
+    for name, line, sign in lines:
+        product = cell[line[0]] @ cell[line[1]] @ cell[line[2]]
+        # g0 x g0 is 1 on |1,0>|1,0>, the fifth of the nine orbit kets.
+        scale = complex(product[4, 4])
+        residual = float(np.abs(product - scale * g00).max())
+        if residual > LINE_COMMUTE_ATOL:
+            raise AssertionError(
+                f"line {name} multiplies to no multiple of g0 x g0 (residual {residual:.3e})"
+            )
+        weight += sign * scale
+    return ((weight, (g_monomial(0), g_monomial(0))),)
 
 
 def pm_expectation(state: MultiBeamState) -> VerdictRecord:
     """Violated iff the square expression exceeds 4 (equivalently P(diagonal) < 1/3).
 
     The expression is evaluated as the sum of its six line products, which
-    all collapse to +-g0 x g0 and so merge into one term.  The
+    all collapse to +-g0 x g0, as one term w g0 x g0: the commutation of
+    each context's cells and the line identities are checked, exactly, on
+    9x9 orbit-matrix products (see _pm_terms).  The
     independently computed shortcut 6(1 - P(diagonal)) must agree with
     that value up to the tail mass weighted by the six contexts;
     disagreement beyond that signals an internal inconsistency and raises.

@@ -74,17 +74,17 @@ def map_witness(spec, space: BeamSpace) -> ComplexOperator:
     return ComplexOperator((space,) * spec.n_parties, total.tocsr(), hermitian=True)
 
 
-def pm_cells(space: BeamSpace) -> dict:
-    """The nine two-beam cell operators g_p1 x g_p2 of the square."""
+def pm_cells(space: BeamSpace, labels=PM_CELL_LABELS) -> dict:
+    """The nine two-beam cell operators g_p1 x g_p2 of the square (or of another cell table)."""
     g = [g_operator(i, space) for i in range(4)]
-    return {key: tensor([g[p1], g[p2]]) for key, (p1, p2) in PM_CELL_LABELS.items()}
+    return {key: tensor([g[p1], g[p2]]) for key, (p1, p2) in labels.items()}
 
 
-def pm_line_products(space: BeamSpace) -> dict:
+def pm_line_products(space: BeamSpace, labels=PM_CELL_LABELS, lines=PM_LINES) -> dict:
     """Each context's product of its three cells as a sparse matrix, keyed by line name."""
-    cells = {key: cell.matrix for key, cell in pm_cells(space).items()}
+    cells = {key: cell.matrix for key, cell in pm_cells(space, labels).items()}
     return {
-        name: cells[line[0]] @ cells[line[1]] @ cells[line[2]] for name, line, _ in PM_LINES
+        name: cells[line[0]] @ cells[line[1]] @ cells[line[2]] for name, line, _ in lines
     }
 
 

@@ -3,12 +3,12 @@
 ``cases.json`` lists each case's argv (run from that directory, so the
 small coefficient and state files next to it resolve by relative path),
 its exit code and, for the CLI's own errors, its last stderr line.
-``out/<name>.out`` holds the expected stdout.  JSON and CSV are compared
-after parsing: keys, strings and verdicts must be identical and numbers
-must agree to 1e-12, because the last digits follow the BLAS kernel.
-JSON is also compared byte for byte with the layout that
-``json.dumps(value, indent=2, sort_keys=True)`` gives its parsed value,
-both in the committed files and in the output of each run.
+``out/<name>.out`` holds the expected stdout, which a run must reproduce
+byte for byte.  JSON and CSV are first compared after parsing, so that a
+changed number fails naming its field: keys, strings and verdicts must be
+identical and numbers must agree to 1e-12.  The committed JSON must also
+have the layout that ``json.dumps(value, indent=2, sort_keys=True)`` gives
+its parsed value.
 
 After a deliberate output change, or after adding a case to
 ``cases.json`` (its name and argv suffice), regenerate and review the
@@ -16,8 +16,8 @@ diff:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_cli_fixtures.py
 
-That rewrites, and names, only the cases that no longer match, so the
-others keep their committed digits.
+That rewrites, and names, only the cases whose stdout bytes changed, and
+records each case's exit code and error line.
 """
 
 import contextlib
@@ -91,17 +91,18 @@ def assert_same(got, want, where: str = "") -> None:
         assert got == want, where
 
 
+def expected_stdout(case: dict) -> str:
+    return (FIXTURES / "out" / f"{case['name']}.out").read_bytes().decode()
+
+
 def assert_case(case: dict, code: int, stdout: str, error: str | None) -> None:
-    """The run matches the case's exit code, error line and expected stdout."""
+    """The run matches the case's exit code, error line and expected stdout, byte for byte."""
     assert code == case.get("exit")
     assert error == case.get("error")
-    expected = (FIXTURES / "out" / f"{case['name']}.out").read_text()
-    if not expected:
-        assert stdout == ""
-    else:
+    expected = expected_stdout(case)
+    if expected:
         assert_same(parse_output(stdout), parse_output(expected))
-        if expected.startswith("{"):
-            assert stdout == json_layout(stdout)
+    assert stdout == expected
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
@@ -119,13 +120,15 @@ def test_committed_json_has_the_stdlib_layout(path):
 
 
 def regenerate() -> None:
-    """Rewrite and name each case that fails ``assert_case`` or has no expected stdout."""
+    """Rewrite and name each case whose stdout bytes differ or that has no expected stdout."""
     lines = []
     for case in CASES:
         code, stdout, error = run_case(case["argv"].split())
         try:
-            assert_case(case, code, stdout, error)
-        except (AssertionError, OSError, ValueError):
+            changed = stdout != expected_stdout(case)
+        except FileNotFoundError:
+            changed = True
+        if changed:
             (FIXTURES / "out" / f"{case['name']}.out").write_text(stdout)
             print(case["name"])
         record = {"name": case["name"], "argv": case["argv"], "exit": code, "error": error}
@@ -134,6 +137,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    if not __debug__:
-        raise SystemExit("regenerating compares with assert, so run it without -O")
     regenerate()

@@ -4,9 +4,9 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from tensor_oracle import map_witness, pm_cells, pm_line_products, pm_operator
+from tensor_oracle import flat_position, map_witness, pm_cells, pm_line_products, pm_operator
 
 from bnl import indicators
 from bnl.fock import (
@@ -84,6 +84,17 @@ TWO_BEAM_VERDICTS = {
 }
 
 
+@st.composite
+def tables_near_the_square(draw):
+    """The square's cell table with one or two cells relabelled, and its line signs flipped at random."""
+    labels = dict(PM_CELL_LABELS)
+    for cell in draw(st.lists(st.sampled_from(sorted(labels)), min_size=1, max_size=2, unique=True)):
+        labels[cell] = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    flips = draw(st.lists(st.booleans(), min_size=len(PM_LINES), max_size=len(PM_LINES)))
+    lines = tuple((name, line, -sign if flip else sign) for (name, line, sign), flip in zip(PM_LINES, flips))
+    return labels, lines
+
+
 class TestPeresMerminSquare:
     def test_cell_table_matches_fixed_constants(self):
         assert PM_CELL_LABELS == {
@@ -133,6 +144,44 @@ class TestPeresMerminSquare:
         monkeypatch.setattr(indicators, "PM_LINES", lines)
         with pytest.raises(RuntimeError, match="disagree"):
             pm_expectation(random_two_beam_state(0))
+
+    def test_square_is_one_term_six_g0_g0(self):
+        [(weight, factors)] = indicators._pm_terms(tuple(PM_CELL_LABELS.items()), PM_LINES)
+        assert weight == 6
+        assert [(f.swap, f.phase.tolist()) for f in factors] == [(False, [0, 1, 1])] * 2
+
+    @given(table=tables_near_the_square())
+    @example(table=(dict(PM_CELL_LABELS), PM_LINES))
+    @settings(max_examples=200, deadline=None)
+    def test_guard_agrees_with_the_sparse_oracle_near_the_square(self, table):
+        labels, lines = table
+        space = build_space(3)
+        cells = {key: cell.matrix for key, cell in pm_cells(space, labels).items()}
+        commute = all(
+            abs(cells[a] @ cells[b] - cells[b] @ cells[a]).max() <= 1e-12
+            for _, line, _ in lines
+            for a, b in itertools.combinations(line, 2)
+        )
+        products = pm_line_products(space, labels, lines)
+        g00 = tensor([g_operator(0, space)] * 2).matrix
+        ket = flat_position((space, space), [(1, 0), (1, 0)])  # where g0 x g0 is 1
+        off = [
+            name for name, product in products.items()
+            if abs(product - product[ket, ket] * g00).max() > 1e-12
+        ]
+        indicators._pm_terms.cache_clear()
+        args = (tuple(labels.items()), lines)
+        if not commute:
+            with pytest.raises(AssertionError, match="fail to commute"):
+                indicators._pm_terms(*args)
+        elif off:
+            with pytest.raises(AssertionError, match=f"line {off[0]} multiplies to no multiple of g0 x g0"):
+                indicators._pm_terms(*args)
+        else:
+            [(weight, factors)] = indicators._pm_terms(*args)
+            got = weight * tensor([f.operator(space) for f in factors]).matrix
+            want = sum(sign * products[name] for name, _, sign in lines)
+            assert abs(got - want).max() <= 1e-12
 
     def test_five_plus_lines_one_minus_line(self):
         space = build_space(3)

@@ -22,7 +22,6 @@ from bnl.fock import (
     build_space,
     expectation,
     expectation_sums,
-    merge_terms,
     tensor,
 )
 from bnl.gpauli import diagonal_monomial, g_monomial, pr_monomial, sr_monomial
@@ -123,23 +122,6 @@ def test_support_kernel_matches_tensor_oracle(cutoffs, density, n_terms, seed):
     )
     [value] = expectation_sums([terms], state)
     assert abs(value - expectation(ComplexOperator(domain, oracle), state)) <= 1e-12
-
-
-def test_proportional_terms_merge():
-    g = [g_monomial(i) for i in range(4)]
-    merged = merge_terms([
-        (1.0, (g[1] @ g[1], g[2] @ g[2])),  # g0 x g0
-        (2.0, (g[0], g[0])),
-        (1.0, (g[1] @ g[2], g[0])),  # i g3 x g0
-    ])
-    assert len(merged) == 2
-    (w0, f0), (w1, f1) = merged
-    assert w0 == 3.0 and w1 == 1j
-    assert np.array_equal(f0[0].phase, g[0].phase) and np.array_equal(f1[0].phase, g[3].phase)
-    assert merge_terms([(1.0, (g[1] @ g[1],)), (-1.0, (g[0],))]) == []
-    # On the s = 0 sector a swap is the identity, so these are one term.
-    [(w, (f,))] = merge_terms([(1.0, (Monomial(True, (2, 0, 0)),)), (1.0, (diagonal_monomial(),))])
-    assert w == 3.0 and not f.swap
 
 
 def test_domain_mismatch_is_rejected():
