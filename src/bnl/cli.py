@@ -7,6 +7,8 @@ and BLAS thread count.  JSON has a 2-space indent and sorted keys, and
 garbage.  Exit codes: 0 success, 1 usage error or unwritable --out,
 2 verification failure, 3 parse error or unreadable input file.
 This module parses no file; ``bnl.states`` reads both input formats.
+``SOURCES`` and ``SWEEPS`` hold the flags each state source reads,
+with their defaults; a source refuses any other source flag (exit 1).
 Handlers raise, and ``main`` alone maps the exception to its exit code
 and one ``bnl:`` line on stderr: ``InputFileError`` to 3,
 ``DegenerateCertificateError`` and ``HermitianViolationError`` to 2, and
@@ -58,11 +60,27 @@ EXIT_PARSE = 3
 
 CSV_HEADER = "gamma,p_diag,pm_value,margin,lo,hi,verdict"
 
-# --cutoff when not given; bghz derives it from the coefficients, other sources fix their space.
-DEFAULT_CUTOFFS = {"bsv": 40, "bghz-gen": 8, "separable": 4}
-# The sources that read --gamma and --cutoff; the others refuse the flag rather than ignore it.
-GAIN_SOURCES = ("bsv", "bghz-gen")
-CUTOFF_SOURCES = ("bsv", "bghz", "bghz-gen", "separable")
+# Each source's argparse dests, with their values when not given; bghz's cutoff comes from its coefficients.
+SOURCES: dict[str, dict[str, object]] = {
+    "bsv": {"gamma": None, "cutoff": 40},
+    "qubit": {"bell_state": "singlet", "ghz": False},
+    "bghz": {"coeffs": None, "cutoff": None},
+    "bghz-gen": {"gamma": None, "cutoff": 8},
+    "separable": {"seed": 0, "degree": 2, "cutoff": 4},
+    "product-state": {},
+    "state": {"state": None},
+}
+# The only (command, source) pairs that sweep the gain, and the sweep flags they read besides.
+SWEEPS = {
+    ("contextuality", "bsv"): {"gamma_min": None, "gamma_max": None, "steps": 25},
+    ("witness", "bghz-gen"): {"gamma_min": None, "gamma_max": None, "steps": 10},
+}
+_SOURCE_FLAGS = {
+    "gamma": {"type": float}, "gamma_min": {"type": float}, "gamma_max": {"type": float},
+    "steps": {"type": int}, "cutoff": {"type": int}, "seed": {"type": int}, "degree": {"type": int},
+    "bell_state": {"choices": sorted(states.BELL_STATES)}, "ghz": {"action": "store_true"},
+    "coeffs": {}, "state": {},
+}
 
 WITNESSES: dict[str, WitnessSpec] = {
     "singlet": SINGLET_WITNESS,
@@ -121,9 +139,25 @@ def _cmd_verify_algebra(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def _refuse_mixed_gains(args) -> None:
+def _source_args(args, command: str) -> None:
+    """Refuse each given flag that ``command`` (for entanglement, the subcommand) does not read for
+    ``args.source``, then fill in the defaults of those it does."""
+    if command in ("ns-family", "gram") and args.witness is not None:
+        raise ValueError(f"{command} takes no --witness")
+    reads = {**SOURCES[args.source], **SWEEPS.get((command, args.source), {})}
+    for dest in _SOURCE_FLAGS:
+        if dest not in reads and getattr(args, dest) is not None:
+            raise ValueError(f"{args.source} source takes no --{dest.replace('_', '-')}")
+    # Past the loop only qubit can be given both, and only a sweeping pair a sweep flag.
+    if args.ghz and args.bell_state is not None:
+        raise ValueError("--ghz cannot be combined with --bell-state")
     if args.gamma is not None and (args.gamma_min is not None or args.gamma_max is not None):
         raise ValueError("--gamma cannot be combined with --gamma-min or --gamma-max")
+    if args.gamma is not None and args.steps is not None:
+        raise ValueError("--gamma cannot be combined with --steps")
+    for dest, default in reads.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def _gain_grid(args, missing: str) -> Iterator[tuple[MultiBeamState, dict]]:
@@ -149,8 +183,8 @@ def _gain_grid(args, missing: str) -> Iterator[tuple[MultiBeamState, dict]]:
 
 
 def _cmd_contextuality(args) -> int:
-    _refuse_mixed_gains(args)
-    if args.source == "bsv" and args.gamma is None:
+    _source_args(args, "contextuality")
+    if ("contextuality", args.source) in SWEEPS and args.gamma is None:
         rows = _gain_grid(args, "bsv source needs --gamma or --gamma-min/--gamma-max")
     else:
         rows = [_source_state(args)]
@@ -182,26 +216,17 @@ def _cmd_contextuality(args) -> int:
     return EXIT_OK
 
 
-def _cutoff(args) -> int | None:
-    return args.cutoff if args.cutoff is not None else DEFAULT_CUTOFFS.get(args.source)
-
-
 def _source_state(args) -> tuple[MultiBeamState, dict]:
-    """The state named by ``args.source``, with the metadata echoed in JSON output."""
-    if args.gamma is not None and args.source not in GAIN_SOURCES:
-        raise ValueError(f"{args.source} source takes no --gamma")
-    if args.cutoff is not None and args.source not in CUTOFF_SOURCES:
-        raise ValueError(f"{args.source} source takes no --cutoff")
+    """The state named by ``args.source``, from the flags ``_source_args`` checked, and its JSON metadata."""
     meta: dict = {"source": args.source}
-    cutoff = _cutoff(args)
     if args.source == "bsv":
         if args.gamma is None:
             raise ValueError("bsv source needs --gamma")
         meta["gamma"] = args.gamma
-        meta["cutoff"] = cutoff
-        return bsv_state(BsvParams(args.gamma, cutoff)), meta
+        meta["cutoff"] = args.cutoff
+        return bsv_state(BsvParams(args.gamma, args.cutoff)), meta
     if args.source == "qubit":
-        if getattr(args, "ghz", False):
+        if args.ghz:
             meta["state"] = "ghz"
             return qubit_embed(states.GHZ3), meta
         meta["state"] = args.bell_state
@@ -210,8 +235,7 @@ def _source_state(args) -> tuple[MultiBeamState, dict]:
         if args.coeffs is None:
             raise ValueError("bghz source needs --coeffs FILE")
         coeffs = load_bghz_coefficients(args.coeffs)
-        if cutoff is None:
-            cutoff = max(2 * coeffs.max_order, 1)
+        cutoff = max(2 * coeffs.max_order, 1) if args.cutoff is None else args.cutoff
         meta["coeffs"] = str(args.coeffs)
         meta["cutoff"] = cutoff
         return bghz_state(coeffs, cutoff), meta
@@ -219,14 +243,14 @@ def _source_state(args) -> tuple[MultiBeamState, dict]:
         if args.gamma is None:
             raise ValueError("bghz-gen source needs --gamma")
         meta["gamma"] = args.gamma
-        meta["cutoff"] = cutoff
+        meta["cutoff"] = args.cutoff
         meta["authoritative"] = False
         meta["note"] = "generator-exponential path, truncation-sensitive"
-        return bghz_generator_state(args.gamma, cutoff), meta
+        return bghz_generator_state(args.gamma, args.cutoff), meta
     if args.source == "separable":
         beams = 3 if args.witness == "ghz3" else 2
-        meta.update({"seed": args.seed, "degree": args.degree, "cutoff": cutoff})
-        return random_separable(args.seed, beams, cutoff, args.degree), meta
+        meta.update({"seed": args.seed, "degree": args.degree, "cutoff": args.cutoff})
+        return random_separable(args.seed, beams, args.cutoff, args.degree), meta
     if args.source == "product-state":
         return basis_state((build_space(1),) * 3, [(1, 0)] * 3), meta
     if args.state is None:
@@ -245,8 +269,8 @@ def _witness(name: str, state: MultiBeamState) -> WitnessSpec:
 
 
 def _cmd_entanglement(args) -> int:
-    _refuse_mixed_gains(args)
-    if args.subcommand == "witness" and args.source == "bghz-gen" and args.gamma is None:
+    _source_args(args, args.subcommand)
+    if (args.subcommand, args.source) in SWEEPS and args.gamma is None:
         # Sweep mode: emit the qualitative curve from the generator path.
         grid = _gain_grid(args, "bghz-gen needs --gamma or --gamma-min/--gamma-max")
         curve = []
@@ -294,6 +318,7 @@ def _cmd_entanglement(args) -> int:
 
 
 def _cmd_bell(args) -> int:
+    _source_args(args, "bell")
     if args.source == "qubit" and not args.ghz:
         raise ValueError("bell qubit needs --ghz (three beams)")
     state, meta = _source_state(args)
@@ -332,62 +357,36 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-algebra", help="run the operator-algebra suite")
     p.add_argument("--cutoff", type=int, default=6)
     p.add_argument("--construction", choices=("direct", "compact"), default="direct")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_algebra)
 
     p = sub.add_parser("contextuality", help="square-expression verdicts and sweeps")
     p.add_argument("source", choices=("bsv", "qubit", "state"))
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--gamma-min", dest="gamma_min", type=float, default=None)
-    p.add_argument("--gamma-max", dest="gamma_max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=25)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--bell-state", dest="bell_state", choices=sorted(states.BELL_STATES), default="singlet")
-    p.add_argument("--state", default=None)
-    p.add_argument("--out", default=None)
     _add_format_flags(p, default="csv")
     p.set_defaults(func=_cmd_contextuality)
 
     p = sub.add_parser("entanglement", help="witness, criterion family and certificate")
     p.add_argument("subcommand", choices=("witness", "ns-family", "gram"))
-    p.add_argument(
-        "source", choices=("bsv", "qubit", "bghz", "bghz-gen", "separable", "state")
-    )
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--gamma-min", dest="gamma_min", type=float, default=None)
-    p.add_argument("--gamma-max", dest="gamma_max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--bell-state", dest="bell_state", choices=sorted(states.BELL_STATES), default="singlet")
-    p.add_argument("--ghz", action="store_true")
-    p.add_argument("--coeffs", default=None)
-    p.add_argument("--state", default=None)
+    p.add_argument("source", choices=("bsv", "qubit", "bghz", "bghz-gen", "separable", "state"))
     p.add_argument("--witness", choices=sorted(WITNESSES), default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--out", default=None)
     _add_format_flags(p, default="json")
     p.set_defaults(func=_cmd_entanglement)
 
     p = sub.add_parser("bell", help="three-beam Mermin expression")
-    p.add_argument(
-        "source", choices=("bghz", "bghz-gen", "qubit", "product-state", "state")
-    )
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--ghz", action="store_true")
-    p.add_argument("--coeffs", default=None)
-    p.add_argument("--state", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("source", choices=("bghz", "bghz-gen", "qubit", "product-state", "state"))
     p.set_defaults(func=_cmd_bell)
 
     p = sub.add_parser("counterexample", help="mode-rotation non-covariance contrast")
     p.add_argument("--sign-flip", dest="sign_flip", action="store_true")
     p.add_argument("--block", type=int, choices=(1, 2), default=2)
     p.add_argument("--cutoff", type=int, default=2)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_counterexample)
 
+    # Each source flag is declared once, with default None, so that _source_args sees what was given.
+    for name in ("contextuality", "entanglement", "bell"):
+        for dest, kwargs in _SOURCE_FLAGS.items():
+            sub.choices[name].add_argument("--" + dest.replace("_", "-"), default=None, **kwargs)
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 

@@ -17,6 +17,12 @@ scientific notation, such as -1e308, as a flag.  They also draw
 cutoff 100,000,000, whose three-beam joint space has more positions than
 int64 holds, as has the three-beam state file at cutoff 70,000; both
 must be refused with one ``bnl`` line, not an overflow traceback.
+Most draws give a state command only the flags its source reads, taken
+from ``cli.SOURCES`` and ``cli.SWEEPS``, so that they reach the
+state builders and readers; the others draw from every source flag.  A
+second property gives a state command one source flag it does not read,
+among flags it does: that flag alone must be refused, exit 1, in one
+``bnl: error:`` line that names it.
 ``verify-algebra`` and ``counterexample`` solve every photon-number block
 of one beam, whose cost grows with the cutoff below the cap they check,
 so they draw from 0..40 and from the edge of that cap: at cutoff 139 (9,870 beam states) the algebra suite must pass and
@@ -67,6 +73,7 @@ VALUES = {
     "--gamma-min": GAINS,
     "--gamma-max": GAINS,
     "--steps": st.integers(0, 3).map(str),
+    "--cutoff": STATE_CUTOFFS,
     "--bell-state": st.sampled_from(["singlet", "psi+", "phi+", "phi-"]),
     "--ghz": FLAG,
     "--coeffs": INPUT_FILES,
@@ -82,27 +89,45 @@ VALUES = {
     "--out": st.sampled_from(["{out}/result.txt", "{out}/no/such/dir/result.txt"]),
 }
 
-# command -> (choices for each positional, optional flags).  Every command takes --cutoff, which
-# the block commands always get and the others in half the runs, since the qubit, product-state
-# and state sources refuse it.
+
+def flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+SOURCE_FLAGS = sorted(
+    {flag(dest) for table in (cli.SOURCES, cli.SWEEPS) for reads in table.values() for dest in reads}
+)
+
+
+def reads(positionals: list[str]) -> list[str]:
+    """The flags read by the state command and source that an argv's positionals name."""
+    command, source = positionals[-2 if positionals[0] == "entanglement" else 0], positionals[-1]
+    dests = [*cli.SOURCES[source], *cli.SWEEPS.get((command, source), {})]
+    return [flag(dest) for dest in dests] + (["--witness"] if command == "witness" else [])
+
+
+# command -> (choices for each positional, the flags it takes besides the source flags).  The
+# block commands, which build no state, always get --cutoff.
 COMMANDS = {
     "verify-algebra": ((), ("--construction", "--out")),
-    "contextuality": (
-        (("bsv", "qubit", "state"),),
-        ("--gamma", "--gamma-min", "--gamma-max", "--steps", "--bell-state", "--state",
-         "--out", "--json", "--csv"),
-    ),
+    "contextuality": ((("bsv", "qubit", "state"),), ("--out", "--json", "--csv")),
     "entanglement": (
         (("witness", "ns-family", "gram"), ("bsv", "qubit", "bghz", "bghz-gen", "separable", "state")),
-        ("--gamma", "--gamma-min", "--gamma-max", "--steps", "--bell-state", "--ghz", "--coeffs",
-         "--state", "--witness", "--seed", "--degree", "--out", "--json", "--csv"),
+        ("--out", "--json", "--csv"),
     ),
-    "bell": (
-        (("bghz", "bghz-gen", "qubit", "product-state", "state"),),
-        ("--gamma", "--ghz", "--coeffs", "--state", "--out"),
-    ),
+    "bell": ((("bghz", "bghz-gen", "qubit", "product-state", "state"),), ("--out",)),
     "counterexample": ((), ("--sign-flip", "--block", "--out")),
 }
+STATE_COMMANDS = [(command, positionals) for command, (positionals, _) in COMMANDS.items() if positionals]
+
+
+def add_flag(argv: list[str], name: str, value) -> None:
+    if value is None:
+        argv.append(name)
+    elif VALUES[name] is GAINS:
+        argv.append(f"{name}={value}")
+    else:
+        argv += [name, value]
 
 
 @st.composite
@@ -110,17 +135,15 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     positionals, flags = COMMANDS[command]
     argv = [command] + [draw(st.sampled_from(choices)) for choices in positionals]
-    block_command = command in ("verify-algebra", "counterexample")
-    if block_command or draw(st.booleans()):
-        argv += ["--cutoff", draw(BLOCK_CUTOFFS if block_command else STATE_CUTOFFS)]
-    for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=5)):
-        value = draw(VALUES[flag])
-        if value is None:
-            argv.append(flag)
-        elif VALUES[flag] is GAINS:
-            argv.append(f"{flag}={value}")
-        else:
-            argv += [flag, value]
+    if command in ("verify-algebra", "counterexample"):
+        argv += ["--cutoff", draw(BLOCK_CUTOFFS)]
+    elif draw(st.integers(0, 9)):
+        # Mostly the flags the source reads, so that the draws reach the state builders and readers.
+        flags += tuple(reads(argv))
+    else:
+        flags += tuple(SOURCE_FLAGS) + (("--witness",) if command == "entanglement" else ())
+    for name in draw(st.lists(st.sampled_from(flags), unique=True, max_size=5)):
+        add_flag(argv, name, draw(VALUES[name]))
     return argv
 
 
@@ -180,3 +203,31 @@ def test_cli_never_escapes_main(out_dir, argv):
             assert all(math.isfinite(v) for row in parsed for v in row if isinstance(v, float))
     else:
         assert stderr.getvalue().strip().splitlines()[-1].startswith("bnl")
+
+
+@st.composite
+def refused_argvs(draw):
+    """A state command with flags its source reads, and one source flag it does not read."""
+    command, positionals = draw(st.sampled_from(STATE_COMMANDS))
+    argv = [command] + [draw(st.sampled_from(choices)) for choices in positionals]
+    read = reads(argv)
+    pool = SOURCE_FLAGS + (["--witness"] if command == "entanglement" else [])
+    refused = draw(st.sampled_from([name for name in pool if name not in read]))
+    names = draw(st.lists(st.sampled_from(read), unique=True, max_size=3)) if read else []
+    for name in draw(st.permutations(names + [refused])):
+        add_flag(argv, name, draw(VALUES[name]))
+    return argv, refused
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=refused_argvs())
+def test_a_flag_the_source_does_not_read_is_refused(case):
+    """Before any input file is read or any state built, whatever the other flags hold."""
+    argv, refused = case
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert (code, stdout.getvalue()) == (1, "")
+    assert stderr.getvalue().startswith("bnl: error: ")
+    assert stderr.getvalue().endswith(f" takes no {refused}\n")
+    assert stderr.getvalue().count("\n") == 1
