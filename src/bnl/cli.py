@@ -7,12 +7,16 @@ and BLAS thread count.  JSON has a 2-space indent and sorted keys, and
 garbage.  Exit codes: 0 success, 1 usage error or unwritable --out,
 2 verification failure, 3 parse error or unreadable input file.
 This module parses no file; ``bnl.states`` reads both input formats.
-``SOURCES`` and ``SWEEPS`` hold the flags each state source reads,
-with their defaults; a source refuses any other source flag (exit 1).
-Handlers raise, and ``main`` alone maps the exception to its exit code
-and one ``bnl:`` line on stderr: ``InputFileError`` to 3,
-``DegenerateCertificateError`` and ``HermitianViolationError`` to 2, and
-any other ``ValueError`` to 1.
+One handler runs every state command from two tables.  ``SOURCES`` holds
+each state source whole: the flags it reads, with their defaults or
+``NEEDED``, and its builder of the state and its JSON fields.  ``COMMANDS``
+holds each state command's beam count and its result on one state, as JSON
+fields.  A source refuses any other source flag, and a missing needed
+flag ("bsv source needs --gamma"); a command refuses a state of another
+beam count ("bell takes a three-beam state").  Handlers raise, and
+``main`` alone maps the exception to its exit code and one ``bnl:`` line
+on stderr: ``InputFileError`` to 3, ``DegenerateCertificateError`` and
+``HermitianViolationError`` to 2, and any other ``ValueError`` to 1.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +39,6 @@ from .indicators import (
     PHI_PLUS_WITNESS,
     SINGLET_WITNESS,
     DegenerateCertificateError,
-    VerdictRecord,
     WitnessSpec,
 )
 from .modes import SELF_CHECK_ATOL, counterexample_report
@@ -60,15 +62,44 @@ EXIT_PARSE = 3
 
 CSV_HEADER = "gamma,p_diag,pm_value,margin,lo,hi,verdict"
 
-# Each source's argparse dests, with their values when not given; bghz's cutoff comes from its coefficients.
-SOURCES: dict[str, dict[str, object]] = {
-    "bsv": {"gamma": None, "cutoff": 40},
-    "qubit": {"bell_state": "singlet", "ghz": False},
-    "bghz": {"coeffs": None, "cutoff": None},
-    "bghz-gen": {"gamma": None, "cutoff": 8},
-    "separable": {"seed": 0, "degree": 2, "cutoff": 4},
-    "product-state": {},
-    "state": {"state": None},
+WITNESSES: dict[str, WitnessSpec] = {
+    "singlet": SINGLET_WITNESS,
+    "phi-plus": PHI_PLUS_WITNESS,
+    "ghz3": GHZ3_WITNESS,
+}
+
+
+def _qubit(args) -> tuple[MultiBeamState, dict]:
+    if args.ghz:
+        return qubit_embed(states.GHZ3), {"state": "ghz"}
+    if args.command == "bell":  # the one three-beam command
+        raise ValueError("bell qubit needs --ghz (three beams)")
+    return qubit_embed(states.BELL_STATES[args.bell_state]), {"state": args.bell_state}
+
+
+def _bghz(args) -> tuple[MultiBeamState, dict]:
+    coeffs = load_bghz_coefficients(args.coeffs)
+    cutoff = max(2 * coeffs.max_order, 1) if args.cutoff is None else args.cutoff
+    return bghz_state(coeffs, cutoff), {"coeffs": str(args.coeffs), "cutoff": cutoff}
+
+
+NEEDED = object()  # the default of a flag that the source cannot do without
+# Each source: the argparse dests it reads, with their values when not given (bghz's cutoff comes from
+# its coefficients), and its builder, which returns the state and its JSON fields besides "source".
+SOURCES = {
+    "bsv": ({"gamma": NEEDED, "cutoff": 40}, lambda a: (
+        bsv_state(BsvParams(a.gamma, a.cutoff)), {"gamma": a.gamma, "cutoff": a.cutoff})),
+    "qubit": ({"bell_state": "singlet", "ghz": False}, _qubit),
+    "bghz": ({"coeffs": NEEDED, "cutoff": None}, _bghz),
+    "bghz-gen": ({"gamma": NEEDED, "cutoff": 8}, lambda a: (
+        bghz_generator_state(a.gamma, a.cutoff),
+        {"gamma": a.gamma, "cutoff": a.cutoff,
+         "authoritative": False, "note": "generator-exponential path, truncation-sensitive"})),
+    "separable": ({"seed": 0, "degree": 2, "cutoff": 4}, lambda a: (
+        random_separable(a.seed, 3 if a.witness == "ghz3" else 2, a.cutoff, a.degree),
+        {"seed": a.seed, "degree": a.degree, "cutoff": a.cutoff})),
+    "product-state": ({}, lambda a: (basis_state((build_space(1),) * 3, [(1, 0)] * 3), {})),
+    "state": ({"state": NEEDED}, lambda a: (load_state_file(a.state), {"file": str(a.state)})),
 }
 # The only (command, source) pairs that sweep the gain, and the sweep flags they read besides.
 SWEEPS = {
@@ -82,10 +113,24 @@ _SOURCE_FLAGS = {
     "coeffs": {}, "state": {},
 }
 
-WITNESSES: dict[str, WitnessSpec] = {
-    "singlet": SINGLET_WITNESS,
-    "phi-plus": PHI_PLUS_WITNESS,
-    "ghz3": GHZ3_WITNESS,
+
+def _witness(args, state: MultiBeamState) -> dict:
+    """The named witness, by default the one for the state's beam count, if its parties match the beams."""
+    name = args.witness or ("ghz3" if state.n_beams == 3 else "singlet")
+    spec = WITNESSES[name]
+    if spec.n_parties != state.n_beams:
+        raise ValueError(f"witness {name!r} has {spec.n_parties} parties, state has {state.n_beams} beams")
+    return {"witness": name, **indicators.witness_verdict(spec, state).to_dict()}
+
+
+# Each state command (for entanglement, the subcommand): the beam count of the states it takes, None
+# for any, and its result on one state as JSON fields.
+COMMANDS = {
+    "contextuality": (2, lambda _, state: indicators.pm_expectation(state).to_dict()),
+    "witness": (None, _witness),
+    "ns-family": (2, lambda _, state: indicators.ns_condition_family(state).to_dict()),
+    "gram": (2, lambda _, state: indicators.gram_certificate(state).to_dict()),
+    "bell": (3, lambda _, state: indicators.mermin_bell_value(state).to_dict()),
 }
 
 
@@ -102,8 +147,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         with open_text(out, "w", ValueError) as handle:
             handle.write(text)
     else:
@@ -128,6 +177,10 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(_json(payload) + "\n", out)
 
 
+def _emit_csv(lines: list[str], out: str | None) -> None:
+    _emit("\n".join(lines) + "\n", out)
+
+
 # ---------------------------------------------------------------------------
 # Command handlers
 # ---------------------------------------------------------------------------
@@ -139,15 +192,15 @@ def _cmd_verify_algebra(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def _source_args(args, command: str) -> None:
-    """Refuse each given flag that ``command`` (for entanglement, the subcommand) does not read for
-    ``args.source``, then fill in the defaults of those it does."""
+def _source_args(args, command: str) -> bool:
+    """Refuse each given flag that ``command`` does not read for ``args.source``, and a missing needed
+    flag, then fill in the defaults of the others.  True when --gamma-min/--gamma-max sweep the gain."""
     if command in ("ns-family", "gram") and args.witness is not None:
         raise ValueError(f"{command} takes no --witness")
-    reads = {**SOURCES[args.source], **SWEEPS.get((command, args.source), {})}
+    reads = {**SOURCES[args.source][0], **SWEEPS.get((command, args.source), {})}
     for dest in _SOURCE_FLAGS:
         if dest not in reads and getattr(args, dest) is not None:
-            raise ValueError(f"{args.source} source takes no --{dest.replace('_', '-')}")
+            raise ValueError(f"{args.source} source takes no {_flag(dest)}")
     # Past the loop only qubit can be given both, and only a sweeping pair a sweep flag.
     if args.ghz and args.bell_state is not None:
         raise ValueError("--ghz cannot be combined with --bell-state")
@@ -155,16 +208,19 @@ def _source_args(args, command: str) -> None:
         raise ValueError("--gamma cannot be combined with --gamma-min or --gamma-max")
     if args.gamma is not None and args.steps is not None:
         raise ValueError("--gamma cannot be combined with --steps")
+    sweep = args.gamma_min is not None and args.gamma_max is not None
     for dest, default in reads.items():
-        if getattr(args, dest) is None:
+        if getattr(args, dest) is None and not (sweep and dest == "gamma"):  # the grid gives the gain
+            if default is NEEDED:
+                also = " or --gamma-min/--gamma-max" if (command, args.source) in SWEEPS else ""
+                raise ValueError(f"{args.source} source needs {_flag(dest)}{also}")
             setattr(args, dest, default)
+    return sweep
 
 
-def _gain_grid(args, missing: str) -> Iterator[tuple[MultiBeamState, dict]]:
-    """The ``_source_state`` of each point of the --gamma-min/--gamma-max grid."""
+def _gain_grid(args) -> list[float]:
+    """The --steps gains from --gamma-min to --gamma-max."""
     lo, hi, steps = args.gamma_min, args.gamma_max, args.steps
-    if lo is None or hi is None:
-        raise ValueError(missing)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("gamma-min and gamma-max must be finite")
     if lo > hi:
@@ -178,154 +234,45 @@ def _gain_grid(args, missing: str) -> Iterator[tuple[MultiBeamState, dict]]:
     if steps > cap:
         # Refused before np.linspace allocates the grid.
         raise ValueError(f"steps {steps} is above the {MAX_DIM_ENV} cap {cap}")
-    for gamma in np.linspace(lo, hi, steps).tolist():
-        yield _source_state(argparse.Namespace(**{**vars(args), "gamma": gamma}))
+    return np.linspace(lo, hi, steps).tolist()
 
 
-def _cmd_contextuality(args) -> int:
-    _source_args(args, "contextuality")
-    if ("contextuality", args.source) in SWEEPS and args.gamma is None:
-        rows = _gain_grid(args, "bsv source needs --gamma or --gamma-min/--gamma-max")
-    else:
-        rows = [_source_state(args)]
-    records: list[tuple[float | None, VerdictRecord]] = []
-    for state, meta in rows:
-        if state.n_beams != 2:
-            raise ValueError("contextuality takes a two-beam state")
-        records.append((meta.get("gamma"), indicators.pm_expectation(state)))
-    if args.format == "json":
-        payload = {"rows": [{"gamma": gamma, **v.to_dict()} for gamma, v in records]}
-        _emit_json(payload, args.out)
-        return EXIT_OK
-    lines = [CSV_HEADER]
-    for gamma, v in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(gamma),
-                    _fmt(v.p_diag),
-                    _fmt(v.value),
-                    _fmt(v.margin),
-                    _fmt(v.interval_lo),
-                    _fmt(v.interval_hi),
-                    v.verdict,
-                ]
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
-
-
-def _source_state(args) -> tuple[MultiBeamState, dict]:
-    """The state named by ``args.source``, from the flags ``_source_args`` checked, and its JSON metadata."""
-    meta: dict = {"source": args.source}
-    if args.source == "bsv":
-        if args.gamma is None:
-            raise ValueError("bsv source needs --gamma")
-        meta["gamma"] = args.gamma
-        meta["cutoff"] = args.cutoff
-        return bsv_state(BsvParams(args.gamma, args.cutoff)), meta
-    if args.source == "qubit":
-        if args.ghz:
-            meta["state"] = "ghz"
-            return qubit_embed(states.GHZ3), meta
-        meta["state"] = args.bell_state
-        return qubit_embed(states.BELL_STATES[args.bell_state]), meta
-    if args.source == "bghz":
-        if args.coeffs is None:
-            raise ValueError("bghz source needs --coeffs FILE")
-        coeffs = load_bghz_coefficients(args.coeffs)
-        cutoff = max(2 * coeffs.max_order, 1) if args.cutoff is None else args.cutoff
-        meta["coeffs"] = str(args.coeffs)
-        meta["cutoff"] = cutoff
-        return bghz_state(coeffs, cutoff), meta
-    if args.source == "bghz-gen":
-        if args.gamma is None:
-            raise ValueError("bghz-gen source needs --gamma")
-        meta["gamma"] = args.gamma
-        meta["cutoff"] = args.cutoff
-        meta["authoritative"] = False
-        meta["note"] = "generator-exponential path, truncation-sensitive"
-        return bghz_generator_state(args.gamma, args.cutoff), meta
-    if args.source == "separable":
-        beams = 3 if args.witness == "ghz3" else 2
-        meta.update({"seed": args.seed, "degree": args.degree, "cutoff": args.cutoff})
-        return random_separable(args.seed, beams, args.cutoff, args.degree), meta
-    if args.source == "product-state":
-        return basis_state((build_space(1),) * 3, [(1, 0)] * 3), meta
-    if args.state is None:
-        raise ValueError("state source needs --state FILE")
-    meta["file"] = str(args.state)
-    return load_state_file(args.state), meta
-
-
-def _witness(name: str, state: MultiBeamState) -> WitnessSpec:
-    spec = WITNESSES[name]
-    if spec.n_parties != state.n_beams:
-        raise ValueError(
-            f"witness {name!r} has {spec.n_parties} parties, state has {state.n_beams} beams"
-        )
-    return spec
-
-
-def _cmd_entanglement(args) -> int:
-    _source_args(args, args.subcommand)
-    if (args.subcommand, args.source) in SWEEPS and args.gamma is None:
-        # Sweep mode: emit the qualitative curve from the generator path.
-        grid = _gain_grid(args, "bghz-gen needs --gamma or --gamma-min/--gamma-max")
-        curve = []
-        for state, meta in grid:
-            value = indicators.witness_expectation(_witness(args.witness or "ghz3", state), state)
-            curve.append({"gamma": meta["gamma"], "witness_value": value})
-        if args.format == "csv":
-            lines = ["gamma,witness_value,authoritative"]
-            for point in curve:
-                lines.append(
-                    f"{_fmt(point['gamma'])},{_fmt(point['witness_value'])},false"
-                )
-            _emit("\n".join(lines) + "\n", args.out)
-        else:
-            _emit_json(
-                {
-                    "authoritative": False,
-                    "note": "generator-exponential path, truncation-sensitive",
-                    "witness": args.witness or "ghz3",
-                    "curve": curve,
-                },
-                args.out,
-            )
-        return EXIT_OK
-
-    if args.format == "csv":
+def _cmd_state(args) -> int:
+    """Check the source flags, build the state at the one gain or at each gain of the grid, refuse a
+    state of another beam count, and emit the command's result."""
+    command = getattr(args, "subcommand", args.command)
+    beams, result = COMMANDS[command]
+    sweep = _source_args(args, command)
+    if args.format == "csv" and not sweep and command != "contextuality":
         raise ValueError("--csv applies only to the bghz-gen witness sweep")
-    state, meta = _source_state(args)
-
-    if args.subcommand == "witness":
-        name = args.witness or ("ghz3" if state.n_beams == 3 else "singlet")
-        verdict = indicators.witness_verdict(_witness(name, state), state)
-        payload = {"witness": name, **meta, **verdict.to_dict()}
-        _emit_json(payload, args.out)
-        return EXIT_OK
-
-    if state.n_beams != 2:
-        raise ValueError(f"{args.subcommand} takes a two-beam state")
-    if args.subcommand == "ns-family":
-        report = indicators.ns_condition_family(state)
+    rows = []
+    for gamma in _gain_grid(args) if sweep else [args.gamma]:
+        args.gamma = gamma
+        state, fields = SOURCES[args.source][1](args)
+        if beams is not None and state.n_beams != beams:
+            raise ValueError(f"{command} takes a {'two' if beams == 2 else 'three'}-beam state")
+        rows.append(({"source": args.source, **fields}, result(args, state)))
+    if command == "contextuality" and args.format == "csv":
+        lines = [CSV_HEADER]
+        for meta, r in rows:
+            numbers = (meta.get("gamma"), r["p_diag"], r["value"], r["margin"], *r["interval"])
+            lines.append(",".join([*map(_fmt, numbers), r["verdict"]]))
+        _emit_csv(lines, args.out)
+    elif command == "contextuality":
+        _emit_json({"rows": [{"gamma": meta.get("gamma"), **r} for meta, r in rows]}, args.out)
+    elif sweep:  # the qualitative witness curve of the generator path
+        meta, first = rows[0]
+        curve = [{"gamma": m["gamma"], "witness_value": r["value"]} for m, r in rows]
+        if args.format == "csv":
+            flag = _json(meta["authoritative"])
+            _emit_csv(["gamma,witness_value,authoritative"]
+                      + [f"{_fmt(p['gamma'])},{_fmt(p['witness_value'])},{flag}" for p in curve], args.out)
+        else:
+            _emit_json({"authoritative": meta["authoritative"], "note": meta["note"],
+                        "witness": first["witness"], "curve": curve}, args.out)
     else:
-        report = indicators.gram_certificate(state)
-    _emit_json({**meta, **report.to_dict()}, args.out)
-    return EXIT_OK
-
-
-def _cmd_bell(args) -> int:
-    _source_args(args, "bell")
-    if args.source == "qubit" and not args.ghz:
-        raise ValueError("bell qubit needs --ghz (three beams)")
-    state, meta = _source_state(args)
-    if state.n_beams != 3:
-        raise ValueError("bell takes a three-beam state")
-    result = indicators.mermin_bell_value(state)
-    _emit_json({**meta, **result.to_dict()}, args.out)
+        [(meta, r)] = rows
+        _emit_json({**meta, **r}, args.out)
     return EXIT_OK
 
 
@@ -362,18 +309,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("contextuality", help="square-expression verdicts and sweeps")
     p.add_argument("source", choices=("bsv", "qubit", "state"))
     _add_format_flags(p, default="csv")
-    p.set_defaults(func=_cmd_contextuality)
 
     p = sub.add_parser("entanglement", help="witness, criterion family and certificate")
     p.add_argument("subcommand", choices=("witness", "ns-family", "gram"))
     p.add_argument("source", choices=("bsv", "qubit", "bghz", "bghz-gen", "separable", "state"))
     p.add_argument("--witness", choices=sorted(WITNESSES), default=None)
     _add_format_flags(p, default="json")
-    p.set_defaults(func=_cmd_entanglement)
 
     p = sub.add_parser("bell", help="three-beam Mermin expression")
     p.add_argument("source", choices=("bghz", "bghz-gen", "qubit", "product-state", "state"))
-    p.set_defaults(func=_cmd_bell)
+    p.set_defaults(format="json")
 
     p = sub.add_parser("counterexample", help="mode-rotation non-covariance contrast")
     p.add_argument("--sign-flip", dest="sign_flip", action="store_true")
@@ -381,10 +326,12 @@ def build_parser() -> _Parser:
     p.add_argument("--cutoff", type=int, default=2)
     p.set_defaults(func=_cmd_counterexample)
 
-    # Each source flag is declared once, with default None, so that _source_args sees what was given.
+    # One handler runs the state commands.  Each source flag is declared once, with default None, so
+    # that _source_args sees what was given.
     for name in ("contextuality", "entanglement", "bell"):
+        sub.choices[name].set_defaults(func=_cmd_state)
         for dest, kwargs in _SOURCE_FLAGS.items():
-            sub.choices[name].add_argument("--" + dest.replace("_", "-"), default=None, **kwargs)
+            sub.choices[name].add_argument(_flag(dest), default=None, **kwargs)
     for p in sub.choices.values():
         p.add_argument("--out", default=None)
     return parser
@@ -407,6 +354,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.out == "":  # only an absent --out means stdout
+            raise ValueError("--out needs a file path, got an empty one")
         return args.func(args)
     except InputFileError as exc:
         print(f"bnl: parse error: {exc}", file=sys.stderr)

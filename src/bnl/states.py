@@ -27,7 +27,9 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .fock import (
+    MAX_DIM_ENV,
     MultiBeamState,
+    amplitude_cap,
     build_space,
     check_stored,
     expi_tridiagonal,
@@ -297,9 +299,15 @@ def _parse_row(path, lineno: int, fields: list[str], what: str) -> tuple[list[in
 
 
 def load_bghz_coefficients(path) -> BghzCoefficients:
-    """Read a coefficient file: one `m,real,imag` line per order, m consecutive from 0."""
+    """Read a coefficient file: one `m,real,imag` line per order, m consecutive from 0.
+
+    The line count is checked against ``BNL_MAX_DIM`` as the lines are read.
+    """
+    cap = amplitude_cap()
     entries: list[complex] = []
     for lineno, fields in _lines(path):
+        if len(entries) == cap:
+            raise ValueError(f"{path}: more than {cap} coefficient lines, the {MAX_DIM_ENV} cap")
         if len(fields) != 3:
             raise InputFileError(f"{path}:{lineno}: expected 'm,real,imag', got {','.join(fields)!r}")
         (m,), value = _parse_row(path, lineno, fields, "coefficient")

@@ -142,6 +142,17 @@ def test_stored_amplitude_cap(capsys, monkeypatch, argv, count):
     )
 
 
+def test_coefficient_file_above_the_cap_is_refused(capsys, monkeypatch):
+    # Three orders at cutoff 1 store the three terms p + m <= 1.
+    argv = ["bell", "bghz", "--coeffs", str(FIXTURES / "coeffs3.csv"), "--cutoff", "1"]
+    monkeypatch.setenv("BNL_MAX_DIM", "3")
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("BNL_MAX_DIM", "2")
+    assert run(capsys, *argv) == (
+        1, "", f"bnl: error: {FIXTURES / 'coeffs3.csv'}: more than 2 coefficient lines, the BNL_MAX_DIM cap\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["verify-algebra", "counterexample"])
 def test_beam_dimension_cap(capsys, monkeypatch, command):
     # Both commands solve dense photon-number blocks over one beam's 10 basis states at

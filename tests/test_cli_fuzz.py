@@ -5,7 +5,8 @@ escaping ``main``; a successful run must print JSON without NaN or
 Infinity, or CSV whose numbers are all finite.
 
 States store only their support, each source checks its amplitude count
-against ``BNL_MAX_DIM`` before allocating, and the verdicts evaluate
+against ``BNL_MAX_DIM`` before allocating (the ``--state`` and ``--coeffs``
+readers count lines as they read them), and the verdicts evaluate
 cutoff-free monomials at the stored coordinates alone, so the commands
 that build a state draw cutoffs up to 20,000, far across the default cap
 (``bsv`` reaches it at cutoff 140, and ``bghz-gen``, whose two ladders
@@ -22,7 +23,12 @@ from ``cli.SOURCES`` and ``cli.SWEEPS``, so that they reach the
 state builders and readers; the others draw from every source flag.  A
 second property gives a state command one source flag it does not read,
 among flags it does: that flag alone must be refused, exit 1, in one
-``bnl: error:`` line that names it.
+``bnl: error:`` line that names it.  Two more come from the tables of
+``cli``: a state command given every flag its source reads but one it
+needs (``cli.NEEDED`` in ``cli.SOURCES``) must print exactly
+``<source> source needs --<flag>``, and each command with a beam count in
+``cli.COMMANDS``, given a state of the other count, exactly
+``<command> takes a <two|three>-beam state``.
 ``verify-algebra`` and ``counterexample`` solve every photon-number block
 of one beam, whose cost grows with the cutoff below the cap they check,
 so they draw from 0..40 and from the edge of that cap: at cutoff 139 (9,870 beam states) the algebra suite must pass and
@@ -38,6 +44,7 @@ one ``bnl`` line.
 
 import contextlib
 import io
+import itertools
 import math
 from pathlib import Path
 
@@ -95,14 +102,20 @@ def flag(dest: str) -> str:
 
 
 SOURCE_FLAGS = sorted(
-    {flag(dest) for table in (cli.SOURCES, cli.SWEEPS) for reads in table.values() for dest in reads}
+    {flag(dest) for reads, _ in cli.SOURCES.values() for dest in reads}
+    | {flag(dest) for sweep in cli.SWEEPS.values() for dest in sweep}
 )
+
+
+def pair(positionals: list[str]) -> tuple[str, str]:
+    """The state command (for entanglement, the subcommand) and source that an argv's positionals name."""
+    return positionals[-2 if positionals[0] == "entanglement" else 0], positionals[-1]
 
 
 def reads(positionals: list[str]) -> list[str]:
     """The flags read by the state command and source that an argv's positionals name."""
-    command, source = positionals[-2 if positionals[0] == "entanglement" else 0], positionals[-1]
-    dests = [*cli.SOURCES[source], *cli.SWEEPS.get((command, source), {})]
+    command, source = pair(positionals)
+    dests = [*cli.SOURCES[source][0], *cli.SWEEPS.get((command, source), {})]
     return [flag(dest) for dest in dests] + (["--witness"] if command == "witness" else [])
 
 
@@ -119,6 +132,12 @@ COMMANDS = {
     "counterexample": ((), ("--sign-flip", "--block", "--out")),
 }
 STATE_COMMANDS = [(command, positionals) for command, (positionals, _) in COMMANDS.items() if positionals]
+# Every positional argv of a state command.
+STATE_ARGVS = [
+    [command, *choice]
+    for command, positionals in STATE_COMMANDS
+    for choice in itertools.product(*positionals)
+]
 
 
 def add_flag(argv: list[str], name: str, value) -> None:
@@ -231,3 +250,70 @@ def test_a_flag_the_source_does_not_read_is_refused(case):
     assert stderr.getvalue().startswith("bnl: error: ")
     assert stderr.getvalue().endswith(f" takes no {refused}\n")
     assert stderr.getvalue().count("\n") == 1
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def needed(source: str) -> list[str]:
+    return [dest for dest, default in cli.SOURCES[source][0].items() if default is cli.NEEDED]
+
+
+@st.composite
+def argvs_missing_a_needed_flag(draw):
+    """A state command given every flag its source reads, with any values, but one needed flag; on a
+    sweeping pair, also at most one of the sweep bounds, and perhaps --steps."""
+    argv = list(draw(st.sampled_from([argv for argv in STATE_ARGVS if needed(argv[-1])])))
+    command, source = pair(argv)
+    missing = draw(st.sampled_from(needed(source)))
+    names = [flag(dest) for dest in cli.SOURCES[source][0] if dest != missing]
+    if (command, source) in cli.SWEEPS:
+        names += draw(st.sampled_from([[], ["--gamma-min"], ["--gamma-max"]]))
+        names += draw(st.sampled_from([[], ["--steps"]]))
+    for name in draw(st.permutations(names)):
+        add_flag(argv, name, draw(VALUES[name]))
+    also = " or --gamma-min/--gamma-max" if (command, source) in cli.SWEEPS else ""
+    return argv, f"bnl: error: {source} source needs {flag(missing)}{also}\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=argvs_missing_a_needed_flag())
+def test_a_missing_needed_flag_is_refused_by_one_rule(case):
+    """Before any input file is read or any state built, whatever the other flags hold."""
+    argv, message = case
+    assert run(argv) == (1, "", message)
+
+
+# For each source, the flags that build a small state of each beam count it can give.  separable
+# gives three beams only under --witness ghz3, which only the witness command, of any count, reads.
+BEAM_STATES = {
+    "bsv": {2: ["--gamma", "0.3", "--cutoff", "2"]},
+    "qubit": {2: ["--bell-state", "phi+"], 3: ["--ghz"]},
+    "bghz": {3: ["--coeffs", str(FIXTURES / "coeffs.csv")]},
+    "bghz-gen": {3: ["--gamma", "0.3", "--cutoff", "4"]},
+    "separable": {2: ["--seed", "1"]},
+    "product-state": {3: []},
+    "state": {2: ["--state", str(FIXTURES / "singlet.csv")], 3: ["--state", str(FIXTURES / "ghz.csv")]},
+}
+# Each state command with a beam count, given a state of the other count from each source that builds one.
+WRONG_BEAMS = [
+    (argv + flags, command, beams)
+    for argv in STATE_ARGVS
+    for command, source in [pair(argv)]
+    for beams in [cli.COMMANDS[command][0]]
+    for count, flags in BEAM_STATES[source].items()
+    # bell refuses the two-beam qubit state before the beam rule, as usage-bell-qubit-no-ghz records.
+    if beams is not None and count != beams and (command, source) != ("bell", "qubit")
+]
+
+
+@pytest.mark.parametrize(
+    "argv,command,beams", WRONG_BEAMS, ids=[" ".join(argv[:3]) for argv, _, _ in WRONG_BEAMS]
+)
+def test_a_state_of_the_wrong_beam_count_is_refused_by_one_rule(argv, command, beams):
+    message = f"bnl: error: {command} takes a {'two' if beams == 2 else 'three'}-beam state\n"
+    assert run(argv) == (1, "", message)

@@ -476,6 +476,18 @@ class TestCoefficientFile:
         with pytest.raises(InputFileError, match=rf":2: coefficient '{value}' is not finite"):
             load_bghz_coefficients(path)
 
+    def test_line_count_is_capped_as_the_lines_are_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BNL_MAX_DIM", "3")
+        path = tmp_path / "coeffs.csv"
+        path.write_text("0,1.0,0.0\n1,0.5,0.0\n2,0.25,0.0\n")
+        assert len(load_bghz_coefficients(path).entries) == 3
+        # The fourth line is refused before it is parsed, so the word on the fifth is never read.
+        path.write_text("0,1.0,0.0\n1,0.5,0.0\n2,0.25,0.0\n3,0.125,0.0\nfour,0.0,0.0\n")
+        with pytest.raises(ValueError) as refusal:
+            load_bghz_coefficients(path)
+        assert str(refusal.value) == f"{path}: more than 3 coefficient lines, the BNL_MAX_DIM cap"
+        assert not isinstance(refusal.value, InputFileError)
+
     def test_all_zero_file_names_the_file(self, tmp_path):
         path = tmp_path / "coeffs.csv"
         path.write_text("0,0.0,0.0\n1,-0.0,0.0\n")
