@@ -354,8 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.out == "":  # only an absent --out means stdout
-            raise ValueError("--out needs a file path, got an empty one")
+        for dest in ("out", "state", "coeffs"):  # an empty path names no file; only an absent --out is stdout
+            if getattr(args, dest, None) == "":
+                raise ValueError(f"{_flag(dest)} needs a file path, got an empty one")
         return args.func(args)
     except InputFileError as exc:
         print(f"bnl: parse error: {exc}", file=sys.stderr)

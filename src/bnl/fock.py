@@ -39,6 +39,8 @@ from typing import Sequence
 import numpy as np
 # scipy loads its submodules on first use, so a command that builds no sparse
 # matrix, as no command does, never loads scipy.sparse (~20 MiB resident).
+# perfbench/run.py reads the version from sys.modules["scipy"], so this import
+# stays until that harness reads it from the package metadata (ROADMAP item 1).
 import scipy
 
 # Entrywise tolerance for verifying a declared Hermitian flag.
@@ -212,19 +214,14 @@ class ComplexOperator:
         return self.matrix.shape[0]
 
 
-# Phases are indexed by s = sign(n_a - n_b) in the order 0, +1, -1, that of the
-# basis states |0,0>, |1,0>, |0,1>.  _MIRROR maps each index to that of -s.
-_MIRROR = np.array([0, 2, 1])
-
-
 @dataclass(frozen=True, eq=False)
 class Monomial:
     """Single-beam sign-sector monomial, the same map on every cutoff.
 
     Basis ket |n_a, n_b> is sent to ``phase[s]`` times |n_b, n_a> if
     ``swap`` is set, else times itself, where s = sign(n_a - n_b) indexes
-    the phases in the order 0, +1, -1.  A zero phase annihilates the
-    sector.  Products and adjoints of such operators stay monomial.
+    the phases in the order 0, +1, -1, that of the basis states |0,0>,
+    |1,0>, |0,1>.  A zero phase annihilates the sector.
     """
 
     swap: bool
@@ -232,15 +229,6 @@ class Monomial:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phase", np.asarray(self.phase, dtype=complex))
-
-    def __matmul__(self, other: "Monomial") -> "Monomial":
-        # A swapping right factor hands the left one the mirrored sector.
-        phase = self.phase[_MIRROR] if other.swap else self.phase
-        return Monomial(self.swap != other.swap, phase * other.phase)
-
-    def dagger(self) -> "Monomial":
-        phase = self.phase.conj()
-        return Monomial(self.swap, phase[_MIRROR] if self.swap else phase)
 
     def operator(self, space: BeamSpace, hermitian: bool = False) -> ComplexOperator:
         """The same map as a sparse operator on ``space``, storing no explicit zeros."""

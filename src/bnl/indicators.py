@@ -16,7 +16,11 @@ bound:
   local-hidden-variable bound 2 (also re-derived by enumeration).
 
 Each is a sum of products of the cutoff-free monomials of ``bnl.gpauli``,
-evaluated at the state's stored kets only, whatever the cutoff.
+evaluated at the state's stored kets only, whatever the cutoff.  Every
+quantity but the Mermin expression reads the correlations
+T_s = <g_s1 x ... x g_sn> (``correlations``): the square is its weight times
+T_00, a witness sum_s w_s T_s, the quadratic family 16 two-beam entries, and
+the Gram certificate 2^-n sum_s T_s sigma_s1 x ... x sigma_sn.
 
 All four share one verdict rule (``_verdict``) and one record
 (``VerdictRecord``); each member of the quadratic family is its own
@@ -36,12 +40,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import DomainMismatchError, MultiBeamState, Term, expectation_sums
-from .gpauli import g_monomial, orbit_matrix, pr_monomial, sr_monomial
+from .fock import DomainMismatchError, MultiBeamState, expectation_sums
+from .gpauli import PAULI, g_monomial, orbit_matrix
 from .states import BsvParams, bsv_state, prob_diagonal
 
 PM_BOUND = 4.0
@@ -61,6 +65,8 @@ PM_SPREAD = (0.0, 6.0)
 NS_SPREAD = (-24.0, 24.0)
 # Verdict labels of the entanglement tests, which detect but never certify separability.
 DETECTION_LABELS = ("entangled", "not_detected")
+# g0..g3 on one beam; monomials are immutable, so one tuple serves every call.
+G_MONOMIALS = tuple(g_monomial(i) for i in range(4))
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,15 @@ def _verdict(
     return VerdictRecord(quantity, value, bound, margin, lo, hi, verdict, details)
 
 
+def correlations(state: MultiBeamState, keys: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], float]:
+    """T_s = <g_s1 x ... x g_sn> for each index tuple s of ``keys``, and no other: one Hermitian
+    product term each, all in one ``expectation_sums`` call, which refuses a key of another length
+    than the beam count."""
+    keys = list(keys)
+    sums = [[(1.0, tuple(G_MONOMIALS[i] for i in key))] for key in keys]
+    return dict(zip(keys, expectation_sums(sums, state, hermitian=True)))
+
+
 # ---------------------------------------------------------------------------
 # Peres-Mermin square
 # ---------------------------------------------------------------------------
@@ -154,17 +169,17 @@ PM_LINES: tuple[tuple[str, tuple[tuple[int, int], ...], int], ...] = (
 
 
 @functools.lru_cache(maxsize=None)
-def _pm_terms(cells: tuple, lines: tuple) -> tuple[Term, ...]:
-    """The signed sum of the six line products, as its one term w g0 x g0.
+def _pm_terms(cells: tuple, lines: tuple) -> float:
+    """The weight w of the signed sum of the six line products, w g0 x g0.
 
     A transcription guard runs on the cells' 9x9 orbit matrices, the
     Kronecker products of their factors' ``orbit_matrix``: the three cells
-    of every context must commute, and each line product must be a
+    of every context must commute, and each line product must be a real
     multiple of g0 x g0, whose signed scalars sum to w.  Those matrices
-    represent the cells on every space, so guard and term are exact at
+    represent the cells on every space, so guard and weight are exact at
     every cutoff, and both are built once per distinct cell table.
     """
-    g = [orbit_matrix(g_monomial(i), 1) for i in range(4)]
+    g = [orbit_matrix(m, 1) for m in G_MONOMIALS]
     cell = {key: np.kron(g[p], g[q]) for key, (p, q) in cells}
     worst = max(
         float(np.abs(cell[a] @ cell[b] - cell[b] @ cell[a]).max())
@@ -180,31 +195,31 @@ def _pm_terms(cells: tuple, lines: tuple) -> tuple[Term, ...]:
     for name, line, sign in lines:
         product = cell[line[0]] @ cell[line[1]] @ cell[line[2]]
         # g0 x g0 is 1 on |1,0>|1,0>, the fifth of the nine orbit kets.
-        scale = complex(product[4, 4])
+        scale = float(product[4, 4].real)
         residual = float(np.abs(product - scale * g00).max())
         if residual > LINE_COMMUTE_ATOL:
             raise AssertionError(
                 f"line {name} multiplies to no multiple of g0 x g0 (residual {residual:.3e})"
             )
         weight += sign * scale
-    return ((weight, (g_monomial(0), g_monomial(0))),)
+    return weight
 
 
 def pm_expectation(state: MultiBeamState) -> VerdictRecord:
     """Violated iff the square expression exceeds 4 (equivalently P(diagonal) < 1/3).
 
     The expression is evaluated as the sum of its six line products, which
-    all collapse to +-g0 x g0, as one term w g0 x g0: the commutation of
-    each context's cells and the line identities are checked, exactly, on
-    9x9 orbit-matrix products (see _pm_terms).  The
+    all collapse to +-g0 x g0, as w T_00: the commutation of each
+    context's cells and the line identities are checked, exactly, on 9x9
+    orbit-matrix products (see _pm_terms).  The
     independently computed shortcut 6(1 - P(diagonal)) must agree with
     that value up to the tail mass weighted by the six contexts;
     disagreement beyond that signals an internal inconsistency and raises.
     """
     if state.n_beams != 2:
         raise DomainMismatchError("the square expression takes a two-beam state")
-    terms = _pm_terms(tuple(PM_CELL_LABELS.items()), PM_LINES)
-    [value] = expectation_sums([terms], state, hermitian=True)
+    weight = _pm_terms(tuple(PM_CELL_LABELS.items()), PM_LINES)
+    value = weight * correlations(state, [(0, 0)])[0, 0]
     p_diag = prob_diagonal(state)
     shortcut = 6.0 * (1.0 - p_diag)
     if abs(value - shortcut) > SHORTCUT_ATOL + PM_SPREAD[1] * state.norm_deficit:
@@ -317,21 +332,18 @@ PHI_PLUS_WITNESS = WitnessSpec(
 def witness_expectation(spec: WitnessSpec, state: MultiBeamState) -> float:
     """Witness value on a pure state.
 
-    The boson image of the witness is sum_s w_s  g_{s_1} x ... x g_{s_n};
-    it is nonnegative on every separable input, so a negative value
-    certifies entanglement.
+    The boson image of the witness is sum_s w_s  g_{s_1} x ... x g_{s_n},
+    so its value is sum_s w_s T_s over the nonzero weights; it is
+    nonnegative on every separable input, so a negative value certifies
+    entanglement.
     """
     if len(state.domain) != spec.n_parties:
         raise DomainMismatchError(
             f"witness has {spec.n_parties} parties but {len(state.domain)} spaces were given"
         )
-    terms = [
-        (float(weight), tuple(g_monomial(s) for s in key))
-        for key, weight in sorted(spec.coefficients.items())
-        if weight != 0
-    ]
-    [value] = expectation_sums([terms], state, hermitian=True)
-    return value
+    weights = {key: float(w) for key, w in sorted(spec.coefficients.items()) if w != 0}
+    t = correlations(state, weights)
+    return sum(w * t[key] for key, w in weights.items())
 
 
 def witness_verdict(spec: WitnessSpec, state: MultiBeamState) -> VerdictRecord:
@@ -358,10 +370,11 @@ class GramCertificate:
     """Positive-semidefinite overlap matrix certifying the qubit correspondence.
 
     ``matrix`` collects the overlaps of the 2^n vectors obtained by acting
-    with the half-swap / half-projector pair on each beam; its trace equals
-    the expectation of the tensored g0 projectors, and ``normalized`` is
-    the unit-trace version, a valid n-qubit density matrix.  Witness
-    expectations factor through it:  Tr[W normalized] * trace = <W_boson>.
+    with the half-swap / half-projector pair on each beam; as each g_i is
+    (sr, pr)^dag sigma_i (sr, pr), it is 2^-n sum_s T_s sigma_s, with trace
+    T_0...0.  ``normalized`` is the unit-trace version, a valid n-qubit
+    density matrix.  Witness expectations factor through it:
+    Tr[W normalized] * trace = <W_boson>.
     """
 
     matrix: np.ndarray
@@ -380,32 +393,26 @@ class GramCertificate:
         }
 
 
-def gram_certificate(state: MultiBeamState) -> GramCertificate:
-    """Overlap-matrix certificate of a pure multi-beam state.
+@functools.lru_cache(maxsize=None)
+def _pauli_basis(n_beams: int) -> np.ndarray:
+    """Row k is 2^-n sigma_s1 x ... x sigma_sn, flattened, for the k-th s of
+    ``itertools.product(range(4), repeat=n)``."""
+    return np.array([
+        functools.reduce(np.kron, [PAULI[i] for i in key]).ravel() / 2**n_beams
+        for key in itertools.product(range(4), repeat=n_beams)
+    ])
 
-    Entry (r, c) is <psi| V_c^dag V_r |psi>, where V_r applies the
-    half-swap or half-projector on each beam as chosen by r.  Raises
-    DegenerateCertificateError when the trace vanishes, naming the norm
-    deficit when mass lies beyond the cutoff; verifies positivity and the
-    trace identity before returning.
+
+def gram_certificate(state: MultiBeamState) -> GramCertificate:
+    """Overlap-matrix certificate of a pure multi-beam state, 2^-n sum_s T_s sigma_s.
+
+    Raises DegenerateCertificateError when the trace T_0...0 vanishes,
+    naming the norm deficit when mass lies beyond the cutoff; verifies
+    the trace against the stored mass off the diagonal subspace,
+    |psi|^2 - P(diagonal), and positivity before returning.
     """
-    v = (sr_monomial(), pr_monomial())
-    choices = list(itertools.product((0, 1), repeat=state.n_beams))
-    n = len(choices)
-    upper = [(r, c) for r in range(n) for c in range(r, n)]
-    entries = expectation_sums(
-        [
-            [(1.0, tuple(
-                v[pc].dagger() @ v[pr] for pr, pc in zip(choices[r], choices[c])
-            ))]
-            for r, c in upper
-        ],
-        state,
-    )
-    matrix = np.zeros((n, n), dtype=complex)
-    matrix[tuple(zip(*upper))] = entries
-    matrix += np.triu(matrix, 1).conj().T
-    trace = float(matrix.trace().real)
+    t = correlations(state, itertools.product(range(4), repeat=state.n_beams))
+    trace = t[(0,) * state.n_beams]
     if trace < 1e-12:
         if state.norm_deficit > 0:
             raise DegenerateCertificateError(
@@ -415,12 +422,12 @@ def gram_certificate(state: MultiBeamState) -> GramCertificate:
         raise DegenerateCertificateError(
             "state lies in the diagonal subspace; certificate trace is 0"
         )
-    g0_product = (g_monomial(0),) * state.n_beams
-    [reference] = expectation_sums([[(1.0, g0_product)]], state, hermitian=True)
-    if abs(trace - reference) > GRAM_TRACE_ATOL:
+    off_diagonal = float(np.vdot(state.values, state.values).real) - prob_diagonal(state)
+    if abs(trace - off_diagonal) > GRAM_TRACE_ATOL:
         raise RuntimeError(
-            f"certificate trace {trace!r} deviates from projector expectation {reference!r}"
+            f"certificate trace {trace!r} deviates from the mass off the diagonal {off_diagonal!r}"
         )
+    matrix = (np.array(list(t.values())) @ _pauli_basis(state.n_beams)).reshape(2**state.n_beams, -1)
     eigenvalues = np.linalg.eigvalsh(matrix)
     if eigenvalues[0] < -GRAM_PSD_ATOL:
         raise RuntimeError(f"certificate not positive semidefinite: {eigenvalues[0]!r}")
@@ -475,10 +482,7 @@ def ns_condition_family(state: MultiBeamState) -> NsFamilyReport:
     """
     if state.n_beams != 2:
         raise DomainMismatchError("the criterion family takes a two-beam state")
-    g = [g_monomial(i) for i in range(4)]
-    keys = list(itertools.product(range(4), repeat=2))
-    values = expectation_sums([[(1.0, (g[i], g[j]))] for i, j in keys], state, hermitian=True)
-    pairs = dict(zip(keys, values))
+    pairs = correlations(state, itertools.product(range(4), repeat=2))
     members = []
     for perm1, perm2 in itertools.product(CYCLIC_PERMUTATIONS, repeat=2):
         t1 = pairs[(perm1[0], perm2[0])] + pairs[(perm1[1], perm2[1])]

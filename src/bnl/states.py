@@ -354,7 +354,10 @@ def load_state_file(path) -> MultiBeamState:
             )
         seen[occs] = lineno
         amplitudes.append(value)
-        check_stored(len(amplitudes))
+        try:
+            check_stored(len(amplitudes))
+        except ValueError as exc:  # the cap line names the file, as a coefficient file's does
+            raise ValueError(f"{path}: {exc}") from None
     if not seen:
         raise InputFileError(f"{path}: no amplitude lines found")
     domain = (build_space(max(n + m for occs in seen for n, m in occs)),) * n_beams

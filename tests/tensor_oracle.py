@@ -10,9 +10,15 @@ Stokes operators from the occupations of each basis ket, the oracle for
 the closed-form blocks of ``gpauli.stokes_block``.  ``verify_algebra``
 runs the algebra suite on the sparse operators over the whole space, both
 constructions included, the oracle for ``gpauli.verify_algebra``, which
-evaluates it on two orbit blocks.  ``flat_position`` is the test's own
-first-beam-major layout of a product ket, the oracle for how
-``MultiBeamState`` ravels per-beam positions.
+evaluates it on two orbit blocks.  ``gram_oracle`` builds the Gram
+certificate from its definition, the overlaps of the half-swap /
+half-projector products V_r psi, the oracle for
+``indicators.gram_certificate``, which reads it from the correlations.
+``flat_position`` is the test's own first-beam-major layout of a product
+ket, the oracle for how ``MultiBeamState`` ravels per-beam positions.
+``monomial_product`` and ``monomial_adjoint`` compose sign-sector
+monomials, so the kernel can be fed products of them; their sparse forms
+are compared against products of the factors' sparse forms.
 """
 
 import itertools
@@ -25,6 +31,8 @@ from bnl.fock import (
     BeamSpace,
     ComplexOperator,
     DomainMismatchError,
+    Monomial,
+    MultiBeamState,
     check_beam,
     occupations,
     tensor,
@@ -40,6 +48,32 @@ from bnl.gpauli import (
     sr_monomial,
 )
 from bnl.indicators import PM_CELL_LABELS, PM_LINES
+
+
+# Index of the sector -s for each phase index of sector s, in the order 0, +1, -1.
+_MIRROR = np.array([0, 2, 1])
+
+
+def monomial_product(left: Monomial, right: Monomial) -> Monomial:
+    """The monomial left @ right.  A swapping right factor hands the left one the mirrored sector."""
+    phase = left.phase[_MIRROR] if right.swap else left.phase
+    return Monomial(left.swap != right.swap, phase * right.phase)
+
+
+def monomial_adjoint(monomial: Monomial) -> Monomial:
+    """The adjoint: conjugate phases, each read from the mirrored sector when the monomial swaps."""
+    phase = monomial.phase.conj()
+    return Monomial(monomial.swap, phase[_MIRROR] if monomial.swap else phase)
+
+
+def gram_oracle(state: MultiBeamState) -> np.ndarray:
+    """Entry (r, c) is <V_c psi, V_r psi>, V_r the sparse sr or pr on each beam as chosen by r's bits."""
+    v = [(sr_monomial().operator(space), pr_monomial().operator(space)) for space in state.domain]
+    vectors = [
+        tensor([ops[bit] for ops, bit in zip(v, choice)]).matrix @ state.amplitudes
+        for choice in itertools.product((0, 1), repeat=state.n_beams)
+    ]
+    return np.array([[np.vdot(vc, vr) for vc in vectors] for vr in vectors])
 
 
 def _joint(domain) -> tuple[tuple[BeamSpace, ...], int]:

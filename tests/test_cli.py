@@ -137,8 +137,10 @@ def test_stored_amplitude_cap(capsys, monkeypatch, argv, count):
     monkeypatch.setenv("BNL_MAX_DIM", str(count - 1))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
+    # A state file's line names the file, as a coefficient file's does.
+    where = f"{argv[argv.index('--state') + 1]}: " if "--state" in argv else ""
     assert err == (
-        f"bnl: error: state needs {count} stored amplitudes, above the BNL_MAX_DIM cap {count - 1}\n"
+        f"bnl: error: {where}state needs {count} stored amplitudes, above the BNL_MAX_DIM cap {count - 1}\n"
     )
 
 
@@ -788,7 +790,7 @@ class TestStateFiles:
         monkeypatch.setenv("BNL_MAX_DIM", "1")
         code, out, err = run(capsys, "contextuality", "state", "--state", str(path))
         assert (code, out) == (1, "")
-        assert err == "bnl: error: state needs 2 stored amplitudes, above the BNL_MAX_DIM cap 1\n"
+        assert err == f"bnl: error: {path}: state needs 2 stored amplitudes, above the BNL_MAX_DIM cap 1\n"
 
     @pytest.mark.parametrize(
         "flag, text, message",

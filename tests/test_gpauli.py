@@ -6,6 +6,8 @@ import tensor_oracle
 from tensor_oracle import (
     block_eigenvalues,
     g_operator_compact,
+    monomial_adjoint,
+    monomial_product,
     operator_block,
     spectrum_deviation,
     stokes_operator,
@@ -297,8 +299,8 @@ def _monomials():
     singles = [gpauli.g_monomial(i) for i in range(4)]
     singles += [gpauli.g_monomial(i, dichotomized=True) for i in (1, 2, 3)]
     singles += [sr_monomial(), pr_monomial(), diagonal_monomial()]
-    singles += [m.dagger() for m in singles]
-    return singles + [m @ n for m in singles for n in singles]
+    singles += [monomial_adjoint(m) for m in singles]
+    return singles + [monomial_product(m, n) for m in singles for n in singles]
 
 
 def test_monomial_blocks_match_sparse_operator():

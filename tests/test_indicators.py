@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from tensor_oracle import flat_position, map_witness, pm_cells, pm_line_products, pm_operator
+from tensor_oracle import flat_position, gram_oracle, map_witness, pm_cells, pm_line_products, pm_operator
 
 from bnl import indicators
 from bnl.fock import (
@@ -30,6 +30,7 @@ from bnl.indicators import (
     beam_gram,
     contextuality_threshold,
     contextuality_verdict,
+    correlations,
     gram_certificate,
     lhv_bound_oracle,
     mermin_bell_value,
@@ -146,9 +147,8 @@ class TestPeresMerminSquare:
             pm_expectation(random_two_beam_state(0))
 
     def test_square_is_one_term_six_g0_g0(self):
-        [(weight, factors)] = indicators._pm_terms(tuple(PM_CELL_LABELS.items()), PM_LINES)
-        assert weight == 6
-        assert [(f.swap, f.phase.tolist()) for f in factors] == [(False, [0, 1, 1])] * 2
+        # The guard returns the weight w of w g0 x g0, and the value is w T_00.
+        assert indicators._pm_terms(tuple(PM_CELL_LABELS.items()), PM_LINES) == 6
 
     @given(table=tables_near_the_square())
     @example(table=(dict(PM_CELL_LABELS), PM_LINES))
@@ -178,8 +178,7 @@ class TestPeresMerminSquare:
             with pytest.raises(AssertionError, match=f"line {off[0]} multiplies to no multiple of g0 x g0"):
                 indicators._pm_terms(*args)
         else:
-            [(weight, factors)] = indicators._pm_terms(*args)
-            got = weight * tensor([f.operator(space) for f in factors]).matrix
+            got = indicators._pm_terms(*args) * g00
             want = sum(sign * products[name] for name, _, sign in lines)
             assert abs(got - want).max() <= 1e-12
 
@@ -323,7 +322,58 @@ class TestWitnessMapping:
             witness_expectation(SINGLET_WITNESS, qubit_embed(GHZ3))
 
 
+def bsv_correlations(gamma):
+    """Untruncated T_ij of the squeezed vacuum, in closed form with s = sech 2 gamma."""
+    s = 1.0 / math.cosh(2.0 * gamma)
+    table = {key: 0.0 for key in itertools.product(range(4), repeat=2)}
+    table.update({(0, 0): 1.0 - s, (1, 1): -s * (1.0 - s), (2, 2): -s * (1.0 - s), (3, 3): -(1.0 - s)})
+    return table
+
+
+class TestCorrelations:
+    # Cutoff 139 stores (140 * 141) / 2 = 9,870 amplitudes, under the default cap.
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.9, 1.2])
+    def test_bsv_matches_closed_form(self, gamma):
+        state = bsv_state(BsvParams(gamma, 139))
+        want = bsv_correlations(gamma)
+        got = correlations(state, want)
+        tol = 1e-13 + 2.0 * state.norm_deficit
+        for key, value in want.items():
+            assert abs(got[key] - value) <= tol, key
+        matrix = sum(t * np.kron(SIGMA[i], SIGMA[j]) for (i, j), t in want.items()) / 4.0
+        assert abs(gram_certificate(state).matrix - matrix).max() <= tol
+
+    def test_only_the_given_keys_are_evaluated(self, monkeypatch):
+        # One call, of one single-term sum per key: the square evaluates the one product g0 x g0.
+        calls = []
+        kernel = indicators.expectation_sums
+
+        def spy(sums, state, hermitian):
+            calls.append([len(terms) for terms in sums])
+            return kernel(sums, state, hermitian)
+
+        monkeypatch.setattr(indicators, "expectation_sums", spy)
+        state = random_two_beam_state(0)
+        assert list(correlations(state, [(3, 1), (0, 0)])) == [(3, 1), (0, 0)]
+        pm_expectation(state)
+        assert calls == [[1, 1], [1]]
+
+    def test_key_length_must_match_the_beams(self):
+        with pytest.raises(DomainMismatchError):
+            correlations(random_two_beam_state(0), [(0, 0, 0)])
+
+
 class TestGramCertificate:
+    @pytest.mark.parametrize("n_beams", [1, 2, 3])
+    def test_matches_the_overlap_definition(self, n_beams):
+        rng = np.random.default_rng(n_beams)
+        for _ in range(5):
+            domain = tuple(build_space(int(c)) for c in rng.integers(1, 4, size=n_beams))
+            dim = math.prod(space.dim for space in domain)
+            amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            state = MultiBeamState(domain, amps / np.linalg.norm(amps))
+            assert abs(gram_certificate(state).matrix - gram_oracle(state)).max() <= 1e-12
+
     def test_embedded_states_reproduce_the_qubit_density_matrix(self):
         rng = np.random.default_rng(41)
         for _ in range(10):

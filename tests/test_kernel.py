@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tensor_oracle import monomial_adjoint, monomial_product
 
 from bnl.fock import (
     ComplexOperator,
@@ -50,11 +51,12 @@ def chain(space, links, monomial):
     result = None
     for name, adjoint in links:
         if monomial:
-            factor = FACTORS[name].dagger() if adjoint else FACTORS[name]
+            factor = monomial_adjoint(FACTORS[name]) if adjoint else FACTORS[name]
+            result = factor if result is None else monomial_product(result, factor)
         else:
             matrix = FACTORS[name].operator(space).matrix
             factor = matrix.conj().T if adjoint else matrix
-        result = factor if result is None else result @ factor
+            result = factor if result is None else result @ factor
     return result if monomial else ComplexOperator((space,), result.tocsr())
 
 
