@@ -15,16 +15,16 @@ and three phases, so it holds nothing that grows with the cutoff.  A state
 over the tensored basis of one or more beams stores only its support and
 is built from per-beam positions, each beam's basis position at every
 nonzero amplitude; only ``MultiBeamState`` ravels them into joint
-positions.  ``expectation_sums`` evaluates weighted
-sums of tensor products of monomials on that support, so neither an
-operator nor a vector on the joint space, nor an array over a beam's
-basis, is formed.  The sparse ``ComplexOperator`` is kept only as the
-independent construction the acceptance suite compares that kernel
-against: ``Monomial.operator`` and ``tensor`` build it, ``expectation``
-evaluates it on a state's dense amplitudes, and it has no algebra of its
-own.  ``expi_tridiagonal`` exponentiates the tridiagonal Hermitian
-generators of the mode rotations and of the triple-emission ladder.  All
-containers are immutable after construction, so evaluation is safe to run
+positions.  ``expectations`` evaluates tensor products of Hermitian
+monomials, one per beam, on that support, so neither an operator nor a
+vector on the joint space, nor an array over a beam's basis, is formed.
+The sparse ``ComplexOperator`` is kept only as the independent
+construction the acceptance suite compares that kernel against:
+``Monomial.operator`` and ``tensor`` build it, ``expectation`` evaluates
+it on a state's dense amplitudes, and it has no algebra of its own.
+``expi_tridiagonal`` exponentiates the tridiagonal Hermitian generators
+of the mode rotations and of the triple-emission ladder.  All containers
+are immutable after construction, so evaluation is safe to run
 concurrently over independent states and operators.
 """
 
@@ -58,7 +58,7 @@ MAX_JOINT_DIM = np.iinfo(np.int64).max
 
 
 class DomainMismatchError(ValueError):
-    """Raised when an operator or a product term and a state live on different spaces."""
+    """Raised when an operator or a product of monomials and a state live on different spaces."""
 
 
 class HermitianViolationError(ValueError):
@@ -253,10 +253,6 @@ class Monomial:
         return block
 
 
-# One term of a sum of product observables: weight and one factor per beam.
-Term = tuple[complex, Sequence[Monomial]]
-
-
 def _cutoffs(domain: Sequence[BeamSpace]) -> tuple[int, ...]:
     return tuple(space.cutoff for space in domain)
 
@@ -397,49 +393,33 @@ def expectation(op: ComplexOperator, state: MultiBeamState) -> complex | float:
     return _hermitian_value(value, op.hermitian)
 
 
-def expectation_sums(
-    sums: Sequence[Sequence[Term]], state: MultiBeamState, hermitian: bool = False
-) -> list[complex | float]:
-    """<psi| sum_t w_t A_t1 x ... x A_tn |psi> for each given sum of product monomials.
+def expectations(products: Sequence[Sequence[Monomial]], state: MultiBeamState) -> list[float]:
+    """<psi| A_1 x ... x A_n |psi> for each given product of Hermitian monomials, one per beam.
 
-    A product term sends each stored ket position to one bra position and
-    a phase, so it is evaluated on the support alone (see _product_value);
-    no operator or vector on the joint space is formed.  The checks are
-    those of ``expectation``: one factor per beam, a normalized state and,
-    for sums declared Hermitian, an imaginary part below 1e-12, the real
-    part being returned as a float.
+    Each beam's phase is gathered by sector at the stored coordinates and
+    a swapping factor moves the coordinate by n_a - n_b; the state looks
+    the per-beam targets up in its support, where a miss is a zero bra
+    amplitude.  So no operator or vector on the joint space is formed.
+    The checks are those of ``expectation`` on a Hermitian-flagged
+    operator: one factor per beam, a normalized state and an imaginary
+    part below 1e-12, the real part being returned (a -0.0 as 0.0).
     """
-    if any(len(factors) != state.n_beams for terms in sums for _, factors in terms):
-        raise DomainMismatchError(f"a term's factor count differs from the {state.n_beams} beams")
+    if any(len(factors) != state.n_beams for factors in products):
+        raise DomainMismatchError(f"a product's factor count differs from the {state.n_beams} beams")
     _check_normalized(state)
     # Each beam's coordinates, n_a - n_b and sector at the stored amplitudes.
     beams = [
         (coords, n_a - n_b, _sector(n_a - n_b))
         for coords, (n_a, n_b) in zip(state.coordinates, state.occupations)
     ]
-    return [
-        _hermitian_value(
-            complex(sum(w * _product_value(state, beams, f) for w, f in terms)), hermitian
-        )
-        for terms in sums
-    ]
-
-
-def _product_value(state: MultiBeamState, beams: list, factors: Sequence[Monomial]) -> complex:
-    """<psi| A_1 x ... x A_n |psi> on the support.
-
-    Each beam's phase is gathered by sector at the stored coordinates and
-    a swapping factor moves the coordinate by n_a - n_b; the state looks
-    the per-beam targets up in its support, where a miss is a zero bra
-    amplitude.
-    """
-    ket = state.values
-    targets = []
-    for factor, (coords, shift, sector) in zip(factors, beams):
-        ket = ket * factor.phase[sector]
-        targets.append(coords + shift if factor.swap else coords)
-    bra = state.lookup(targets)
-    return complex(np.vdot(bra, ket))
+    values = []
+    for factors in products:
+        ket, targets = state.values, []
+        for factor, (coords, shift, sector) in zip(factors, beams):
+            ket = ket * factor.phase[sector]
+            targets.append(coords + shift if factor.swap else coords)
+        values.append(_hermitian_value(complex(np.vdot(state.lookup(targets), ket)), True) + 0.0)
+    return values
 
 
 def _check_normalized(state: MultiBeamState) -> None:

@@ -15,12 +15,15 @@ bound:
 * a three-beam Mermin expression over the dichotomized observables, with
   local-hidden-variable bound 2 (also re-derived by enumeration).
 
-Each is a sum of products of the cutoff-free monomials of ``bnl.gpauli``,
-evaluated at the state's stored kets only, whatever the cutoff.  Every
-quantity but the Mermin expression reads the correlations
-T_s = <g_s1 x ... x g_sn> (``correlations``): the square is its weight times
-T_00, a witness sum_s w_s T_s, the quadratic family 16 two-beam entries, and
-the Gram certificate 2^-n sum_s T_s sigma_s1 x ... x sigma_sn.
+Each is read from expectations of products of the cutoff-free Hermitian
+monomials of ``bnl.gpauli``, one per beam, which one kernel
+(``fock.expectations``) evaluates at the state's stored kets only,
+whatever the cutoff.  Every quantity but the Mermin expression reads the
+correlations T_s = <g_s1 x ... x g_sn> (``correlations``): the square is
+its weight times T_00, a witness sum_s w_s T_s, the quadratic family 16
+two-beam entries, and the Gram certificate
+2^-n sum_s T_s sigma_s1 x ... x sigma_sn.  The Mermin expression sums its
+four products of the dichotomized observables with their signs.
 
 All four share one verdict rule (``_verdict``) and one record
 (``VerdictRecord``); each member of the quadratic family is its own
@@ -44,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import DomainMismatchError, MultiBeamState, expectation_sums
+from .fock import DomainMismatchError, MultiBeamState, expectations
 from .gpauli import PAULI, g_monomial, orbit_matrix
 from .states import BsvParams, bsv_state, prob_diagonal
 
@@ -135,12 +138,11 @@ def _verdict(
 
 
 def correlations(state: MultiBeamState, keys: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], float]:
-    """T_s = <g_s1 x ... x g_sn> for each index tuple s of ``keys``, and no other: one Hermitian
-    product term each, all in one ``expectation_sums`` call, which refuses a key of another length
-    than the beam count."""
+    """T_s = <g_s1 x ... x g_sn> for each index tuple s of ``keys``, and no other: one product of
+    Hermitian monomials each, all in one ``expectations`` call, which refuses a key of another
+    length than the beam count."""
     keys = list(keys)
-    sums = [[(1.0, tuple(G_MONOMIALS[i] for i in key))] for key in keys]
-    return dict(zip(keys, expectation_sums(sums, state, hermitian=True)))
+    return dict(zip(keys, expectations([tuple(G_MONOMIALS[i] for i in key) for key in keys], state)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,25 +530,24 @@ def mermin_bell_value(state: MultiBeamState, dichotomized: bool = True) -> Verdi
     With ``dichotomized`` (the default) b_i are the spectrum-{-1,+1}
     variants and the local-hidden-variable bound 2 applies to |value|.
     For states that repeat one occupation pair across all beams with
-    symmetric pair amplitudes, the value must equal 4 - 2 P(diagonal)
-    (4 - 4 P(diagonal) without dichotomization); that expectation is
-    returned in ``details["structural_expected"]`` as a cross-check.
+    symmetric pair amplitudes, the value must equal 4 (1 - d) - 2 P(diagonal)
+    (4 (1 - d) - 4 P(diagonal) without dichotomization), d being the norm
+    deficit; that expectation is returned in
+    ``details["structural_expected"]`` as a cross-check.
     """
     if state.n_beams != 3:
         raise DomainMismatchError("the Mermin expression takes a three-beam state")
     b = {i: g_monomial(i, dichotomized) for i in (1, 2)}
-    terms = [
-        (sign, tuple(b[i] for i in idx))
-        for idx, sign in (((1, 1, 1), 1.0), ((1, 2, 2), -1.0), ((2, 1, 2), -1.0), ((2, 2, 1), -1.0))
-    ]
-    [value] = expectation_sums([terms], state, hermitian=True)
+    signs = {(1, 1, 1): 1.0, (1, 2, 2): -1.0, (2, 1, 2): -1.0, (2, 2, 1): -1.0}
+    values = expectations([tuple(b[i] for i in idx) for idx in signs], state)
+    value = sum(sign * v for sign, v in zip(signs.values(), values))
 
     structural = None
     if _is_pair_symmetric_triple(state):
         p_diag = prob_diagonal(state)
-        structural = 4.0 - (2.0 if dichotomized else 4.0) * p_diag
+        structural = 4.0 * (1.0 - state.norm_deficit) - (2.0 if dichotomized else 4.0) * p_diag
 
-    weight = sum(abs(w) for w, _ in terms)
+    weight = sum(abs(sign) for sign in signs.values())
     return _verdict(
         "mermin_expression", value, LHV_BOUND, abs(value) - LHV_BOUND,
         state.norm_deficit, (-weight, weight),

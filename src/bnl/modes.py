@@ -64,9 +64,6 @@ class ModeUnitary:
     def __matmul__(self, other: "ModeUnitary") -> "ModeUnitary":
         return ModeUnitary(self.matrix @ other.matrix)
 
-    def dagger(self) -> "ModeUnitary":
-        return ModeUnitary(self.matrix.conj().T)
-
 
 def lift_blocks(u: ModeUnitary, cutoff: int) -> list[np.ndarray]:
     """Blocks T = 0..cutoff of the lift, each sending |T-k,k> to the rotated-mode ket.

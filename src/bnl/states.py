@@ -1,11 +1,12 @@
 """State generators: squeezed-vacuum and GHZ-like bosonic states, qubit
 embeddings, random separable products, and the diagonal-subspace probability.
 
-Truncation policy: states with analytically infinite support (the two-beam
-squeezed vacuum) carry an explicit ``norm_deficit`` equal to the analytic
-tail mass beyond the cutoff, instead of being renormalized.  Downstream
-verdicts widen their tolerance by that deficit, which keeps truncation
-error accounting honest.  The triple-emission generator state has no
+Truncation policy: states with more support than the cutoff holds (the
+two-beam squeezed vacuum, and a ``bghz`` state cut below twice its top
+order) carry an explicit ``norm_deficit`` equal to the mass beyond the
+cutoff, instead of being renormalized.  Downstream verdicts widen their
+tolerance by that deficit, which keeps truncation error accounting
+honest.  The triple-emission generator state has no
 untruncated limit to measure a deficit against, so it carries none and
 its output is labelled non-authoritative.
 
@@ -140,17 +141,19 @@ def prob_diagonal_bounds(state: MultiBeamState) -> tuple[float, float]:
     return value, min(1.0, value + state.norm_deficit)
 
 
-def _normalized(values, what: str) -> tuple[np.ndarray, float]:
-    """``values`` scaled to unit norm, and that norm.
+def _check_squared_norm(square: float, what: str) -> None:
+    """Refuse a squared norm outside the normal doubles: "the squared norm of
+    ``what`` overflows (or underflows) a double"."""
+    if not sys.float_info.min <= square < math.inf:
+        flow = "underflows" if square < 1 else "overflows"
+        raise ValueError(f"the squared norm of {what} {flow} a double")
 
-    A squared norm outside the normal doubles is refused: "the squared
-    norm of ``what`` overflows (or underflows) a double".
-    """
+
+def _normalized(values, what: str) -> tuple[np.ndarray, float]:
+    """``values`` scaled to unit norm, and that norm; see _check_squared_norm."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(values))
-    if not sys.float_info.min <= norm * norm < math.inf:
-        flow = "underflows" if norm < 1 else "overflows"
-        raise ValueError(f"the squared norm of {what} {flow} a double")
+    _check_squared_norm(norm * norm, what)
     return np.divide(values, norm), norm
 
 
@@ -160,13 +163,16 @@ def bghz_state(coeffs: BghzCoefficients, cutoff: int) -> MultiBeamState:
     The (p, m) term populates |p,m; p,m; p,m> with weight
     C_p C_m (p! m!)^{3/2} (the repeated-creation normalization), so every
     ket in the support shows the same occupation pair in all three beams.
-    The assembled vector is normalized on the truncated space; the
-    structural identities probed downstream hold for any normalized state
-    of this shape, independent of the coefficient values.  It stores one
-    amplitude per representable (p, m) term, at most (cutoff+1)(cutoff+2)/2.
-    Weights whose squared norm leaves the normal doubles are refused.
+    It stores one amplitude per representable (p, m) term, p + m <= cutoff,
+    at most (cutoff+1)(cutoff+2)/2.  When the cutoff keeps every term, the
+    stored weights are normalized among themselves.  Otherwise they are
+    divided by the norm over every (p, m), which factorizes as
+    sum_p |C_p|^2 p!^3, and the share the cutoff drops is stored as
+    ``norm_deficit``.  Weights whose squared norm leaves the normal doubles
+    are refused: the stored ones, or the untruncated ones when terms drop.
     """
     space = build_space(cutoff)
+    top = max(k for k, c in enumerate(coeffs.entries) if c != 0)
     orders = [k for k, c in enumerate(coeffs.entries) if c != 0 and k <= cutoff]
     # For each order p, the orders m with p + m <= cutoff form a prefix of ``orders``.
     partners = [bisect.bisect_right(orders, cutoff - p) for p in orders]
@@ -182,8 +188,17 @@ def bghz_state(coeffs: BghzCoefficients, cutoff: int) -> MultiBeamState:
             values.append(coeffs.entries[p] * coeffs.entries[m] * weight)
     if not values:
         raise ValueError("no coefficient term is representable at this cutoff")
-    unit, _ = _normalized(values, f"the weights C_p C_m (p! m!)^(3/2) at cutoff {cutoff}")
-    return MultiBeamState.from_support((space,) * 3, (kets,) * 3, unit)
+    if 2 * top <= cutoff:
+        unit, _ = _normalized(values, f"the weights C_p C_m (p! m!)^(3/2) at cutoff {cutoff}")
+        return MultiBeamState.from_support((space,) * 3, (kets,) * 3, unit)
+    try:
+        norm = sum(abs(c) ** 2 * math.factorial(p) ** 3 for p, c in enumerate(coeffs.entries))
+    except OverflowError:  # past the largest double
+        norm = math.inf
+    _check_squared_norm(norm * norm, "the untruncated weights C_p C_m (p! m!)^(3/2)")
+    unit = np.divide(values, norm)
+    deficit = max(0.0, 1.0 - float(np.vdot(unit, unit).real))
+    return MultiBeamState.from_support((space,) * 3, (kets,) * 3, unit, norm_deficit=deficit)
 
 
 def qubit_embed(amplitudes) -> MultiBeamState:

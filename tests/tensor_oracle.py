@@ -1,9 +1,9 @@
 """Sparse reference operators: the independent oracle for the kernel.
 
-``bnl`` evaluates every indicator with ``expectation_sums`` on per-beam
-monomials.  The helpers here build the same observables as explicit sparse
-operators on the joint space with ``tensor()``, so tests can compare the
-two evaluation paths.  ``ComplexOperator`` has no algebra of its own, so
+``bnl`` evaluates every indicator with ``fock.expectations`` on products
+of Hermitian per-beam monomials, one per beam.  The helpers here build the
+same observables as explicit sparse operators on the joint space with
+``tensor()``, so tests can compare the two evaluation paths.  ``ComplexOperator`` has no algebra of its own, so
 products and sums are taken on the scipy matrices and wrapped again only
 to reach ``tensor`` or ``expectation``.  ``stokes_operator`` builds the
 Stokes operators from the occupations of each basis ket, the oracle for

@@ -246,6 +246,33 @@ def test_verdicts_never_load_scipy_sparse():
     assert (lines[0], lines[-1]) == ("True", "False")
 
 
+def test_benchmark_operations_load_neither_scipy_linalg_nor_scipy_sparse():
+    # Every operation kind of perfbench's three workloads.  Loading scipy.linalg alone
+    # adds ~27 MiB to the resident set, more than the benchmark's 5% peak-RSS bound on
+    # any workload, so none of them may load it.
+    coeffs = str(FIXTURES / "coeffs3.csv")
+    argvs = [
+        "contextuality bsv --gamma 0.9 --cutoff 40 --json".split(),
+        "entanglement ns-family bsv --gamma 0.9 --cutoff 20".split(),
+        "entanglement gram bsv --gamma 0.9 --cutoff 20".split(),
+        "verify-algebra --cutoff 32".split(),
+        *(f"entanglement witness separable --seed 3 --witness {w} --cutoff 5".split()
+          for w in ("ghz3", "singlet", "phi-plus")),
+        ["bell", "bghz", "--coeffs", coeffs],
+        ["entanglement", "witness", "bghz", "--coeffs", coeffs],
+    ]
+    script = (
+        "import contextlib, io, sys\nfrom bnl import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    print([m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"] * len(argvs)
+
+
 @pytest.mark.parametrize(
     "argv, code, prefix",
     [
@@ -293,7 +320,9 @@ def test_module_process_exits_with_the_mapped_code(argv, code):
 
 
 def test_hermitian_violation_in_a_verdict_is_a_verification_failure(capsys, monkeypatch):
-    monkeypatch.setattr(fock, "_product_value", lambda state, beams, factors: 0.5 + 1e-3j)
+    # g0 replaced by i times the identity: <i 1 x i 1 x i 1> = -i on the GHZ witness's first key.
+    g = indicators.G_MONOMIALS
+    monkeypatch.setattr(indicators, "G_MONOMIALS", (fock.Monomial(False, (1j, 1j, 1j)),) + g[1:])
     state = qubit_embed(GHZ3)
     with pytest.raises(fock.HermitianViolationError):
         indicators.witness_verdict(indicators.GHZ3_WITNESS, state)
@@ -637,6 +666,22 @@ def test_bell_bghz(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["verdict"] == "violated"
     assert payload["value"] == pytest.approx(payload["structural_expected"], abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", ["coeffs.csv", "coeffs3.csv"])
+def test_bghz_intervals_below_twice_the_top_order_contain_the_untruncated_margin(coeffs):
+    # Both files have top order M = 2, so cutoff 2M = 4 keeps every term and its margin is
+    # the untruncated one; each lower cutoff drops terms, whose mass widens the interval.
+    for argv in (["bell", "bghz"], ["entanglement", "witness", "bghz", "--witness", "ghz3"]):
+        outputs = [run_case(argv + ["--coeffs", coeffs, "--cutoff", str(c)])[1] for c in range(5)]
+        records = [json.loads(out) for out in outputs]
+        exact = records[-1]["margin"]
+        assert records[-1]["interval"] == [exact, exact]
+        for record in records:
+            lo, hi = record["interval"]
+            assert lo <= exact <= hi, (record["cutoff"], record["interval"], exact)
+            if "structural_expected" in record:
+                assert record["value"] == pytest.approx(record["structural_expected"], abs=1e-12)
 
 
 # One order's triple-emission state has Mermin value exactly 2, the local bound.

@@ -344,19 +344,19 @@ class TestCorrelations:
         assert abs(gram_certificate(state).matrix - matrix).max() <= tol
 
     def test_only_the_given_keys_are_evaluated(self, monkeypatch):
-        # One call, of one single-term sum per key: the square evaluates the one product g0 x g0.
+        # One call, of one product per key: the square evaluates the one product g0 x g0.
         calls = []
-        kernel = indicators.expectation_sums
+        kernel = indicators.expectations
 
-        def spy(sums, state, hermitian):
-            calls.append([len(terms) for terms in sums])
-            return kernel(sums, state, hermitian)
+        def spy(products, state):
+            calls.append(len(products))
+            return kernel(products, state)
 
-        monkeypatch.setattr(indicators, "expectation_sums", spy)
+        monkeypatch.setattr(indicators, "expectations", spy)
         state = random_two_beam_state(0)
         assert list(correlations(state, [(3, 1), (0, 0)])) == [(3, 1), (0, 0)]
         pm_expectation(state)
-        assert calls == [[1, 1], [1]]
+        assert calls == [2, 1]
 
     def test_key_length_must_match_the_beams(self):
         with pytest.raises(DomainMismatchError):

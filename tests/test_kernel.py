@@ -1,9 +1,10 @@
 """The monomial kernel against the Kronecker-built oracle.
 
-``expectation_sums`` evaluates weighted sums of products of cutoff-free
-sign-sector monomials on the stored support of a state; the oracle builds
-the same sums as sparse operators on the joint space with ``tensor()`` and
-evaluates them by ``expectation`` on the dense amplitude vector.
+``expectations`` evaluates products of cutoff-free Hermitian sign-sector
+monomials, one per beam, on the stored support of a state; the oracle
+builds the same products as sparse operators on the joint space with
+``tensor()`` and evaluates them by ``expectation`` on the dense amplitude
+vector.  Each test forms its weighted sums of products on both sides.
 """
 
 import math
@@ -22,7 +23,7 @@ from bnl.fock import (
     MultiBeamState,
     build_space,
     expectation,
-    expectation_sums,
+    expectations,
     tensor,
 )
 from bnl.gpauli import diagonal_monomial, g_monomial, pr_monomial, sr_monomial
@@ -35,6 +36,8 @@ FACTORS = {
     "pr": pr_monomial(),
     "diagonal": diagonal_monomial(),
 }
+# The Hermitian factors: all but the half swap.
+HERMITIAN = sorted(set(FACTORS) - {"sr"})
 
 
 def random_state(cutoffs, seed):
@@ -47,7 +50,7 @@ def random_state(cutoffs, seed):
 
 def chain(space, links, monomial):
     """Product of the named factors (optionally adjoint), left to right, as a
-    monomial or, multiplied as sparse matrices on ``space``, as the oracle."""
+    monomial or, multiplied as sparse matrices on ``space``, as the oracle's matrix."""
     result = None
     for name, adjoint in links:
         if monomial:
@@ -57,11 +60,33 @@ def chain(space, links, monomial):
             matrix = FACTORS[name].operator(space).matrix
             factor = matrix.conj().T if adjoint else matrix
             result = factor if result is None else result @ factor
-    return result if monomial else ComplexOperator((space,), result.tocsr())
+    return result
+
+
+def sandwich(space, centre, links, monomial):
+    """C^dag H C for the Hermitian factor H named ``centre`` and the chain C of ``links``:
+    a Hermitian monomial, or the oracle's sparse matrix on ``space``."""
+    outer = chain(space, links, monomial)
+    if monomial:
+        return monomial_product(monomial_product(monomial_adjoint(outer), FACTORS[centre]), outer)
+    return outer.conj().T @ FACTORS[centre].operator(space).matrix @ outer
+
+
+def weighted_sum(weights, products, state):
+    """sum_t w_t <product_t> from the kernel, one product per term."""
+    return sum(w * v for w, v in zip(weights, expectations(products, state)))
+
+
+def oracle_sum(weights, products, domain, state):
+    """The same sum from the sparse tensor products of each product's factors, flagged
+    Hermitian, which ``ComplexOperator`` verifies entrywise."""
+    total = sum(w * tensor([ComplexOperator((space,), m.tocsr()) for space, m in zip(domain, product)]).matrix
+                for w, product in zip(weights, products))
+    return expectation(ComplexOperator(domain, total.tocsr(), hermitian=True), state)
 
 
 links = st.lists(st.tuples(st.sampled_from(sorted(FACTORS)), st.booleans()), min_size=1, max_size=3)
-weights = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+weights = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=150, deadline=None)
@@ -72,20 +97,37 @@ weights = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=
 )
 def test_kernel_matches_tensor_oracle(cutoffs, seed, data):
     state = random_state(cutoffs, seed)
+    beam = st.tuples(st.sampled_from(HERMITIAN), links)
     spec = data.draw(
-        st.lists(st.tuples(weights, st.lists(links, min_size=len(cutoffs), max_size=len(cutoffs))),
+        st.lists(st.tuples(weights, st.lists(beam, min_size=len(cutoffs), max_size=len(cutoffs))),
                  min_size=1, max_size=4)
     )
-    terms = [
-        (w, tuple(chain(space, per_beam, True) for space, per_beam in zip(state.domain, beams)))
-        for w, beams in spec
+    ws = [w for w, _ in spec]
+    products = [
+        tuple(sandwich(space, centre, path, True) for space, (centre, path) in zip(state.domain, beams))
+        for _, beams in spec
     ]
-    oracle = sum(
-        w * tensor([chain(space, per_beam, False) for space, per_beam in zip(state.domain, beams)]).matrix
-        for w, beams in spec
-    )
-    [value] = expectation_sums([terms], state)
-    assert abs(value - expectation(ComplexOperator(state.domain, oracle), state)) <= 1e-12
+    matrices = [
+        [sandwich(space, centre, path, False) for space, (centre, path) in zip(state.domain, beams)]
+        for _, beams in spec
+    ]
+    value = weighted_sum(ws, products, state)
+    assert isinstance(value, float)
+    assert abs(value - oracle_sum(ws, matrices, state.domain, state)) <= 1e-12
+
+
+def random_hermitian_monomial(rng):
+    """Without a swap, real phases; with one, a real phase at s = 0 and conjugate
+    phases at s = +1 and -1.  Each sector (the pair +-1 together under a swap) is
+    zeroed with probability 0.3."""
+    swap = bool(rng.integers(2))
+    phase = rng.standard_normal(3).astype(complex)
+    kept = rng.random(3) >= 0.3
+    if swap:
+        phase[1] = complex(*rng.standard_normal(2))
+        phase[2] = phase[1].conjugate()
+        kept[2] = kept[1]
+    return Monomial(swap, np.where(kept, phase, 0.0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,9 +138,8 @@ def test_kernel_matches_tensor_oracle(cutoffs, seed, data):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_support_kernel_matches_tensor_oracle(cutoffs, density, n_terms, seed):
-    # Sparse supports in shuffled order, and random sign-sector monomials:
-    # random swap bits and phases, some of them zero.  Most swapped targets
-    # leave the support.
+    # Sparse supports in shuffled order, and random Hermitian sign-sector
+    # monomials.  Most swapped targets leave the support.
     rng = np.random.default_rng(seed)
     domain = tuple(build_space(c) for c in cutoffs)
     dim = math.prod(space.dim for space in domain)
@@ -109,41 +150,29 @@ def test_support_kernel_matches_tensor_oracle(cutoffs, density, n_terms, seed):
     positions = np.unravel_index(index, tuple(space.dim for space in domain))
     state = MultiBeamState.from_support(domain, positions, values / np.linalg.norm(values))
 
-    def random_monomial():
-        phase = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        phase[rng.random(3) < 0.3] = 0.0
-        return Monomial(bool(rng.integers(2)), phase)
-
-    terms = [
-        (complex(*rng.standard_normal(2)), tuple(random_monomial() for _ in domain))
-        for _ in range(n_terms)
-    ]
-    oracle = sum(
-        w * tensor([factor.operator(space) for factor, space in zip(factors, domain)]).matrix
-        for w, factors in terms
-    )
-    [value] = expectation_sums([terms], state)
-    assert abs(value - expectation(ComplexOperator(domain, oracle), state)) <= 1e-12
+    ws = rng.standard_normal(n_terms)
+    products = [tuple(random_hermitian_monomial(rng) for _ in domain) for _ in range(n_terms)]
+    matrices = [[f.operator(space).matrix for f, space in zip(product, domain)] for product in products]
+    value = weighted_sum(ws, products, state)
+    assert abs(value - oracle_sum(ws, matrices, domain, state)) <= 1e-12
 
 
 def test_domain_mismatch_is_rejected():
     state = random_state((2, 3), 0)
     with pytest.raises(DomainMismatchError):
-        expectation_sums([[(1.0, (g_monomial(0),))]], state)
+        expectations([(g_monomial(0),)], state)
 
 
 def test_unnormalized_state_is_rejected():
     state = random_state((2, 2), 1)
     doubled = MultiBeamState(state.domain, 2.0 * state.amplitudes)
-    factors = (g_monomial(0),) * 2
     with pytest.raises(ValueError, match="not normalized"):
-        expectation_sums([[(1.0, factors)]], doubled)
+        expectations([(g_monomial(0),) * 2], doubled)
 
 
-def test_hermitian_sum_with_imaginary_value_is_rejected():
+def test_non_hermitian_product_is_rejected():
+    # i times the identity on the first beam makes <i 1 x g0> = i <1 x g0>, imaginary.
     state = random_state((2, 2), 2)
-    factors = (g_monomial(0),) * 2
-    assert isinstance(expectation_sums([[(1.0, factors)]], state, hermitian=True)[0], float)
+    assert all(isinstance(v, float) for v in expectations([(g_monomial(0),) * 2], state))
     with pytest.raises(HermitianViolationError):
-        expectation_sums([[(1j, factors)]], state, hermitian=True)
-
+        expectations([(Monomial(False, (1j, 1j, 1j)), g_monomial(0))], state)

@@ -217,19 +217,42 @@ class TestBghz:
             bghz_state(coeffs, 1)
 
     @pytest.mark.parametrize(
-        "entries, cutoff, flow",
+        "entries, cutoff, weights, flow",
         [
-            # (100! 80!)^(3/2) is past the largest double.
-            ((1.0,) * 101, 180, "overflows"),
-            ((1e200, 1.0), 2, "overflows"),
-            ((1e100,), 0, "overflows"),
-            ((1e-100,), 0, "underflows"),
-            ((1e-80,), 0, "underflows"),  # 1e-320 is subnormal
+            # Cutoff 180 drops the terms past it, and the untruncated norm holds 100!^3, past the
+            # largest double.
+            pytest.param((1.0,) * 101, 180, "untruncated weights", "overflows", id="entries0-180-overflows"),
+            pytest.param((1e200, 1.0), 2, "weights", "overflows", id="entries1-2-overflows"),
+            pytest.param((1e100,), 0, "weights", "overflows", id="entries2-0-overflows"),
+            pytest.param((1e-100,), 0, "weights", "underflows", id="entries3-0-underflows"),
+            # 1e-320 is subnormal.
+            pytest.param((1e-80,), 0, "weights", "underflows", id="entries4-0-underflows"),
+            # Cutoff 0 drops three terms, and the untruncated (2e-200)^2 is below the smallest double.
+            pytest.param(
+                (1e-100, 1e-100), 0, "untruncated weights", "underflows", id="entries5-0-underflows"
+            ),
         ],
     )
-    def test_refuses_a_squared_norm_outside_the_doubles(self, entries, cutoff, flow):
-        with pytest.raises(ValueError, match=f"squared norm of the weights .* {flow} a double"):
+    def test_refuses_a_squared_norm_outside_the_doubles(self, entries, cutoff, weights, flow):
+        with pytest.raises(ValueError, match=f"squared norm of the {weights} .* {flow} a double"):
             bghz_state(BghzCoefficients(entries), cutoff)
+
+    # The coefficients of tests/fixtures/cli/coeffs.csv and coeffs3.csv.
+    @pytest.mark.parametrize(
+        "entries", [(1.0, 0.5, 0.25 + 0.1j), (0.512345 - 0.1j, -0.734 + 0.25j, 0.3 + 0.66j)]
+    )
+    def test_dropped_terms_are_the_norm_deficit(self, entries):
+        # Below cutoff 2M the stored amplitudes are those of the untruncated state at
+        # cutoff 2M, and the deficit is the mass of the terms the cutoff drops.
+        coeffs = BghzCoefficients(entries)
+        full = bghz_state(coeffs, 4)
+        assert full.norm_deficit == 0.0
+        for cutoff in range(4):
+            state = bghz_state(coeffs, cutoff)
+            kept = np.flatnonzero(np.sum(occupations(np.arange(full.domain[0].dim)), axis=0) <= cutoff)
+            want = full.values[np.isin(full.coordinates[0], kept)]
+            assert np.abs(state.values - want).max() <= 1e-15
+            assert state.norm_deficit == pytest.approx(1.0 - np.vdot(want, want).real, abs=1e-15)
 
 
 class TestPsiNm:
