@@ -15,8 +15,8 @@ fields.  A source refuses any other source flag, and a missing needed
 flag ("bsv source needs --gamma"); a command refuses a state of another
 beam count ("bell takes a three-beam state").  Handlers raise, and
 ``main`` alone maps the exception to its exit code and one ``bnl:`` line
-on stderr: ``InputFileError`` to 3, ``DegenerateCertificateError`` and
-``HermitianViolationError`` to 2, and any other ``ValueError`` to 1.
+on stderr: ``InputFileError`` to 3, ``CrossCheckError``, ``DegenerateCertificateError``
+and ``HermitianViolationError`` to 2, and any other ``ValueError`` to 1.
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputFileError as exc:
         print(f"bnl: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DegenerateCertificateError, HermitianViolationError) as exc:
+    except (indicators.CrossCheckError, DegenerateCertificateError, HermitianViolationError) as exc:
         print(f"bnl: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except ValueError as exc:

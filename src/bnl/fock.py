@@ -37,10 +37,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-# scipy loads its submodules on first use, so a command that builds no sparse
-# matrix, as no command does, never loads scipy.sparse (~20 MiB resident).
-# perfbench/run.py reads the version from sys.modules["scipy"], so this import
-# stays until that harness reads it from the package metadata (ROADMAP item 1).
+# Only the sparse reference construction (ComplexOperator, Monomial.operator,
+# tensor) uses scipy, and scipy loads scipy.sparse on first use, so no command
+# loads it.  perfbench/run.py reads the version from sys.modules["scipy"], so
+# this import stays until that harness reads the package metadata (ROADMAP item 1).
 import scipy
 
 # Entrywise tolerance for verifying a declared Hermitian flag.
@@ -173,10 +173,11 @@ def expi_tridiagonal(diagonal, magnitudes, coupling: complex) -> np.ndarray:
 
     With coupling = |c| e^{i phi}, H = D R D^dag for D = diag(e^{-i k phi}) and the real
     symmetric R with off-diagonal |c| magnitudes, so exp(iH) = V exp(i Lambda) V^dag with
-    V = D W from one ``eigh_tridiagonal`` of R, unitary to rounding however large Lambda is.
+    V = D W from one dense real ``np.linalg.eigh`` of R's upper triangle, unitary to rounding
+    however large Lambda is.
     """
     k = np.arange(len(diagonal))
-    lam, w = scipy.linalg.eigh_tridiagonal(diagonal, abs(coupling) * magnitudes)
+    lam, w = np.linalg.eigh(np.diag(diagonal) + np.diag(abs(coupling) * magnitudes, 1), UPLO="U")
     v = np.exp(-1j * np.angle(coupling) * k)[:, None] * w
     return (v * np.exp(1j * lam)) @ v.conj().T
 

@@ -72,6 +72,10 @@ DETECTION_LABELS = ("entangled", "not_detected")
 G_MONOMIALS = tuple(g_monomial(i) for i in range(4))
 
 
+class CrossCheckError(RuntimeError):
+    """Two independent computations of one quantity disagree: an internal inconsistency."""
+
+
 @dataclass(frozen=True)
 class VerdictRecord:
     """One quantity against its classical bound.
@@ -189,7 +193,7 @@ def _pm_terms(cells: tuple, lines: tuple) -> float:
         for a, b in itertools.combinations(line, 2)
     )
     if worst > LINE_COMMUTE_ATOL:
-        raise AssertionError(
+        raise CrossCheckError(
             f"cells within a context fail to commute (residual {worst:.3e})"
         )
     g00 = np.kron(g[0], g[0])
@@ -200,7 +204,7 @@ def _pm_terms(cells: tuple, lines: tuple) -> float:
         scale = float(product[4, 4].real)
         residual = float(np.abs(product - scale * g00).max())
         if residual > LINE_COMMUTE_ATOL:
-            raise AssertionError(
+            raise CrossCheckError(
                 f"line {name} multiplies to no multiple of g0 x g0 (residual {residual:.3e})"
             )
         weight += sign * scale
@@ -216,7 +220,7 @@ def pm_expectation(state: MultiBeamState) -> VerdictRecord:
     orbit-matrix products (see _pm_terms).  The
     independently computed shortcut 6(1 - P(diagonal)) must agree with
     that value up to the tail mass weighted by the six contexts;
-    disagreement beyond that signals an internal inconsistency and raises.
+    disagreement beyond that raises CrossCheckError.
     """
     if state.n_beams != 2:
         raise DomainMismatchError("the square expression takes a two-beam state")
@@ -225,7 +229,7 @@ def pm_expectation(state: MultiBeamState) -> VerdictRecord:
     p_diag = prob_diagonal(state)
     shortcut = 6.0 * (1.0 - p_diag)
     if abs(value - shortcut) > SHORTCUT_ATOL + PM_SPREAD[1] * state.norm_deficit:
-        raise RuntimeError(
+        raise CrossCheckError(
             f"operator value {value!r} and shortcut {shortcut!r} disagree"
         )
     return _verdict(
@@ -411,7 +415,7 @@ def gram_certificate(state: MultiBeamState) -> GramCertificate:
     Raises DegenerateCertificateError when the trace T_0...0 vanishes,
     naming the norm deficit when mass lies beyond the cutoff; verifies
     the trace against the stored mass off the diagonal subspace,
-    |psi|^2 - P(diagonal), and positivity before returning.
+    |psi|^2 - P(diagonal), and positivity, raising CrossCheckError if either fails.
     """
     t = correlations(state, itertools.product(range(4), repeat=state.n_beams))
     trace = t[(0,) * state.n_beams]
@@ -426,13 +430,13 @@ def gram_certificate(state: MultiBeamState) -> GramCertificate:
         )
     off_diagonal = float(np.vdot(state.values, state.values).real) - prob_diagonal(state)
     if abs(trace - off_diagonal) > GRAM_TRACE_ATOL:
-        raise RuntimeError(
+        raise CrossCheckError(
             f"certificate trace {trace!r} deviates from the mass off the diagonal {off_diagonal!r}"
         )
     matrix = (np.array(list(t.values())) @ _pauli_basis(state.n_beams)).reshape(2**state.n_beams, -1)
     eigenvalues = np.linalg.eigvalsh(matrix)
     if eigenvalues[0] < -GRAM_PSD_ATOL:
-        raise RuntimeError(f"certificate not positive semidefinite: {eigenvalues[0]!r}")
+        raise CrossCheckError(f"certificate not positive semidefinite: {eigenvalues[0]!r}")
     return GramCertificate(
         matrix=matrix,
         trace=trace,

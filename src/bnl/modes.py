@@ -3,7 +3,7 @@
 A 2x2 unitary u mixing the creation operators of one beam lifts to a
 unitary on the Fock sector that conserves total photon number, so the
 lift is computed one block T = n_a + n_b at a time.  Write u = exp(iX)
-with X Hermitian, read off a complex Schur form of u.  On the kets
+with X Hermitian, read off a closed-form 2x2 logarithm.  On the kets
 |T-k, k> the operator N_X = sum X_lk a_l^dag a_k is tridiagonal and
 Hermitian, and block T of the lift is exp(i N_X) from one tridiagonal
 eigendecomposition (``fock.expi_tridiagonal``), unitary to rounding at
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .fock import build_space, check_beam, expi_tridiagonal
 from .gpauli import g_monomial, stokes_block
@@ -71,10 +70,16 @@ def lift_blocks(u: ModeUnitary, cutoff: int) -> list[np.ndarray]:
     The rotated kets are |n,m>' = (c^dag)^n (d^dag)^m |vac> / sqrt(n! m!), in
     the original occupation basis ordered by n_b.  With u = exp(iX), the lift
     exp(i N_X) satisfies exp(i N_X) a_k^dag exp(-i N_X) = sum_l u_lk a_l^dag
-    and fixes the vacuum, so it is exactly that map.
+    and fixes the vacuum, so it is exactly that map.  X is a closed-form logarithm: u =
+    e^{i phi} (a 1 + i h) with e^{2i phi} = det u and h = b.sigma gives X = phi 1 + atan2(|b|, a) h/|b|,
+    or (phi + atan2(0, a)) 1 when b = 0.  Any X with exp(iX) = u gives the same lift.
     """
-    schur, q = scipy.linalg.schur(u.matrix, output="complex")
-    x = (q * np.angle(np.diag(schur))) @ q.conj().T
+    phi = np.angle(np.linalg.det(u.matrix)) / 2
+    v = u.matrix * np.exp(-1j * phi)
+    h = (v - v.conj().T) / 2j
+    norm = np.linalg.norm(h) / math.sqrt(2)
+    theta = math.atan2(norm, np.trace(v).real / 2)
+    x = (phi + theta) * np.eye(2) if norm == 0 else phi * np.eye(2) + theta / norm * h
     blocks = []
     for total in range(cutoff + 1):
         k = np.arange(total + 1)

@@ -224,26 +224,33 @@ def test_squeezed_vacuum_at_cutoff_120_stays_small(capsys):
 
 
 def test_verdicts_never_load_scipy_sparse():
-    # No command builds a sparse matrix: counterexample and verify-algebra
-    # read closed-form photon-number blocks, and bghz-gen exponentiates two
-    # tridiagonal ladders.  Loading scipy.sparse adds ~20 MiB to the resident
-    # set of any command.  scipy itself is loaded on import, and the
-    # benchmark reads its version from sys.modules.
+    # No command builds a sparse matrix or calls scipy.linalg: counterexample and
+    # verify-algebra read closed-form photon-number blocks, and bghz-gen and the mode
+    # rotations exponentiate tridiagonal ladders with numpy alone.  Loading scipy.sparse
+    # adds ~20 MiB to the resident set of any command, and scipy.linalg ~25 MiB.  scipy
+    # itself is loaded on import, and the benchmark reads its version from sys.modules.
+    # Every fixture argv runs too, from the fixtures directory, whatever its exit code.
+    own = [argv.split() for argv in (
+        "contextuality bsv --gamma 0.9", "entanglement gram separable",
+        "entanglement ns-family bsv --gamma 0.5", "bell qubit --ghz",
+        "counterexample --cutoff 40", "verify-algebra --cutoff 20",
+        "bell bghz-gen --gamma 0.3",
+        "entanglement witness bghz-gen --gamma-min 0.05 --gamma-max 0.45 --steps 9",
+    )]
+    argvs = own + [case["argv"].split() for case in CASES]
     script = (
-        "import sys\nfrom bnl import cli\n"
+        "import contextlib, io, os, sys\nfrom bnl import cli\n"
         "print('scipy' in sys.modules)\n"
-        "for argv in ('contextuality bsv --gamma 0.9', 'entanglement gram separable',\n"
-        "             'entanglement ns-family bsv --gamma 0.5', 'bell qubit --ghz',\n"
-        "             'counterexample --cutoff 40', 'verify-algebra --cutoff 20',\n"
-        "             'bell bghz-gen --gamma 0.3',\n"
-        "             'entanglement witness bghz-gen --gamma-min 0.05 --gamma-max 0.45 --steps 9'):\n"
-        "    assert cli.main(argv.split()) == 0\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        f"os.chdir({str(FIXTURES)!r})\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(code, [m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("True", "False")
+    codes = [0] * len(own) + [case["exit"] for case in CASES]
+    assert proc.stdout.splitlines() == ["True"] + [f"{code} []" for code in codes]
 
 
 def test_benchmark_operations_load_neither_scipy_linalg_nor_scipy_sparse():
@@ -331,6 +338,39 @@ def test_hermitian_violation_in_a_verdict_is_a_verification_failure(capsys, monk
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("bnl: Hermitian expectation has imaginary part ")
+
+
+def _patch_lines(monkeypatch, first_line):
+    lines = (("j1", first_line, +1),) + indicators.PM_LINES[1:]
+    monkeypatch.setattr(indicators, "PM_LINES", lines)
+    indicators._pm_terms.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "patch, argv, prefix",
+    [
+        # g3 x g0, g0 x g1 and g0 x g3 in one context: the last two anticommute.
+        (lambda mp: _patch_lines(mp, ((1, 1), (1, 2), (2, 1))), "contextuality bsv --gamma 0.5 --json",
+         "bnl: cells within a context fail to commute "),
+        # (g3 x g0)^3 = g3 x g0, which is no multiple of g0 x g0.
+        (lambda mp: _patch_lines(mp, ((1, 1),) * 3), "contextuality bsv --gamma 0.5 --json",
+         "bnl: line j1 multiplies to no multiple of g0 x g0 "),
+        (lambda mp: mp.setattr(indicators, "prob_diagonal", lambda state: 0.9),
+         "contextuality bsv --gamma 0.5 --json", "bnl: operator value "),
+        (lambda mp: mp.setattr(indicators, "prob_diagonal", lambda state: 0.9),
+         "entanglement gram bsv --gamma 0.5", "bnl: certificate trace "),
+        (lambda mp: mp.setattr(np.linalg, "eigvalsh", lambda matrix: np.array([-1.0, 0.0, 0.0, 1.0])),
+         "entanglement gram bsv --gamma 0.5", "bnl: certificate not positive semidefinite: "),
+    ],
+    ids=["commutation-guard", "line-guard", "pm-shortcut", "gram-trace", "gram-psd"],
+)
+def test_failed_cross_check_is_a_verification_failure(capsys, monkeypatch, patch, argv, prefix):
+    patch(monkeypatch)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith(prefix)
 
 
 def test_non_utf8_state_file_is_a_parse_error_naming_the_line(capsys, tmp_path):

@@ -137,13 +137,13 @@ class TestPeresMerminSquare:
         labels = dict(PM_CELL_LABELS)
         labels[(1, 1)] = (1, 0)
         monkeypatch.setattr(indicators, "PM_CELL_LABELS", labels)
-        with pytest.raises(AssertionError, match="fail to commute"):
+        with pytest.raises(indicators.CrossCheckError, match="fail to commute"):
             pm_expectation(random_two_beam_state(0))
 
     def test_shortcut_cross_check_rejects_a_wrong_line_sign(self, monkeypatch):
         lines = tuple((name, line, +1) for name, line, _ in PM_LINES)
         monkeypatch.setattr(indicators, "PM_LINES", lines)
-        with pytest.raises(RuntimeError, match="disagree"):
+        with pytest.raises(indicators.CrossCheckError, match="disagree"):
             pm_expectation(random_two_beam_state(0))
 
     def test_square_is_one_term_six_g0_g0(self):
@@ -172,10 +172,10 @@ class TestPeresMerminSquare:
         indicators._pm_terms.cache_clear()
         args = (tuple(labels.items()), lines)
         if not commute:
-            with pytest.raises(AssertionError, match="fail to commute"):
+            with pytest.raises(indicators.CrossCheckError, match="fail to commute"):
                 indicators._pm_terms(*args)
         elif off:
-            with pytest.raises(AssertionError, match=f"line {off[0]} multiplies to no multiple of g0 x g0"):
+            with pytest.raises(indicators.CrossCheckError, match=f"line {off[0]} multiplies to no multiple of g0 x g0"):
                 indicators._pm_terms(*args)
         else:
             got = indicators._pm_terms(*args) * g00

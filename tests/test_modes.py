@@ -11,6 +11,7 @@ from bnl import modes
 from bnl.gpauli import g_monomial, stokes_block
 from bnl.modes import (
     BALANCED,
+    BALANCED_FLIPPED,
     ModeUnitary,
     conjugate,
     counterexample_report,
@@ -111,6 +112,38 @@ def test_lift_is_a_homomorphism(seed):
     blocks = zip(lift_blocks(u @ v, 6), lift_blocks(u, 6), lift_blocks(v, 6))
     for composed, first, second in blocks:
         assert abs(composed - first @ second).max() < 1e-12
+
+
+def rotation(angle, axis):
+    """exp(i angle axis.sigma), axis a unit 3-vector."""
+    nx, ny, nz = axis
+    return math.cos(angle) * np.eye(2) + 1j * math.sin(angle) * np.array(
+        [[nz, nx - 1j * ny], [nx + 1j * ny, -nz]]
+    )
+
+
+LOGARITHM_CASES = {
+    "identity": np.eye(2, dtype=complex),
+    "minus-identity": -np.eye(2, dtype=complex),
+    "i-identity": 1j * np.eye(2),
+    "minus-identity-perturbed": -rotation(1e-12, (0.6, 0.0, 0.8)),
+    "diagonal-gap-1e-9": np.diag(np.exp(1j * np.array([0.7, 0.7 + 1e-9]))),
+    "diagonal-gap-1e-15": np.diag(np.exp(1j * np.array([0.7, 0.7 + 1e-15]))),
+    "swap": np.array([[0, 1], [1, 0]], dtype=complex),
+    "swap-times-i": np.array([[0, 1j], [1j, 0]]),
+    "balanced": BALANCED,
+    "balanced-flipped": BALANCED_FLIPPED,
+    **{f"haar-{seed}": unitary_from_seed(seed).matrix for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("u", LOGARITHM_CASES.values(), ids=LOGARITHM_CASES.keys())
+def test_lift_of_the_closed_form_logarithm_is_exact_at_every_branch(u):
+    # Scalar, near-scalar and swap unitaries sit on the branches of the 2x2 logarithm:
+    # |b| = 0, |b| near 0 with a near -1, and a = 0.
+    blocks = lift_blocks(ModeUnitary(u), 60)
+    assert abs(blocks[1] - u).max() < 1e-14
+    assert max(abs(b.conj().T @ b - np.eye(len(b))).max() for b in blocks) < 1e-13
 
 
 def test_conjugating_g0_fixes_one_photon_block():
