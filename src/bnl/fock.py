@@ -65,6 +65,10 @@ class HermitianViolationError(ValueError):
     """Raised when a Hermitian-flagged evaluation produces a non-real value."""
 
 
+class CrossCheckError(RuntimeError):
+    """Two independent computations of one quantity disagree: an internal inconsistency."""
+
+
 @dataclass(frozen=True)
 class BeamSpace:
     """Two-mode occupation basis truncated at ``cutoff`` total photons.

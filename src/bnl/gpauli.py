@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .fock import BeamSpace, ComplexOperator, Monomial, check_beam
+from .fock import BeamSpace, ComplexOperator, CrossCheckError, Monomial, check_beam
 
 # Entrywise tolerance for the algebra identities (products of exact 0/±1/±i
 # entries, so residuals are genuinely zero in floating point).
@@ -206,7 +206,7 @@ def _max_abs(matrix: np.ndarray) -> float:
 def _spectrum_deviation(block: np.ndarray) -> float:
     """Largest distance of an eigenvalue of a Hermitian block from {-1, 0, +1}."""
     if _max_abs(block - block.conj().T) > HERMITIAN_BLOCK_ATOL:
-        raise ValueError("block eigensolve expects a Hermitian operator")
+        raise CrossCheckError("block eigensolve expects a Hermitian operator")
     eigenvalues = np.linalg.eigvalsh(block)
     return float(np.abs(eigenvalues[:, None] - np.array([-1.0, 0.0, 1.0])).min(axis=1).max())
 
@@ -227,7 +227,8 @@ def verify_algebra(space: BeamSpace, construction: str = "direct") -> AlgebraRep
     and pr, so each entrywise max over the space is exact.  The spectrum
     is solved on every photon-number block T = 0..cutoff, which costs
     about sum_T T^3, so a space above the ``BNL_MAX_DIM`` cap is still
-    refused.  Failures are reported in the residual table, never raised.
+    refused.  A failed identity or spectrum is reported in the residual
+    table; a non-Hermitian block raises CrossCheckError.
     """
     if construction not in ("direct", "compact"):
         raise ValueError(f"unknown construction {construction!r}")

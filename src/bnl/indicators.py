@@ -30,8 +30,8 @@ All four share one verdict rule (``_verdict``) and one record
 record.  The margin is positive when the bound is violated.  A state
 truncated with ``norm_deficit`` d moves it by at most d times a spread
 derived per quantity: ±sum |w| over the declared product terms of a
-linear quantity, each of norm at most 1; [0, 6] for the square, whose
-six line products sum to the positive 6 g0 x g0; and ±24 for a
+linear quantity, each of norm at most 1; [0, w] for the square, whose
+six line products sum to w g0 x g0 with w = 6 (``_pm_terms``); and ±24 for a
 quadratic member (see NS_SPREAD).  The verdict reads that margin
 interval against VERDICT_ATOL, and an interval that straddles it is
 reported as inconclusive.
@@ -47,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import DomainMismatchError, MultiBeamState, expectations
+from .fock import CrossCheckError, DomainMismatchError, MultiBeamState, expectations
 from .gpauli import PAULI, g_monomial, orbit_matrix
 from .states import BsvParams, bsv_state, prob_diagonal
 
@@ -58,9 +58,6 @@ SHORTCUT_ATOL = 1e-10
 GRAM_PSD_ATOL = 1e-10
 GRAM_TRACE_ATOL = 1e-10
 VERDICT_ATOL = 1e-10
-# Range of the square's operator 6 g0 x g0, by which a unit of tail mass can
-# move its value.
-PM_SPREAD = (0.0, 6.0)
 # Spread of a quadratic family member's margin t1^2 + t2^2 - r^2.  Each pair
 # expectation moves by at most d; t1, t2 and r are each a sum of two pairs,
 # so each is bounded by 2 and moves by at most 2d, and each square moves by
@@ -70,10 +67,6 @@ NS_SPREAD = (-24.0, 24.0)
 DETECTION_LABELS = ("entangled", "not_detected")
 # g0..g3 on one beam; monomials are immutable, so one tuple serves every call.
 G_MONOMIALS = tuple(g_monomial(i) for i in range(4))
-
-
-class CrossCheckError(RuntimeError):
-    """Two independent computations of one quantity disagree: an internal inconsistency."""
 
 
 @dataclass(frozen=True)
@@ -219,7 +212,7 @@ def pm_expectation(state: MultiBeamState) -> VerdictRecord:
     context's cells and the line identities are checked, exactly, on 9x9
     orbit-matrix products (see _pm_terms).  The
     independently computed shortcut 6(1 - P(diagonal)) must agree with
-    that value up to the tail mass weighted by the six contexts;
+    that value up to SHORTCUT_ATOL plus w times the tail mass;
     disagreement beyond that raises CrossCheckError.
     """
     if state.n_beams != 2:
@@ -228,13 +221,13 @@ def pm_expectation(state: MultiBeamState) -> VerdictRecord:
     value = weight * correlations(state, [(0, 0)])[0, 0]
     p_diag = prob_diagonal(state)
     shortcut = 6.0 * (1.0 - p_diag)
-    if abs(value - shortcut) > SHORTCUT_ATOL + PM_SPREAD[1] * state.norm_deficit:
+    if abs(value - shortcut) > SHORTCUT_ATOL + weight * state.norm_deficit:
         raise CrossCheckError(
             f"operator value {value!r} and shortcut {shortcut!r} disagree"
         )
     return _verdict(
         "peres_mermin_square", value, PM_BOUND, value - PM_BOUND,
-        state.norm_deficit, PM_SPREAD, p_diag=p_diag,
+        state.norm_deficit, (0.0, weight), p_diag=p_diag,
     )
 
 
@@ -536,8 +529,8 @@ def mermin_bell_value(state: MultiBeamState, dichotomized: bool = True) -> Verdi
     For states that repeat one occupation pair across all beams with
     symmetric pair amplitudes, the value must equal 4 (1 - d) - 2 P(diagonal)
     (4 (1 - d) - 4 P(diagonal) without dichotomization), d being the norm
-    deficit; that expectation is returned in
-    ``details["structural_expected"]`` as a cross-check.
+    deficit; that expectation is returned in ``details["structural_expected"]``,
+    and a value further from it than SHORTCUT_ATOL raises CrossCheckError.
     """
     if state.n_beams != 3:
         raise DomainMismatchError("the Mermin expression takes a three-beam state")
@@ -550,6 +543,8 @@ def mermin_bell_value(state: MultiBeamState, dichotomized: bool = True) -> Verdi
     if _is_pair_symmetric_triple(state):
         p_diag = prob_diagonal(state)
         structural = 4.0 * (1.0 - state.norm_deficit) - (2.0 if dichotomized else 4.0) * p_diag
+        if abs(value - structural) > SHORTCUT_ATOL:
+            raise CrossCheckError(f"Mermin value {value!r} and structural identity {structural!r} disagree")
 
     weight = sum(abs(sign) for sign in signs.values())
     return _verdict(

@@ -27,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import build_space, check_beam, expi_tridiagonal
+from .fock import CrossCheckError, build_space, check_beam, expi_tridiagonal
 from .gpauli import g_monomial, stokes_block
 
 UNITARY_ATOL = 1e-12
-# A counterexample whose Stokes distance or lift unitarity residual exceeds this is refused.
+# A counterexample whose Stokes distance or lift unitarity residual exceeds this raises CrossCheckError.
 SELF_CHECK_ATOL = 1e-10
 
 # Balanced rotation: new modes c = (a + b)/sqrt(2), d = (a - b)/sqrt(2).
@@ -149,7 +149,8 @@ def counterexample_report(cutoff: int = 2, sign_flip: bool = False) -> Counterex
     g3 coincides with g1 only on the one-photon block; on the two-photon
     block it differs by more than 0.5 in max norm and takes the explicit
     1/sqrt(2) coupling form, up to a global sign set by the convention.
-    The report also carries the worst |U_T^dag U_T - 1| of the lift blocks.
+    Its self-check reads the rotated S3's distance from S1 and the worst
+    |U_T^dag U_T - 1| of the lift blocks; either above SELF_CHECK_ATOL raises CrossCheckError.
     A space above the ``BNL_MAX_DIM`` cap is refused before anything is built.
     """
     if cutoff < 2:
@@ -162,6 +163,11 @@ def counterexample_report(cutoff: int = 2, sign_flip: bool = False) -> Counterex
     expected = expected_rotated_g3_block2()
     matches = bool(min(abs(block2 - expected).max(), abs(block2 + expected).max()) <= UNITARY_ATOL)
     s3_rotated = conjugate([stokes_block(3, t) for t in range(cutoff + 1)], lift)
+    stokes = max(float(abs(r - stokes_block(1, t)).max()) for t, r in enumerate(s3_rotated))
+    unitarity = max(float(abs(w.conj().T @ w - np.eye(len(w))).max()) for w in lift)
+    if max(stokes, unitarity) > SELF_CHECK_ATOL:
+        raise CrossCheckError(f"counterexample self-check failed: stokes_distance {stokes:.3e}, "
+                              f"lift_unitarity_residual {unitarity:.3e}, tolerance {SELF_CHECK_ATOL:g}")
     return CounterexampleReport(
         sign_flip=sign_flip,
         g_distance_block2=float(abs(block2 - g1_block2).max()),
@@ -169,6 +175,6 @@ def counterexample_report(cutoff: int = 2, sign_flip: bool = False) -> Counterex
         g1_block2_matrix=g1_block2,
         matches_balanced_form=matches,
         g_distance_block1=float(abs(g3_rotated[1] - g_monomial(1).block(1)).max()),
-        stokes_distance=max(float(abs(r - stokes_block(1, t)).max()) for t, r in enumerate(s3_rotated)),
-        lift_unitarity_residual=max(float(abs(w.conj().T @ w - np.eye(len(w))).max()) for w in lift),
+        stokes_distance=stokes,
+        lift_unitarity_residual=unitarity,
     )

@@ -346,6 +346,17 @@ def _patch_lines(monkeypatch, first_line):
     indicators._pm_terms.cache_clear()
 
 
+def _corrupt_lift_block(monkeypatch, total, corrupt):
+    lift_blocks = modes.lift_blocks
+
+    def corrupted(u, cutoff):
+        blocks = lift_blocks(u, cutoff)
+        blocks[total] = corrupt(blocks[total])
+        return blocks
+
+    monkeypatch.setattr(modes, "lift_blocks", corrupted)
+
+
 @pytest.mark.parametrize(
     "patch, argv, prefix",
     [
@@ -361,8 +372,17 @@ def _patch_lines(monkeypatch, first_line):
          "entanglement gram bsv --gamma 0.5", "bnl: certificate trace "),
         (lambda mp: mp.setattr(np.linalg, "eigvalsh", lambda matrix: np.array([-1.0, 0.0, 0.0, 1.0])),
          "entanglement gram bsv --gamma 0.5", "bnl: certificate not positive semidefinite: "),
+        # sigma_1 with one entry doubled makes sr^dag pr + 2 pr^dag sr, which is not Hermitian.
+        (lambda mp: mp.setattr(gpauli, "PAULI", (gpauli.PAULI[0], np.array([[0, 1], [2, 0]], dtype=complex),
+                                                 *gpauli.PAULI[2:])),
+         "verify-algebra --construction compact", "bnl: block eigensolve expects a Hermitian operator"),
+        (lambda mp: _corrupt_lift_block(mp, 0, lambda block: block * (1 + 1e-6)),
+         "counterexample", "bnl: counterexample self-check failed: stokes_distance "),
+        (lambda mp: mp.setattr(indicators, "prob_diagonal", lambda state: 0.9),
+         "bell qubit --ghz", "bnl: Mermin value "),
     ],
-    ids=["commutation-guard", "line-guard", "pm-shortcut", "gram-trace", "gram-psd"],
+    ids=["commutation-guard", "line-guard", "pm-shortcut", "gram-trace", "gram-psd",
+         "hermitian-block-guard", "counterexample-self-check", "mermin-structural"],
 )
 def test_failed_cross_check_is_a_verification_failure(capsys, monkeypatch, patch, argv, prefix):
     patch(monkeypatch)
@@ -796,14 +816,7 @@ def test_counterexample_stays_covariant_at_high_cutoff(capsys, cutoff):
     ids=["not-unitary", "rephased"],
 )
 def test_counterexample_with_a_corrupted_lift_block_fails_its_self_check(capsys, monkeypatch, total, corrupt):
-    lift_blocks = modes.lift_blocks
-
-    def corrupted(u, cutoff):
-        blocks = lift_blocks(u, cutoff)
-        blocks[total] = corrupt(blocks[total])
-        return blocks
-
-    monkeypatch.setattr(modes, "lift_blocks", corrupted)
+    _corrupt_lift_block(monkeypatch, total, corrupt)
     code, out, err = run(capsys, "counterexample")
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1

@@ -14,7 +14,7 @@ from tensor_oracle import (
 )
 
 from bnl import gpauli
-from bnl.fock import Monomial, basis_state, build_space, expectation
+from bnl.fock import CrossCheckError, Monomial, basis_state, build_space, expectation
 from bnl.gpauli import (
     ALGEBRA_ATOL,
     SPECTRUM_ATOL,
@@ -161,7 +161,7 @@ def test_verify_algebra_refuses_a_non_hermitian_observable(monkeypatch):
     monkeypatch.setattr(
         gpauli, "g_monomial", lambda label: Monomial(True, (0, 1, -1)) if label == 1 else original(label)
     )
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(CrossCheckError, match="Hermitian"):
         verify_algebra(build_space(2))
 
 
